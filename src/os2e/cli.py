@@ -17,13 +17,25 @@ import sys
 import numpy as np
 
 from . import datagen, io, pipeline, selection, stats, training
-from .network import Checkpoint, NetworkConfig, forward, init_params
+from .network import (
+    Checkpoint,
+    NetworkConfig,
+    forward,
+    init_params,
+    DEFAULT_DROPOUT,
+    DEFAULT_LR,
+    SOFT_TARGET_AS_DISTRIBUTION,
+    SOFT_TARGET_IN_LOG,
+)
 
 
 def _resolved_threads() -> int:
     env = os.environ.get("OS2E_THREADS", "")
     if env.strip():
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"OS2E_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -198,12 +210,12 @@ _TRAIN_DEFAULTS = {
     "mode": "init",
     "alpha": training.ALPHA_OBJECT_DEFAULT,
     "beta": training.BETA_DEFAULT,
-    "lr": 0.01,
+    "lr": DEFAULT_LR,
     "schedule": training.K_ITERS_DEFAULT,
     "batch_size": training.BATCH_SIZE_DEFAULT,
-    "dropout": 0.7,
+    "dropout": DEFAULT_DROPOUT,
     "seed": 0,
-    "soft_direction": "target_as_distribution",
+    "soft_direction": SOFT_TARGET_AS_DISTRIBUTION,
     "trunk": "64",
 }
 
@@ -501,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--dropout", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--soft-direction", choices=("target_as_distribution", "target_in_log"))
+    p.add_argument(
+        "--soft-direction", choices=(SOFT_TARGET_AS_DISTRIBUTION, SOFT_TARGET_IN_LOG)
+    )
     p.add_argument("--trunk", help="comma-separated widths for a fresh source")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
@@ -537,6 +551,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _resolved_threads()  # a bad OS2E_THREADS fails before any output is written
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"os2e {args.subcommand}: error: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from itertools import zip_longest
 
 import numpy as np
 
-from .network import Checkpoint, NetworkConfig, NormSpec, ParamStore
+from .network import Checkpoint, NetworkConfig, NormSpec, ParamStore, build_layout
 from .pipeline import ImageBuffer, RegionSpec
 from .selection import SelectionProblem, SelectionResult
 from .stats import (
@@ -294,23 +295,31 @@ def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
 
 
 def read_checkpoint_json(path: str) -> Checkpoint:
+    """Load a checkpoint whose layout must match its config and tile its values."""
     d = _read_json(path)
+    config = _config_from_dict(d["config"])
     layout = [
         (entry["name"], int(entry["offset"]), tuple(entry["shape"]))
         for entry in d["layout"]
     ]
-    params = ParamStore(
-        values=np.array(d["values"], dtype=np.float64),
-        layout=layout,
-        rng_seed=int(d["seed"]),
-        norm_mean=None
-        if d.get("norm_mean") is None
-        else np.array(d["norm_mean"], dtype=np.float64),
-        norm_var=None
-        if d.get("norm_var") is None
-        else np.array(d["norm_var"], dtype=np.float64),
-    )
-    return Checkpoint(config=_config_from_dict(d["config"]), params=params)
+    for i, (got, want) in enumerate(zip_longest(layout, build_layout(config))):
+        if got != want:
+            raise ParseError(f"{path}: layout entry {i} is {got}, config wants {want}")
+    try:
+        params = ParamStore(
+            values=np.array(d["values"], dtype=np.float64),
+            layout=layout,
+            rng_seed=int(d["seed"]),
+            norm_mean=None
+            if d.get("norm_mean") is None
+            else np.array(d["norm_mean"], dtype=np.float64),
+            norm_var=None
+            if d.get("norm_var") is None
+            else np.array(d["norm_var"], dtype=np.float64),
+        )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return Checkpoint(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ respect to head pre-activations (already weighted and batch-scaled) which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +81,9 @@ class ParamStore:
     """All learnable weights in one flat vector plus non-learnable norm stats.
 
     ``layout`` maps each weight/bias to its (offset, shape) slice of
-    ``values``.  ``rng_seed`` records the seed used at initialization.
+    ``values``; the entries must tile ``values`` contiguously from offset 0.
+    ``rng_seed`` records the seed used at initialization.  The name index
+    behind ``view`` and ``slice_of`` is built once, at construction.
     """
 
     values: np.ndarray
@@ -88,19 +91,37 @@ class ParamStore:
     rng_seed: int
     norm_mean: np.ndarray | None = None
     norm_var: np.ndarray | None = None
+    _index: dict[str, tuple[slice, tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self._index = {}
+        end = 0
+        for name, offset, shape in self.layout:
+            if offset != end:
+                raise ValueError(
+                    f"layout entry {name!r} starts at offset {offset}, "
+                    f"expected {end}"
+                )
+            end = offset + math.prod(shape)
+            if end > self.values.size:
+                raise ValueError(
+                    f"layout entry {name!r} (offset {offset}, shape "
+                    f"{tuple(shape)}) runs past the end of {self.values.size} values"
+                )
+            self._index[name] = (slice(offset, end), tuple(shape))
+        if self.values.shape != (end,):
+            raise ValueError(
+                f"layout covers {end} values, got values of shape {self.values.shape}"
+            )
 
     def view(self, name: str) -> np.ndarray:
-        for entry_name, offset, shape in self.layout:
-            if entry_name == name:
-                size = int(np.prod(shape))
-                return self.values[offset : offset + size].reshape(shape)
-        raise KeyError(name)
+        span, shape = self._index[name]
+        return self.values[span].reshape(shape)
 
     def slice_of(self, name: str) -> slice:
-        for entry_name, offset, shape in self.layout:
-            if entry_name == name:
-                return slice(offset, offset + int(np.prod(shape)))
-        raise KeyError(name)
+        return self._index[name][0]
 
     def copy(self) -> "ParamStore":
         return ParamStore(
@@ -443,7 +464,9 @@ def data_loss(
     The two caches must share trunk parameters (weight sharing); each branch
     returns gradients for its own head only, with beta folded into the
     auxiliary gradient.  With beta == 0 the auxiliary branch is skipped and
-    ``aux_cache`` may be None.
+    ``aux_cache`` may be None.  Caches built from one params object share
+    the trunk by construction; caches from distinct stores are compared
+    element by element.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -454,11 +477,12 @@ def data_loss(
         return ce_event, {0: g_event}, {}
     if len(event_cache.config.heads) < 2:
         raise ValueError("data loss needs an auxiliary head")
-    for name, _, _ in event_cache.params.layout:
-        if name.startswith("trunk") and not np.array_equal(
-            event_cache.params.view(name), aux_cache.params.view(name)
-        ):
-            raise ValueError("heads not sharing trunk")
+    if event_cache.params is not aux_cache.params:
+        for name, _, _ in event_cache.params.layout:
+            if name.startswith("trunk") and not np.array_equal(
+                event_cache.params.view(name), aux_cache.params.view(name)
+            ):
+                raise ValueError("heads not sharing trunk")
     ce_aux, g_aux = cross_entropy_loss(aux_cache, aux_labels, head=1)
     return ce_event + beta * ce_aux, {0: g_event}, {1: beta * g_aux}
 

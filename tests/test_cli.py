@@ -6,9 +6,17 @@ import os
 import numpy as np
 
 from os2e import fixture_path
-from os2e.cli import run
+from os2e.cli import _TRAIN_DEFAULTS, run
 from os2e import io
-from os2e.network import Checkpoint, NetworkConfig, init_params
+from os2e.network import (
+    Checkpoint,
+    NetworkConfig,
+    init_params,
+    DEFAULT_DROPOUT,
+    DEFAULT_LR,
+    SOFT_TARGET_AS_DISTRIBUTION,
+)
+from os2e.training import TransferConfig
 
 
 def read_json(path):
@@ -172,6 +180,25 @@ class TestTrainCommand:
         assert resolved["seed"] == 7  # flag overrides file
 
 
+class TestTrainDefaults:
+    def test_defaults_equal_library_constants(self):
+        lib = TransferConfig()
+        expected = {
+            "mode": lib.mode,
+            "alpha": lib.alpha,
+            "beta": lib.beta,
+            "lr": DEFAULT_LR,
+            "schedule": lib.k_iters,
+            "batch_size": lib.batch_size,
+            "dropout": DEFAULT_DROPOUT,
+            "seed": lib.seed,
+            "soft_direction": SOFT_TARGET_AS_DISTRIBUTION,
+        }
+        assert lib.lr == DEFAULT_LR and lib.dropout_rate == DEFAULT_DROPOUT
+        for key, value in expected.items():
+            assert _TRAIN_DEFAULTS[key] == value, key
+
+
 class TestInferCommand:
     def make_checkpoint(self, path, num_classes=4):
         cfg = NetworkConfig(
@@ -233,6 +260,17 @@ class TestResolvedConfig:
              "--k", "1", "--out", out])
         resolved = read_json(os.path.join(out, "resolved_config.json"))
         assert resolved["threads"] == 2
+
+    def test_bad_threads_env_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OS2E_THREADS", "abc")
+        out = tmp_path / "v"
+        code = run(
+            ["gen", "--preset", "vectors", "--seed", "2", "--n-train", "16",
+             "--n-test", "16", "--out", str(out)]
+        )
+        assert code == 1
+        assert "OS2E_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportCommand:

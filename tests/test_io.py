@@ -1,5 +1,8 @@
 """File formats: round-trips at stated tolerances and line-numbered errors."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,51 @@ class TestCheckpointJson:
         io.write_checkpoint_json(path, report.checkpoint)
         loaded = io.read_checkpoint_json(path)
         assert loaded.params.values.tobytes() == report.checkpoint.params.values.tobytes()
+
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit):
+        # trunk0.W 4x3 @0, trunk0.b @12, head0.W 3x2 @15, head0.b @21: 23 values
+        cfg = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
+        path = tmp_path / "ckpt.json"
+        io.write_checkpoint_json(str(path), Checkpoint(cfg, init_params(cfg, seed=12)))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_truncated_values_name_file_and_entry(self, tmp_path):
+        def truncate(payload):
+            payload["values"] = payload["values"][:-3]
+
+        path = self._edited_checkpoint(tmp_path, truncate)
+        with pytest.raises(
+            io.ParseError, match=re.escape(path) + r": layout entry 'head0.W' .* past the end of 20"
+        ):
+            io.read_checkpoint_json(path)
+
+    def test_layout_config_mismatch_names_file_and_entry(self, tmp_path):
+        def widen_head(payload):
+            payload["config"]["heads"] = [3]
+
+        path = self._edited_checkpoint(tmp_path, widen_head)
+        with pytest.raises(
+            io.ParseError,
+            match=re.escape(path) + r": layout entry 2 is \('head0.W', 15, \(3, 2\)\), "
+            r"config wants \('head0.W', 15, \(3, 3\)\)",
+        ):
+            io.read_checkpoint_json(path)
+
+    def test_missing_layout_entry_names_file_and_entry(self, tmp_path):
+        def drop_last(payload):
+            payload["layout"].pop()
+            payload["values"] = payload["values"][:-2]
+
+        path = self._edited_checkpoint(tmp_path, drop_last)
+        with pytest.raises(
+            io.ParseError,
+            match=re.escape(path) + r": layout entry 3 is None, config wants \('head0.b'",
+        ):
+            io.read_checkpoint_json(path)
 
 
 class TestReportFiles:

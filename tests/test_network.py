@@ -8,6 +8,7 @@ from os2e.network import (
     Checkpoint,
     NetworkConfig,
     NormSpec,
+    ParamStore,
     backward,
     build_layout,
     cross_entropy_loss,
@@ -23,6 +24,9 @@ from os2e.network import (
     SOFT_TARGET_IN_LOG,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
+
+
+TINY_LAYOUT = [("head0.W", 0, (2, 2)), ("head0.b", 4, (2,))]
 
 
 def small_net(heads=(4,), trunk=(8, 6), dropout=0.0, norm=None, input_dim=5):
@@ -242,6 +246,34 @@ class TestDataLoss:
         with pytest.raises(ValueError, match="heads not sharing trunk"):
             data_loss(cache_a, [0, 1], cache_b, [0, 1], beta=0.5)
 
+    def _shared_trunk_losses(self, params_a, params_b):
+        cfg = small_net(heads=(3, 3), trunk=(6,))
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(4, 5))
+        y = rng.integers(0, 3, size=4)
+        return data_loss(
+            forward(cfg, params_a, x), y, forward(cfg, params_b, x), y, beta=0.5
+        )
+
+    def test_same_params_object_and_equal_copy_accepted(self):
+        cfg = small_net(heads=(3, 3), trunk=(6,))
+        params = init_params(cfg, seed=30)
+        same = self._shared_trunk_losses(params, params)
+        copied = self._shared_trunk_losses(params, params.copy())
+        assert same[0] == copied[0]
+        for a, b in zip(same[1:], copied[1:]):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert a[key].tobytes() == b[key].tobytes()
+
+    def test_copy_with_one_trunk_element_changed_rejected(self):
+        cfg = small_net(heads=(3, 3), trunk=(6,))
+        params = init_params(cfg, seed=31)
+        other = params.copy()
+        other.view("trunk0.b")[2] += 1e-12
+        with pytest.raises(ValueError, match="heads not sharing trunk"):
+            self._shared_trunk_losses(params, other)
+
 
 class TestBackward:
     def test_unused_head_gradient_is_zero(self):
@@ -407,3 +439,38 @@ class TestParamStore:
         cfg = small_net()
         ckpt = Checkpoint(config=cfg, params=init_params(cfg, seed=45))
         assert ckpt.config.heads == (4,)
+
+    def test_unknown_name_raises_key_error(self):
+        params = init_params(small_net(), seed=46)
+        with pytest.raises(KeyError, match="trunk9.W"):
+            params.view("trunk9.W")
+        with pytest.raises(KeyError, match="head0.c"):
+            params.slice_of("head0.c")
+
+    def test_copy_has_its_own_index_and_storage(self):
+        params = init_params(small_net(heads=(4, 3)), seed=48)
+        before = params.values.copy()
+        dup = params.copy()
+        dup.view("trunk0.W")[:] = 7.0
+        dup.view("head1.b")[0] = -1.0
+        np.testing.assert_array_equal(params.values, before)
+        assert not np.shares_memory(dup.view("trunk0.W"), params.values)
+        assert np.all(dup.view("trunk0.W") == 7.0)
+        assert dup.slice_of("head1.b") == params.slice_of("head1.b")
+
+    @pytest.mark.parametrize(
+        "layout, size, message",
+        [
+            (TINY_LAYOUT, 5, r"'head0.b' \(offset 4, shape \(2,\)\) runs past the end"),
+            (TINY_LAYOUT, 8, r"layout covers 6 values, got values of shape \(8,\)"),
+            (
+                [("head0.W", 0, (2, 2)), ("head0.b", 5, (2,))],
+                7,
+                "'head0.b' starts at offset 5, expected 4",
+            ),
+        ],
+        ids=["short", "long", "gap"],
+    )
+    def test_layout_must_tile_values(self, layout, size, message):
+        with pytest.raises(ValueError, match=message):
+            ParamStore(values=np.zeros(size), layout=layout, rng_seed=0)
