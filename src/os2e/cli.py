@@ -1,15 +1,15 @@
 """Command-line entry point: gen, stats, select, train, infer, report.
 
-Config precedence is defaults < ``--config`` JSON file < command-line flags.
-Every subcommand writes a ``resolved_config.json`` into its output directory
-with the fully-explicit settings of the run, so any output can be reproduced
-bit for bit.  ``OS2E_THREADS`` caps worker threads (all current module
-implementations are single-threaded, which trivially respects any cap).
+Config precedence is defaults < ``--config`` JSON file < command-line flags;
+a config file key that names no setting is an error.  Every subcommand writes
+a ``resolved_config.json`` into its output directory with the fully-explicit
+settings of the run, so any output can be reproduced bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,31 +29,28 @@ from .network import (
 )
 
 
-def _resolved_threads() -> int:
-    env = os.environ.get("OS2E_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"OS2E_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _write_resolved_config(out_dir: str, payload: dict) -> None:
     io.ensure_dir(out_dir)
-    payload = dict(payload)
-    payload["threads"] = _resolved_threads()
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _read_settings(path: str, known) -> dict:
+    """A JSON object of settings whose every key is in ``known``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        settings = json.load(fh)
+    for key in settings:
+        if key not in known:
+            raise ValueError(f"{path}: unknown setting {key!r}")
+    return settings
 
 
 def _layer_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            resolved.update(json.load(fh))
+        resolved.update(_read_settings(args.config, defaults))
     for key in defaults:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
@@ -87,9 +84,7 @@ def _generator_config(resolved: dict) -> datagen.GeneratorConfig:
         if resolved.get(key) is not None
     }
     if overrides:
-        from dataclasses import replace
-
-        preset = replace(preset, **overrides)
+        preset = dataclasses.replace(preset, **overrides)
     return preset
 
 
@@ -271,7 +266,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     checkpoint_path = os.path.join(out, "checkpoint.json")
     io.write_checkpoint_json(checkpoint_path, report.checkpoint)
     io.write_report_json(os.path.join(out, "report.json"), report, "checkpoint.json")
-    io.write_report_csv(os.path.join(out, "report.csv"), report)
+    io.write_report_csv(os.path.join(out, "report.csv"), report.records)
     _write_resolved_config(
         out,
         {
@@ -304,17 +299,10 @@ def _checkpoint_scorer(checkpoint_path: str):
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    out = io.ensure_dir(args.out)
-    crop = {
-        "base_side": 256,
-        "crop_side": 224,
-        "scale_factors": [1.0, 1.5, 2.0],
-        "ratio_modes": [pipeline.RATIO_ASPECT, pipeline.RATIO_SQUARE],
-        "grid": 3,
-    }
+    crop = {}
     if args.crop_config:
-        with open(args.crop_config, "r", encoding="utf-8") as fh:
-            crop.update(json.load(fh))
+        fields = {f.name for f in dataclasses.fields(pipeline.CropConfig)}
+        crop = _read_settings(args.crop_config, fields)
     if args.base_side is not None:
         crop["base_side"] = args.base_side
     if args.crop_side is not None:
@@ -325,13 +313,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         crop["ratio_modes"] = args.ratio_modes.split(",")
     if args.grid is not None:
         crop["grid"] = args.grid
-    config = pipeline.CropConfig(
-        base_side=crop["base_side"],
-        crop_side=crop["crop_side"],
-        scale_factors=tuple(crop["scale_factors"]),
-        ratio_modes=tuple(crop["ratio_modes"]),
-        grid=crop["grid"],
-    )
+    for key in ("scale_factors", "ratio_modes"):
+        if key in crop:
+            crop[key] = tuple(crop[key])
+    config = dataclasses.replace(pipeline.CropConfig(), **crop)
+    out = io.ensure_dir(args.out)
     scorers = {
         "object": _checkpoint_scorer(args.checkpoint_o),
         "scene": _checkpoint_scorer(args.checkpoint_s),
@@ -399,7 +385,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if os.path.exists(resolved_path):
                 with open(resolved_path, "r", encoding="utf-8") as fh:
                     mode = json.load(fh).get("mode", "unknown")
-            report_runs.append((mode, os.path.join(root, "report.json")))
+            report_path = os.path.join(root, "report.json")
+            with open(report_path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            try:
+                records = [training.EvalRecord(**r) for r in payload["records"]]
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{report_path}: malformed train report: {exc}") from None
+            report_runs.append((mode, report_path, records))
 
     if conditional_path:
         table = io.read_conditional_json(conditional_path)
@@ -422,28 +415,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         warnings.append("no conditional.json found; skipping concept tables")
 
     if report_runs:
+        report_runs.sort(key=lambda run: run[:2])
         with open(os.path.join(out, "mode_comparison.csv"), "w", encoding="utf-8") as fh:
             fh.write("mode,final_iter,train_loss,test_loss,test_acc,test_map\n")
-            for mode, path in sorted(report_runs):
-                with open(path, "r", encoding="utf-8") as rfh:
-                    records = json.load(rfh)["records"]
+            for mode, _, records in report_runs:
                 last = records[-1]
                 fh.write(
-                    f"{mode},{last['iteration']},{last['train_loss']!r},"
-                    f"{last['test_loss']!r},{last['test_accuracy']!r},"
-                    f"{last['test_map']!r}\n"
+                    f"{mode},{last.iteration},{last.train_loss!r},"
+                    f"{last.test_loss!r},{last.test_accuracy!r},{last.test_map!r}\n"
                 )
-        for i, (mode, path) in enumerate(sorted(report_runs)):
-            with open(path, "r", encoding="utf-8") as rfh:
-                records = json.load(rfh)["records"]
+        for i, (mode, _, records) in enumerate(report_runs):
             curve_name = f"loss_curve_{mode}_{i}.csv"
-            with open(os.path.join(out, curve_name), "w", encoding="utf-8") as fh:
-                fh.write("iter,train_loss,test_loss,test_acc,test_map\n")
-                for r in records:
-                    fh.write(
-                        f"{r['iteration']},{r['train_loss']!r},{r['test_loss']!r},"
-                        f"{r['test_accuracy']!r},{r['test_map']!r}\n"
-                    )
+            io.write_report_csv(os.path.join(out, curve_name), records)
             produced.append(curve_name)
         produced.append("mode_comparison.csv")
     else:
@@ -551,7 +534,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _resolved_threads()  # a bad OS2E_THREADS fails before any output is written
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"os2e {args.subcommand}: error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .network import Checkpoint, NetworkConfig, NormSpec, ParamStore, build_layout
+from .network import Checkpoint, NetworkConfig, ParamStore, build_layout
 from .pipeline import ImageBuffer, RegionSpec
 from .selection import SelectionProblem, SelectionResult
 from .stats import (
@@ -254,25 +254,15 @@ def write_selection_report_csv(
 # ---------------------------------------------------------------------------
 
 
-def _config_to_dict(config: NetworkConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "trunk": list(config.trunk),
-        "heads": list(config.heads),
-        "dropout_rate": config.dropout_rate,
-        "norm": None if config.norm is None else asdict(config.norm),
-    }
+def _key(d: dict, key: str, path: str, prefix: str = ""):
+    try:
+        return d[key]
+    except KeyError:
+        raise ParseError(f"{path}: missing key '{prefix}{key}'") from None
 
 
-def _config_from_dict(d: dict) -> NetworkConfig:
-    norm = d.get("norm")
-    return NetworkConfig(
-        input_dim=int(d["input_dim"]),
-        trunk=tuple(d["trunk"]),
-        heads=tuple(d["heads"]),
-        dropout_rate=float(d["dropout_rate"]),
-        norm=None if norm is None else NormSpec(**norm),
-    )
+_CHECKPOINT_KEYS = ("type", "config", "seed", "layout", "values")
+_CONFIG_KEYS = ("input_dim", "trunk", "heads", "dropout_rate")
 
 
 def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
@@ -281,41 +271,57 @@ def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
         path,
         {
             "type": "checkpoint",
-            "config": _config_to_dict(checkpoint.config),
+            "config": {
+                "input_dim": checkpoint.config.input_dim,
+                "trunk": list(checkpoint.config.trunk),
+                "heads": list(checkpoint.config.heads),
+                "dropout_rate": checkpoint.config.dropout_rate,
+            },
             "seed": params.rng_seed,
             "layout": [
                 {"name": name, "offset": offset, "shape": list(shape)}
                 for name, offset, shape in params.layout
             ],
             "values": params.values.tolist(),
-            "norm_mean": None if params.norm_mean is None else params.norm_mean.tolist(),
-            "norm_var": None if params.norm_var is None else params.norm_var.tolist(),
         },
     )
 
 
 def read_checkpoint_json(path: str) -> Checkpoint:
-    """Load a checkpoint whose layout must match its config and tile its values."""
+    """Load a checkpoint whose layout must match its config and tile its values.
+
+    Keys the reader does not know must be null: files written while os2e had
+    an input-normalization layer carry its unused settings and statistics as
+    null keys, and a set one would silently be dropped.
+    """
     d = _read_json(path)
-    config = _config_from_dict(d["config"])
+    c = _key(d, "config", path)
+    for prefix, holder, known in (("", d, _CHECKPOINT_KEYS), ("config.", c, _CONFIG_KEYS)):
+        for key, value in holder.items():
+            if key not in known and value is not None:
+                raise ParseError(f"{path}: unknown key '{prefix}{key}' is set")
+    config = NetworkConfig(
+        input_dim=int(_key(c, "input_dim", path, "config.")),
+        trunk=tuple(_key(c, "trunk", path, "config.")),
+        heads=tuple(_key(c, "heads", path, "config.")),
+        dropout_rate=float(_key(c, "dropout_rate", path, "config.")),
+    )
     layout = [
-        (entry["name"], int(entry["offset"]), tuple(entry["shape"]))
-        for entry in d["layout"]
+        (
+            _key(entry, "name", path, f"layout[{i}]."),
+            int(_key(entry, "offset", path, f"layout[{i}].")),
+            tuple(_key(entry, "shape", path, f"layout[{i}].")),
+        )
+        for i, entry in enumerate(_key(d, "layout", path))
     ]
     for i, (got, want) in enumerate(zip_longest(layout, build_layout(config))):
         if got != want:
             raise ParseError(f"{path}: layout entry {i} is {got}, config wants {want}")
     try:
         params = ParamStore(
-            values=np.array(d["values"], dtype=np.float64),
+            values=np.array(_key(d, "values", path), dtype=np.float64),
             layout=layout,
-            rng_seed=int(d["seed"]),
-            norm_mean=None
-            if d.get("norm_mean") is None
-            else np.array(d["norm_mean"], dtype=np.float64),
-            norm_var=None
-            if d.get("norm_var") is None
-            else np.array(d["norm_var"], dtype=np.float64),
+            rng_seed=int(_key(d, "seed", path)),
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -339,10 +345,10 @@ def write_report_json(path: str, report: TrainReport, checkpoint_path: str) -> N
     )
 
 
-def write_report_csv(path: str, report: TrainReport) -> None:
+def write_report_csv(path: str, records: list[EvalRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iter,train_loss,test_loss,test_acc,test_map\n")
-        for r in report.records:
+        for r in records:
             fh.write(
                 f"{r.iteration},{_fmt(r.train_loss)},{_fmt(r.test_loss)},"
                 f"{_fmt(r.test_accuracy)},{_fmt(r.test_map)}\n"

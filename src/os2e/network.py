@@ -1,7 +1,6 @@
 """Minimal differentiable network substrate with exact analytic gradients.
 
-The network is an affine+rectifier trunk over feature vectors with an
-optional freezable per-feature standardization layer at the input, inverted
+The network is an affine+rectifier trunk over raw feature vectors, inverted
 dropout before the heads, and one or two affine+softmax heads (event head
 first, imitation/auxiliary head second).  All parameters live in a single
 flat float64 vector with a deterministic layout, so checkpoints, SGD updates,
@@ -24,7 +23,6 @@ import numpy as np
 DEFAULT_DROPOUT = 0.7
 DEFAULT_LR = 0.01
 DEFAULT_MOMENTUM = 0.9
-NORM_EPS = 1e-5
 
 SOFT_TARGET_AS_DISTRIBUTION = "target_as_distribution"
 SOFT_TARGET_IN_LOG = "target_in_log"
@@ -33,20 +31,11 @@ _INIT_STREAM = 0
 
 
 @dataclass(frozen=True)
-class NormSpec:
-    """Per-feature standardization; frozen uses stored stats, else batch stats."""
-
-    freeze: bool = True
-    eps: float = NORM_EPS
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
     input_dim: int
     trunk: tuple[int, ...] = ()
     heads: tuple[int, ...] = (2,)
     dropout_rate: float = DEFAULT_DROPOUT
-    norm: NormSpec | None = None
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -78,7 +67,7 @@ class NetworkConfig:
 
 @dataclass
 class ParamStore:
-    """All learnable weights in one flat vector plus non-learnable norm stats.
+    """All learnable weights in one flat vector.
 
     ``layout`` maps each weight/bias to its (offset, shape) slice of
     ``values``; the entries must tile ``values`` contiguously from offset 0.
@@ -89,8 +78,6 @@ class ParamStore:
     values: np.ndarray
     layout: list[tuple[str, int, tuple[int, ...]]]
     rng_seed: int
-    norm_mean: np.ndarray | None = None
-    norm_var: np.ndarray | None = None
     _index: dict[str, tuple[slice, tuple[int, ...]]] = field(
         init=False, repr=False, compare=False
     )
@@ -128,8 +115,6 @@ class ParamStore:
             values=self.values.copy(),
             layout=list(self.layout),
             rng_seed=self.rng_seed,
-            norm_mean=None if self.norm_mean is None else self.norm_mean.copy(),
-            norm_var=None if self.norm_var is None else self.norm_var.copy(),
         )
 
 
@@ -172,16 +157,13 @@ def init_params(config: NetworkConfig, seed: int) -> ParamStore:
     for name, fan_in, fan_out in config.layer_dims():
         limit = 1.0 / np.sqrt(fan_in)
         store.view(f"{name}.W")[:] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-    if config.norm is not None:
-        store.norm_mean = np.zeros(config.input_dim)
-        store.norm_var = np.ones(config.input_dim)
     return store
 
 
 def init_from_source(
     config: NetworkConfig, source: ParamStore, seed: int
 ) -> ParamStore:
-    """Copy trunk weights (and norm stats) from a source store; re-init heads.
+    """Copy trunk weights from a source store; re-init heads.
 
     The source must have a trunk of the same shape; its heads are ignored.
     """
@@ -203,25 +185,17 @@ def init_from_source(
                 -limit, limit, size=(fan_in, fan_out)
             )
             params.view(f"{name}.b")[:] = 0.0
-    if config.norm is not None:
-        if source.norm_mean is not None:
-            params.norm_mean = source.norm_mean.copy()
-            params.norm_var = source.norm_var.copy()
     return params
 
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs: activations, masks, and head outputs."""
+    """Everything backward needs: the net and params it ran with, activations,
+    masks, and head outputs."""
 
     config: NetworkConfig
     params: ParamStore
     x: np.ndarray
-    mode: str
-    norm_out: np.ndarray | None
-    norm_invstd: np.ndarray | None
-    norm_xhat: np.ndarray | None
-    norm_frozen: bool
     trunk_pre: list[np.ndarray]
     trunk_out: list[np.ndarray]
     dropout_mask: np.ndarray | None
@@ -251,9 +225,7 @@ def forward(
 ) -> ForwardCache:
     """Run the network on a batch; in train mode dropout needs an rng.
 
-    Dropout uses inverted scaling so eval outputs need no rescale.  A frozen
-    norm layer standardizes with the stored statistics; an unfrozen one uses
-    the batch mean and (biased) variance.
+    Dropout uses inverted scaling so eval outputs need no rescale.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
@@ -264,22 +236,6 @@ def forward(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
     h = x
-    norm_out = norm_invstd = norm_xhat = None
-    norm_frozen = False
-    if config.norm is not None:
-        if config.norm.freeze:
-            if params.norm_mean is None or params.norm_var is None:
-                raise ValueError("frozen norm layer needs stored statistics")
-            mean, var = params.norm_mean, params.norm_var
-            norm_frozen = True
-        else:
-            mean = h.mean(axis=0)
-            var = h.var(axis=0)
-        norm_invstd = 1.0 / np.sqrt(var + config.norm.eps)
-        norm_xhat = (h - mean) * norm_invstd
-        norm_out = norm_xhat
-        h = norm_out
-
     trunk_pre, trunk_out = [], []
     for i in range(len(config.trunk)):
         pre = h @ params.view(f"trunk{i}.W") + params.view(f"trunk{i}.b")
@@ -307,11 +263,6 @@ def forward(
         config=config,
         params=params,
         x=x,
-        mode=mode,
-        norm_out=norm_out,
-        norm_invstd=norm_invstd,
-        norm_xhat=norm_xhat,
-        norm_frozen=norm_frozen,
         trunk_pre=trunk_pre,
         trunk_out=trunk_out,
         dropout_mask=dropout_mask,
@@ -322,17 +273,13 @@ def forward(
     )
 
 
-def backward(
-    config: NetworkConfig,
-    params: ParamStore,
-    cache: ForwardCache,
-    head_grads: dict[int, np.ndarray],
-) -> np.ndarray:
+def backward(cache: ForwardCache, head_grads: dict[int, np.ndarray]) -> np.ndarray:
     """Map head pre-activation gradients to a flat parameter gradient.
 
     Heads absent from ``head_grads`` contribute nothing (their parameter
-    gradients are zero).  The cache must come from the same params.
+    gradients are zero).  The gradient is laid out like ``cache.params``.
     """
+    params = cache.params
     grad = np.zeros_like(params.values)
     d_head_in = np.zeros_like(cache.head_input)
     for hd, g in head_grads.items():
@@ -347,24 +294,13 @@ def backward(
     if cache.dropout_mask is not None:
         d_h = d_h * cache.dropout_mask
 
-    for i in reversed(range(len(config.trunk))):
+    for i in reversed(range(len(cache.config.trunk))):
         d_pre = d_h * (cache.trunk_pre[i] > 0.0)
-        layer_in = cache.trunk_out[i - 1] if i > 0 else (
-            cache.norm_out if cache.norm_out is not None else cache.x
-        )
+        layer_in = cache.trunk_out[i - 1] if i > 0 else cache.x
         grad[params.slice_of(f"trunk{i}.W")] = (layer_in.T @ d_pre).ravel()
         grad[params.slice_of(f"trunk{i}.b")] = d_pre.sum(axis=0)
-        d_h = d_pre @ params.view(f"trunk{i}.W").T
-
-    if config.norm is not None and not cache.norm_frozen:
-        # standardization with batch statistics: full backward through
-        # the batch mean/variance (no learnable scale/shift)
-        b = cache.batch_size
-        dxhat = d_h
-        xhat = cache.norm_xhat
-        d_h = (cache.norm_invstd / b) * (
-            b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        if i > 0:
+            d_h = d_pre @ params.view(f"trunk{i}.W").T
     return grad
 
 

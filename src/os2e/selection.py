@@ -32,40 +32,32 @@ EXHAUSTIVE_MAX_SUBSETS = 200_000
 
 @dataclass
 class SelectionProblem:
-    """A posterior table plus the selection knobs (unary costs, weight, K).
+    """A posterior table plus the selection knobs (weight, K).
 
-    ``phi`` must be exactly the per-row conditional entropy of ``posterior``;
-    use :meth:`from_posterior` to build it.
+    ``phi``, the unary cost of each concept class, is the conditional entropy
+    of its posterior row, derived once at construction.
     """
 
     posterior: PosteriorTable
-    phi: np.ndarray
     lam: float = DEFAULT_LAMBDA
     k: int = 1
+    phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=np.float64)
         c = self.posterior.num_classes
-        if self.phi.shape != (c,):
-            raise ValueError("phi must have one entry per concept class")
         if not (1 <= self.k <= c):
             raise ValueError(f"k must be in [1, {c}], got {self.k}")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
-        expected = np.array(
+        self.phi = np.array(
             [conditional_entropy(self.posterior.post[i]) for i in range(c)]
         )
-        if not np.array_equal(self.phi, expected):
-            raise ValueError("phi must equal the posterior rows' conditional entropy")
 
     @classmethod
     def from_posterior(
         cls, posterior: PosteriorTable, k: int, lam: float = DEFAULT_LAMBDA
     ) -> "SelectionProblem":
-        phi = np.array(
-            [conditional_entropy(posterior.post[i]) for i in range(posterior.num_classes)]
-        )
-        return cls(posterior=posterior, phi=phi, lam=lam, k=k)
+        return cls(posterior=posterior, lam=lam, k=k)
 
     @property
     def num_classes(self) -> int:

@@ -21,14 +21,13 @@ bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import (
     Checkpoint,
     NetworkConfig,
-    NormSpec,
     ParamStore,
     backward,
     cross_entropy_loss,
@@ -197,11 +196,6 @@ def evaluate(scores, labels) -> EvalResult:
     )
 
 
-def _frozen_norm(norm: NormSpec | None) -> NormSpec | None:
-    # fine-tuning freezes the normalization statistics of the source model
-    return None if norm is None else replace(norm, freeze=True)
-
-
 def _evaluate_point(
     net: NetworkConfig,
     params: ParamStore,
@@ -260,7 +254,7 @@ def _run_training(
                 loss, head_grads = knowledge_loss(
                     cache, yb, soft.values[idx], config.alpha, config.soft_direction
                 )
-                grad = backward(net, params, cache, head_grads)
+                grad = backward(cache, head_grads)
             elif use_aux:
                 aux_idx = aux_batch_rng.integers(0, len(aux), size=config.batch_size)
                 aux_cache = forward(
@@ -269,12 +263,10 @@ def _run_training(
                 loss, event_grads, aux_grads = data_loss(
                     cache, yb, aux_cache, aux.labels[aux_idx], config.beta
                 )
-                grad = backward(net, params, cache, event_grads) + backward(
-                    net, params, aux_cache, aux_grads
-                )
+                grad = backward(cache, event_grads) + backward(aux_cache, aux_grads)
             else:
                 loss, g_event = cross_entropy_loss(cache, yb)
-                grad = backward(net, params, cache, {0: g_event})
+                grad = backward(cache, {0: g_event})
         if not np.isfinite(loss):
             raise ValueError(f"divergence at iteration {t}: loss={loss!r}")
         sgd_momentum_step(params, grad, velocity, lr=lr_t, momentum=config.momentum)
@@ -302,7 +294,6 @@ def _target_net(
         trunk=source.config.trunk,
         heads=heads,
         dropout_rate=config.dropout_rate,
-        norm=_frozen_norm(source.config.norm),
     )
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from os2e.network import NetworkConfig, NormSpec, forward, init_params
+from os2e.network import NetworkConfig, forward, init_params
 
 RELU_KINK_MARGIN = 1e-3
 
@@ -17,18 +17,13 @@ def draw_grad_check_case(rng, batch=5, margin=RELU_KINK_MARGIN, max_tries=60):
     """
     for _ in range(max_tries):
         trunk = tuple(int(w) for w in rng.integers(2, 9, size=rng.integers(0, 3)))
-        norm = None if rng.random() < 0.5 else NormSpec(freeze=bool(rng.integers(0, 2)))
         cfg = NetworkConfig(
             input_dim=int(rng.integers(2, 7)),
             trunk=trunk,
             heads=(int(rng.integers(2, 5)), int(rng.integers(2, 5))),
             dropout_rate=0.0,
-            norm=norm,
         )
         params = init_params(cfg, seed=int(rng.integers(0, 10_000)))
-        if norm is not None and norm.freeze:
-            params.norm_mean = rng.normal(size=cfg.input_dim)
-            params.norm_var = rng.uniform(0.5, 2.0, size=cfg.input_dim)
         x = rng.normal(size=(batch, cfg.input_dim))
         cache = forward(cfg, params, x, mode="eval")
         if all(np.abs(pre).min() > margin for pre in cache.trunk_pre):

@@ -181,7 +181,7 @@ class TestCriterion3Gradients:
             def ce_fn(p):
                 cache = forward(cfg, p, x, mode="eval")
                 loss, g = cross_entropy_loss(cache, y)
-                return loss, backward(cfg, p, cache, {0: g})
+                return loss, backward(cache, {0: g})
 
             def know_fn(direction):
                 def fn(p):
@@ -189,7 +189,7 @@ class TestCriterion3Gradients:
                     loss, grads = knowledge_loss(
                         cache, y, f, alpha=0.25, direction=direction
                     )
-                    return loss, backward(cfg, p, cache, grads)
+                    return loss, backward(cache, grads)
 
                 return fn
 
@@ -197,9 +197,7 @@ class TestCriterion3Gradients:
                 event_cache = forward(cfg, p, x, mode="eval")
                 aux_cache = forward(cfg, p, xa, mode="eval")
                 loss, ge, ga = data_loss(event_cache, y, aux_cache, ya, beta=0.5)
-                return loss, backward(cfg, p, event_cache, ge) + backward(
-                    cfg, p, aux_cache, ga
-                )
+                return loss, backward(event_cache, ge) + backward(aux_cache, ga)
 
             for fn in (
                 ce_fn,

@@ -179,6 +179,17 @@ class TestTrainCommand:
         assert resolved["schedule"] == 4  # from config file
         assert resolved["seed"] == 7  # flag overrides file
 
+    def test_unknown_config_key_fails_before_any_output(self, tmp_path, capsys):
+        gen_dir = self.gen_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shcedule": 5}))
+        out = tmp_path / "c"
+        code = run(self.common_args(gen_dir, str(out), ["--config", str(cfg)]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'shcedule'" in err
+        assert not out.exists()
+
 
 class TestTrainDefaults:
     def test_defaults_equal_library_constants(self):
@@ -251,25 +262,23 @@ class TestInferCommand:
         specs = read_json(os.path.join(out, "region_specs.json"))
         assert len(specs["specs"]) == 4
 
-
-class TestResolvedConfig:
-    def test_threads_env_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OS2E_THREADS", "2")
-        out = str(tmp_path / "sel")
-        run(["select", "--table", fixture_path("three_class_conditional.json"),
-             "--k", "1", "--out", out])
-        resolved = read_json(os.path.join(out, "resolved_config.json"))
-        assert resolved["threads"] == 2
-
-    def test_bad_threads_env_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OS2E_THREADS", "abc")
-        out = tmp_path / "v"
+    def test_unknown_crop_config_key_fails_before_any_output(self, tmp_path, capsys):
+        img_dir = str(tmp_path / "imgs")
+        run(["gen", "--preset", "images", "--seed", "6", "--n-train", "1",
+             "--n-test", "1", "--out", img_dir])
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        crop_cfg = tmp_path / "crop.json"
+        crop_cfg.write_text(json.dumps({"base_side": 32, "crop_side": 16, "grdi": 2}))
+        out = tmp_path / "infer"
         code = run(
-            ["gen", "--preset", "vectors", "--seed", "2", "--n-train", "16",
-             "--n-test", "16", "--out", str(out)]
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", os.path.join(img_dir, "test"),
+             "--crop-config", str(crop_cfg), "--out", str(out)]
         )
         assert code == 1
-        assert "OS2E_THREADS" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(crop_cfg) in err and "'grdi'" in err
         assert not out.exists()
 
 
@@ -302,6 +311,29 @@ class TestReportCommand:
             comparison = fh.read().splitlines()
         assert comparison[0].startswith("mode,")
         assert len(comparison) == 2
+
+    def test_loss_curve_equals_train_report_csv(self, tmp_path):
+        vec_dir = str(tmp_path / "vec")
+        run(["gen", "--preset", "vectors", "--seed", "9", "--n-train", "16",
+             "--n-test", "16", "--out", vec_dir])
+        train_dir = tmp_path / "runs" / "data"
+        run(["train", "--train", os.path.join(vec_dir, "train.csv"),
+             "--test", os.path.join(vec_dir, "test.csv"), "--mode", "data",
+             "--aux", os.path.join(vec_dir, "aux.csv"), "--schedule", "4",
+             "--batch-size", "8", "--trunk", "8", "--out", str(train_dir)])
+        out = tmp_path / "report"
+        assert run(["report", "--run-dir", str(tmp_path / "runs"), "--out", str(out)]) == 0
+        curve = (out / "loss_curve_data_0.csv").read_bytes()
+        assert curve == (train_dir / "report.csv").read_bytes()
+
+    def test_malformed_train_report_names_file(self, tmp_path, capsys):
+        run_dir = tmp_path / "runs" / "init"
+        run_dir.mkdir(parents=True)
+        (run_dir / "report.json").write_text(json.dumps({"records": [{"iteration": 0}]}))
+        code = run(["report", "--run-dir", str(tmp_path / "runs"),
+                    "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert str(run_dir / "report.json") in capsys.readouterr().err
 
     def test_empty_dir_warns_exit_zero(self, tmp_path, capsys):
         empty = str(tmp_path / "empty")

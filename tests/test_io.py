@@ -14,7 +14,7 @@ from os2e.datagen import (
     preset_responses,
     preset_vector_benchmark,
 )
-from os2e.network import NetworkConfig, NormSpec, Checkpoint, init_params
+from os2e.network import NetworkConfig, Checkpoint, init_params
 from os2e.pipeline import ImageBuffer, generate_regions, CropConfig
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import EventLabels, bayes_posterior, estimate_conditional
@@ -115,19 +115,13 @@ class TestSelectionFiles:
 
 class TestCheckpointJson:
     def test_bitwise_round_trip(self, tmp_path):
-        cfg = NetworkConfig(
-            input_dim=6, trunk=(5,), heads=(3, 2), dropout_rate=0.25,
-            norm=NormSpec(freeze=True),
-        )
+        cfg = NetworkConfig(input_dim=6, trunk=(5,), heads=(3, 2), dropout_rate=0.25)
         params = init_params(cfg, seed=11)
-        params.norm_mean = np.random.default_rng(1).normal(size=6)
-        params.norm_var = np.random.default_rng(2).uniform(0.5, 2.0, size=6)
         path = str(tmp_path / "ckpt.json")
         io.write_checkpoint_json(path, Checkpoint(cfg, params))
         loaded = io.read_checkpoint_json(path)
         assert loaded.config == cfg
         assert loaded.params.values.tobytes() == params.values.tobytes()
-        assert loaded.params.norm_mean.tobytes() == params.norm_mean.tobytes()
         assert loaded.params.layout == params.layout
 
     def test_trained_checkpoint_round_trip(self, tmp_path):
@@ -187,6 +181,56 @@ class TestCheckpointJson:
         ):
             io.read_checkpoint_json(path)
 
+    # where each dropped key lives in the payload
+    MISSING_KEY_PARENTS = {
+        "seed": (),
+        "values": (),
+        "layout": (),
+        "config": (),
+        "config.heads": ("config",),
+        "layout[1].shape": ("layout", 1),
+    }
+
+    @pytest.mark.parametrize("key", MISSING_KEY_PARENTS)
+    def test_missing_key_names_file_and_key(self, tmp_path, key):
+        def drop(payload):
+            for parent in self.MISSING_KEY_PARENTS[key]:
+                payload = payload[parent]
+            del payload[key.split(".")[-1]]
+
+        path = self._edited_checkpoint(tmp_path, drop)
+        with pytest.raises(
+            io.ParseError, match=re.escape(f"{path}: missing key '{key}'")
+        ):
+            io.read_checkpoint_json(path)
+
+    def test_null_unknown_keys_load(self, tmp_path):
+        # files from the normalization-layer era hold null "config.norm" and
+        # null top-level statistics
+        def add_null_keys(payload):
+            payload["config"]["norm"] = None
+            payload["statistics"] = None
+
+        path = self._edited_checkpoint(tmp_path, add_null_keys)
+        loaded = io.read_checkpoint_json(path)
+        cfg = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
+        assert loaded.config == cfg
+        assert loaded.params.values.tobytes() == init_params(cfg, seed=12).values.tobytes()
+
+    @pytest.mark.parametrize("key", ["config.norm", "statistics"])
+    def test_set_unknown_key_rejected(self, tmp_path, key):
+        def set_key(payload):
+            if key == "config.norm":
+                payload["config"]["norm"] = {"freeze": True, "eps": 1e-5}
+            else:
+                payload[key] = [0.0, 0.0, 0.0, 0.0]
+
+        path = self._edited_checkpoint(tmp_path, set_key)
+        with pytest.raises(
+            io.ParseError, match=re.escape(f"{path}: unknown key '{key}' is set")
+        ):
+            io.read_checkpoint_json(path)
+
 
 class TestReportFiles:
     def test_csv_round_trip(self, tmp_path):
@@ -197,7 +241,7 @@ class TestReportFiles:
         tc = TransferConfig(mode="init", k_iters=8, batch_size=8, dropout_rate=0.0, seed=4)
         report = init_transfer_train(source, train, test, tc)
         path = str(tmp_path / "report.csv")
-        io.write_report_csv(path, report)
+        io.write_report_csv(path, report.records)
         records = io.read_report_csv(path)
         assert [r.iteration for r in records] == [r.iteration for r in report.records]
         assert records[-1].train_loss == report.records[-1].train_loss

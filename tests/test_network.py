@@ -1,5 +1,5 @@
 """Network substrate: losses against hand values, finite-difference oracle,
-determinism, dropout/norm behavior, and the SGD update rule."""
+determinism, dropout behavior, and the SGD update rule."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from os2e.network import (
     Checkpoint,
     NetworkConfig,
-    NormSpec,
     ParamStore,
     backward,
     build_layout,
@@ -29,9 +28,9 @@ from os2e.network import (
 TINY_LAYOUT = [("head0.W", 0, (2, 2)), ("head0.b", 4, (2,))]
 
 
-def small_net(heads=(4,), trunk=(8, 6), dropout=0.0, norm=None, input_dim=5):
+def small_net(heads=(4,), trunk=(8, 6), dropout=0.0, input_dim=5):
     return NetworkConfig(
-        input_dim=input_dim, trunk=trunk, heads=heads, dropout_rate=dropout, norm=norm
+        input_dim=input_dim, trunk=trunk, heads=heads, dropout_rate=dropout
     )
 
 
@@ -39,7 +38,7 @@ def ce_loss_fn(cfg, x, y):
     def fn(params):
         cache = forward(cfg, params, x, mode="eval")
         loss, g = cross_entropy_loss(cache, y)
-        return loss, backward(cfg, params, cache, {0: g})
+        return loss, backward(cache, {0: g})
 
     return fn
 
@@ -94,27 +93,6 @@ class TestForward:
         params = init_params(cfg, seed=8)
         with pytest.raises(ValueError, match="input_dim"):
             forward(cfg, params, np.zeros((2, 7)))
-
-
-class TestNormLayer:
-    def test_frozen_vs_batch_stats_agree_when_equal(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(32, 5))
-        frozen_cfg = small_net(norm=NormSpec(freeze=True))
-        batch_cfg = small_net(norm=NormSpec(freeze=False))
-        params = init_params(frozen_cfg, seed=11)
-        params.norm_mean = x.mean(axis=0)
-        params.norm_var = x.var(axis=0)
-        a = forward(frozen_cfg, params, x)
-        b = forward(batch_cfg, params, x)
-        np.testing.assert_array_equal(a.head_prob[0], b.head_prob[0])
-
-    def test_frozen_norm_needs_stats(self):
-        cfg = small_net(norm=NormSpec(freeze=True))
-        params = init_params(cfg, seed=12)
-        params.norm_mean = None
-        with pytest.raises(ValueError, match="stored statistics"):
-            forward(cfg, params, np.zeros((2, 5)))
 
 
 class TestCrossEntropy:
@@ -229,10 +207,8 @@ class TestDataLoss:
         event_cache = forward(cfg, params, x)
         aux_cache = forward(cfg, params, x)
         _, event_grads, aux_grads = data_loss(event_cache, y, aux_cache, y, beta=1.0)
-        full = backward(cfg, params, event_cache, event_grads) + backward(
-            cfg, params, aux_cache, aux_grads
-        )
-        single = backward(cfg, params, event_cache, event_grads)
+        full = backward(event_cache, event_grads) + backward(aux_cache, aux_grads)
+        single = backward(event_cache, event_grads)
         trunk = params.slice_of("trunk0.W")
         np.testing.assert_allclose(full[trunk], 2.0 * single[trunk], rtol=1e-12)
 
@@ -282,7 +258,7 @@ class TestBackward:
         x = np.random.default_rng(28).normal(size=(5, 5))
         cache = forward(cfg, params, x)
         _, g = cross_entropy_loss(cache, [0, 1, 2, 3, 0])
-        grad = backward(cfg, params, cache, {0: g})
+        grad = backward(cache, {0: g})
         assert np.all(grad[params.slice_of("head1.W")] == 0.0)
         assert np.all(grad[params.slice_of("head1.b")] == 0.0)
 
@@ -293,7 +269,7 @@ class TestBackward:
         x = np.array([[0.5, -1.0, 2.0, 0.25]])
         cache = forward(cfg, params, x)
         _, g = cross_entropy_loss(cache, [2])
-        grad = backward(cfg, params, cache, {0: g})
+        grad = backward(cache, {0: g})
         p = cache.head_prob[0][0]
         residual = p - np.array([0.0, 0.0, 1.0])
         np.testing.assert_allclose(
@@ -326,7 +302,7 @@ class TestGradCheck:
         def fn(p):
             cache = forward(cfg, p, x, mode="eval")
             loss, grads = knowledge_loss(cache, y, f, alpha=0.25, direction=direction)
-            return loss, backward(cfg, p, cache, grads)
+            return loss, backward(cache, grads)
 
         assert grad_check(cfg, params, fn) <= 1e-5
 
@@ -343,9 +319,7 @@ class TestGradCheck:
             event_cache = forward(cfg, p, x, mode="eval")
             aux_cache = forward(cfg, p, xa, mode="eval")
             loss, ge, ga = data_loss(event_cache, y, aux_cache, ya, beta=0.5)
-            return loss, backward(cfg, p, event_cache, ge) + backward(
-                cfg, p, aux_cache, ga
-            )
+            return loss, backward(event_cache, ge) + backward(aux_cache, ga)
 
         assert grad_check(cfg, params, fn) <= 1e-5
 
@@ -359,7 +333,7 @@ class TestGradCheck:
             def fn(p):
                 cache = forward(cfg, p, x, mode="eval")
                 loss, grads = knowledge_loss(cache, y, f, alpha=0.125)
-                return loss, backward(cfg, p, cache, grads)
+                return loss, backward(cache, grads)
 
             assert grad_check(cfg, params, fn) <= 1e-4
 
