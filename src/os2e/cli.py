@@ -290,10 +290,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _checkpoint_scorer(checkpoint_path: str):
     ckpt = io.read_checkpoint_json(checkpoint_path)
 
-    def scorer(crop: np.ndarray) -> np.ndarray:
-        flat = np.asarray(crop, dtype=np.float64).reshape(1, -1)
-        cache = forward(ckpt.config, ckpt.params, flat, mode="eval")
-        return cache.head_prob[0][0]
+    def scorer(crops: np.ndarray) -> np.ndarray:
+        flat = np.asarray(crops, dtype=np.float64).reshape(len(crops), -1)
+        return forward(ckpt.config, ckpt.params, flat, mode="eval").head_prob[0]
 
     return scorer
 
@@ -328,20 +327,18 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if not names:
         raise ValueError(f"no .fimg images found in {args.image_dir}")
     ids, rows = [], []
-    specs_dumped = False
+    specs = {}  # (height, width) -> region specs, one entry per distinct size
     for name in names:
         image = io.read_image(os.path.join(args.image_dir, name))
-        if not specs_dumped:
-            io.write_region_specs_json(
-                os.path.join(out, "region_specs.json"),
-                pipeline.generate_regions(image.height, image.width, config),
-            )
-            specs_dumped = True
+        size = (image.height, image.width)
+        if size not in specs:
+            specs[size] = pipeline.generate_regions(*size, config)
         scores, _ = pipeline.classify_image(
             image, config, scorers, mean_pixel=args.mean_pixel
         )
         ids.append(name[: -len(".fimg")])
         rows.append(scores)
+    io.write_region_specs_json(os.path.join(out, "region_specs.json"), specs)
     io.write_scores_csv(os.path.join(out, "scores.csv"), ids, np.array(rows))
     _write_resolved_config(
         out,

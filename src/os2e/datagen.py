@@ -344,19 +344,22 @@ def gen_image_dataset(
     return train, test
 
 
-def _window_max_mean(plane: np.ndarray, window: int) -> float:
-    """Max over all window x window mean intensities (integral-image sums)."""
-    h, w = plane.shape
+def _window_max_mean(planes: np.ndarray, window: int) -> np.ndarray:
+    """Per plane of an (n, h, w) stack: max over all window x window means.
+
+    Window sums come from integral images.
+    """
+    n, h, w = planes.shape
     window = min(window, h, w)
-    integral = np.zeros((h + 1, w + 1))
-    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
+    integral = np.zeros((n, h + 1, w + 1))
+    integral[:, 1:, 1:] = planes.cumsum(axis=1).cumsum(axis=2)
     sums = (
-        integral[window:, window:]
-        - integral[:-window, window:]
-        - integral[window:, :-window]
-        + integral[:-window, :-window]
+        integral[:, window:, window:]
+        - integral[:, :-window, window:]
+        - integral[:, window:, :-window]
+        + integral[:, :-window, :-window]
     )
-    return float(sums.max()) / (window * window)
+    return sums.max(axis=(1, 2)) / (window * window)
 
 
 def make_blob_scorer(
@@ -373,15 +376,15 @@ def make_blob_scorer(
     levels = blob_levels(num_events)
     floor = levels[0] - (levels[1] - levels[0]) if num_events > 1 else levels[0] * 0.5
 
-    def scorer(crop: np.ndarray) -> np.ndarray:
-        intensity = crop[:, :, 0] + mean_pixel
-        m = _window_max_mean(intensity, window)
-        if m < floor:
-            return np.full(num_events, 1.0 / num_events)
-        z = -np.abs(m - levels) / temperature
-        z -= z.max()
+    def scorer(crops: np.ndarray) -> np.ndarray:
+        # one (n, M) row per crop of the (n, h, w, c) stack
+        m = _window_max_mean(crops[:, :, :, 0] + mean_pixel, window)
+        z = -np.abs(m[:, None] - levels) / temperature
+        z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
-        return p / p.sum()
+        p /= p.sum(axis=1, keepdims=True)
+        p[m < floor] = 1.0 / num_events
+        return p
 
     return scorer
 

@@ -294,7 +294,16 @@ def read_checkpoint_json(path: str) -> Checkpoint:
     an input-normalization layer carry its unused settings and statistics as
     null keys, and a set one would silently be dropped.
     """
-    d = _read_json(path)
+    try:
+        return _checkpoint_from(_read_json(path), path)
+    except ParseError:
+        raise
+    except (TypeError, AttributeError, ValueError) as exc:
+        # wrongly typed values: "trunk": 5, "config": null, "input_dim": 0
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _checkpoint_from(d: dict, path: str) -> Checkpoint:
     c = _key(d, "config", path)
     for prefix, holder, known in (("", d, _CHECKPOINT_KEYS), ("config.", c, _CONFIG_KEYS)):
         for key, value in holder.items():
@@ -317,14 +326,11 @@ def read_checkpoint_json(path: str) -> Checkpoint:
     for i, (got, want) in enumerate(zip_longest(layout, build_layout(config))):
         if got != want:
             raise ParseError(f"{path}: layout entry {i} is {got}, config wants {want}")
-    try:
-        params = ParamStore(
-            values=np.array(_key(d, "values", path), dtype=np.float64),
-            layout=layout,
-            rng_seed=int(_key(d, "seed", path)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    params = ParamStore(
+        values=np.array(_key(d, "values", path), dtype=np.float64),
+        layout=layout,
+        rng_seed=int(_key(d, "seed", path)),
+    )
     return Checkpoint(config=config, params=params)
 
 
@@ -498,8 +504,15 @@ def read_image(path: str) -> ImageBuffer:
 # ---------------------------------------------------------------------------
 
 
-def write_region_specs_json(path: str, specs: list[RegionSpec]) -> None:
-    _write_json(path, {"type": "region_specs", "specs": [asdict(s) for s in specs]})
+def write_region_specs_json(
+    path: str, specs: dict[tuple[int, int], list[RegionSpec]]
+) -> None:
+    """One entry per image size, in the mapping's order: height, width, specs."""
+    sizes = [
+        {"height": h, "width": w, "specs": [asdict(s) for s in size_specs]}
+        for (h, w), size_specs in specs.items()
+    ]
+    _write_json(path, {"type": "region_specs", "sizes": sizes})
 
 
 def write_scores_csv(path: str, image_ids: list[str], scores: np.ndarray) -> None:

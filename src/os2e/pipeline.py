@@ -1,14 +1,17 @@
 """Multi-ratio / multi-scale crop-and-fuse recognition pipeline.
 
 An image is resized under two aspect-ratio modes (smaller-side-preserving and
-square) at several scales, densely cropped on a grid, and each crop is scored
+square) at several scales, densely cropped on a grid, and the crops are scored
 by per-stream scorer callables (object stream and scene stream).  Scores are
 fused twice: a weighted average across streams per region, then a plain mean
 across regions.  With the default config this produces 2 x 3 x 9 = 54 regions
 per image.
 
-Scorers receive a mean-subtracted crop array of shape (crop, crop, channels)
-and must return a probability vector over event classes.
+Scorer contract: a scorer receives one stack of mean-subtracted crops, shape
+(n, crop, crop, channels), and returns an (n, M) array whose rows are
+probability vectors over the M event classes.  ``score_regions`` calls each
+stream once per resized view with that view's grid x grid crops, so 12 calls
+score the 54 default regions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ RATIO_ASPECT = "aspect_preserving"
 RATIO_SQUARE = "square"
 
 DEFAULT_MEAN_PIXEL = 0.5
-TRAIN_CROP_FRACTIONS = (1.0, 0.875, 0.75, 0.625, 0.5)
 
 
 @dataclass
@@ -73,6 +75,8 @@ class CropConfig:
             raise ValueError("crop_side must be <= base_side")
         if self.crop_side < 1:
             raise ValueError("crop_side must be >= 1")
+        if not self.scale_factors or not self.ratio_modes:
+            raise ValueError("need at least one scale factor and one ratio mode")
         if any(s < 1.0 for s in self.scale_factors):
             raise ValueError("scale factors must be >= 1")
         if self.grid < 1:
@@ -111,16 +115,6 @@ class RegionSpec:
             raise ValueError("rect extends past the resized image")
 
 
-@dataclass
-class RegionScore:
-    """Per-stream event score vectors for one region, plus the fused vector."""
-
-    spec: RegionSpec
-    object_scores: np.ndarray
-    scene_scores: np.ndarray
-    fused: np.ndarray | None = None
-
-
 def _source_coords(src: int, target: int) -> np.ndarray:
     # half-pixel-center convention, clamped at the borders
     coords = (np.arange(target) + 0.5) * (src / target) - 0.5
@@ -143,14 +137,9 @@ def resize_bilinear(image: ImageBuffer, target_h: int, target_w: int) -> ImageBu
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    top = px[y0][:, x0] * (1.0 - wx) + px[y0][:, x1] * wx
-    bottom = px[y1][:, x0] * (1.0 - wx) + px[y1][:, x1] * wx
-    return ImageBuffer(top * (1.0 - wy) + bottom * wy)
-
-
-def hflip(image: ImageBuffer) -> ImageBuffer:
-    """Mirror left-right; applying it twice returns the original image."""
-    return ImageBuffer(image.pixels[:, ::-1, :].copy())
+    # separable: interpolate columns on every source row, then gather rows
+    cols = px[:, x0] * (1.0 - wx) + px[:, x1] * wx
+    return ImageBuffer(cols[y0] * (1.0 - wy) + cols[y1] * wy)
 
 
 def resized_dims(
@@ -210,29 +199,17 @@ def generate_regions(
     return specs
 
 
-def crop_extract(image: ImageBuffer, spec: RegionSpec) -> ImageBuffer:
-    """Exact pixel copy of the region's rect; the image must be the resized view."""
-    if (image.height, image.width) != (spec.resized_height, spec.resized_width):
+def _check_scorer_output(rows, n: int, num_classes: int | None) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != n or (
+        num_classes is not None and rows.shape[1] != num_classes
+    ):
         raise ValueError(
-            f"image is {image.height}x{image.width}, spec expects the "
-            f"{spec.resized_height}x{spec.resized_width} resized view"
+            f"scorer output off simplex: wrong shape {rows.shape} for {n} crops"
         )
-    if spec.top + spec.height > image.height or spec.left + spec.width > image.width:
-        raise ValueError("rect out of bounds")
-    return ImageBuffer(
-        image.pixels[
-            spec.top : spec.top + spec.height, spec.left : spec.left + spec.width
-        ].copy()
-    )
-
-
-def _check_scorer_output(v, num_classes: int | None) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or (num_classes is not None and v.size != num_classes):
-        raise ValueError("scorer output off simplex: wrong shape")
-    if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-6:
+    if np.any(rows < 0) or not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-6):
         raise ValueError("scorer output off simplex")
-    return v
+    return rows
 
 
 def score_regions(
@@ -240,56 +217,52 @@ def score_regions(
     config: CropConfig,
     scorers: dict[str, object],
     mean_pixel=DEFAULT_MEAN_PIXEL,
-) -> list[RegionScore]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score every generated region with the object and scene stream scorers.
 
-    Crops are mean-subtracted before scoring.  Output order matches
-    ``generate_regions``.
+    Each (ratio mode, scale) view is resized once; its grid x grid crops are
+    sliced into one mean-subtracted stack that each stream scores in one call.
+    Returns the (R, M) object and scene score arrays, rows in
+    ``generate_regions`` order.
     """
     if set(scorers) != {"object", "scene"}:
         raise ValueError("scorers must map exactly the 'object' and 'scene' streams")
     mean = np.asarray(mean_pixel, dtype=np.float64)
     specs = generate_regions(image.height, image.width, config)
-    resized: dict[tuple[str, float], ImageBuffer] = {}
-    out = []
+    per_view = config.grid**2
+    scores = {"object": [], "scene": []}
     m = None
-    for spec in specs:
-        key = (spec.ratio_mode, spec.scale_factor)
-        if key not in resized:
-            resized[key] = resize_bilinear(
-                image, spec.resized_height, spec.resized_width
-            )
-        crop = crop_extract(resized[key], spec)
-        x = crop.pixels - mean
-        obj = _check_scorer_output(scorers["object"](x), m)
-        m = obj.size
-        scn = _check_scorer_output(scorers["scene"](x), m)
-        out.append(RegionScore(spec=spec, object_scores=obj, scene_scores=scn))
-    return out
-
-
-def fuse_streams(
-    region: RegionScore, alpha_o: float = 0.5, alpha_s: float = 0.5
-) -> np.ndarray:
-    """Weighted average of the object and scene stream scores for one region."""
-    if alpha_o < 0 or alpha_s < 0:
-        raise ValueError("fusion weights must be >= 0")
-    if region.object_scores.shape != region.scene_scores.shape:
-        raise ValueError("stream score lengths differ")
-    return alpha_o * region.object_scores + alpha_s * region.scene_scores
+    # generate_regions lists each view's crops as one consecutive block
+    for first in range(0, len(specs), per_view):
+        view_specs = specs[first : first + per_view]
+        view = resize_bilinear(
+            image, view_specs[0].resized_height, view_specs[0].resized_width
+        ).pixels
+        crops = np.stack(
+            [view[s.top : s.top + s.height, s.left : s.left + s.width] for s in view_specs]
+        )
+        crops -= mean
+        for stream, rows in scores.items():
+            rows.append(_check_scorer_output(scorers[stream](crops), per_view, m))
+            m = rows[-1].shape[1]
+    return np.concatenate(scores["object"]), np.concatenate(scores["scene"])
 
 
 def fuse_regions(
-    regions: list[RegionScore], alpha_o: float = 0.5, alpha_s: float = 0.5
+    object_scores, scene_scores, alpha_o: float = 0.5, alpha_s: float = 0.5
 ) -> np.ndarray:
-    """Image-level score: mean of the fused stream scores across all regions.
-
-    The mean keeps scores normalized and ranks classes identically to the sum.
-    """
-    if not regions:
-        raise ValueError("no regions to fuse")
-    fused = np.stack([fuse_streams(r, alpha_o, alpha_s) for r in regions])
-    return fused.mean(axis=0)
+    """Per-region fused scores: weighted sum of the (R, M) stream score arrays."""
+    if alpha_o < 0 or alpha_s < 0:
+        raise ValueError("fusion weights must be >= 0")
+    object_scores = np.asarray(object_scores, dtype=np.float64)
+    scene_scores = np.asarray(scene_scores, dtype=np.float64)
+    if object_scores.shape != scene_scores.shape:
+        raise ValueError("stream score shapes differ")
+    if object_scores.ndim != 2 or object_scores.shape[0] < 1:
+        raise ValueError(
+            f"no regions to fuse in (R, M) scores of shape {object_scores.shape}"
+        )
+    return alpha_o * object_scores + alpha_s * scene_scores
 
 
 def classify_image(
@@ -299,40 +272,15 @@ def classify_image(
     alpha_o: float = 0.5,
     alpha_s: float = 0.5,
     mean_pixel=DEFAULT_MEAN_PIXEL,
-) -> tuple[np.ndarray, list[RegionScore]]:
-    """Full pipeline: crop, score, fuse; returns image scores and per-region detail."""
-    regions = score_regions(image, config, scorers, mean_pixel=mean_pixel)
-    for region in regions:
-        region.fused = fuse_streams(region, alpha_o, alpha_s)
-    return fuse_regions(regions, alpha_o, alpha_s), regions
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full pipeline: crop, score, fuse; returns ``(image_scores, fused)``.
 
-
-def training_crop_sample(
-    image: ImageBuffer,
-    config: CropConfig,
-    rng: np.random.Generator,
-    sizes: tuple[int, ...] | None = None,
-    flip_prob: float = 0.5,
-) -> ImageBuffer:
-    """One augmentation sample: random-size random-offset crop, resize, maybe flip.
-
-    The image is first resized square to ``base_side``; the crop side is drawn
-    from ``sizes`` (defaults to base_side scaled by the standard fractions,
-    e.g. 256/224/192/160/128 at base 256), the offset uniformly among valid
-    positions, and the crop resized to ``crop_side``.
+    ``fused`` holds the (R, M) fused region scores in ``generate_regions``
+    order and ``image_scores`` is their mean, which keeps scores normalized
+    and ranks classes identically to the sum.
     """
-    base = config.base_side
-    if sizes is None:
-        sizes = tuple(int(round(base * f)) for f in TRAIN_CROP_FRACTIONS)
-    if any(s < 1 or s > base for s in sizes):
-        raise ValueError("crop sizes must lie in [1, base_side]")
-    square = resize_bilinear(image, base, base)
-    side = sizes[int(rng.integers(0, len(sizes)))]
-    top = int(rng.integers(0, base - side + 1))
-    left = int(rng.integers(0, base - side + 1))
-    crop = ImageBuffer(square.pixels[top : top + side, left : left + side].copy())
-    if side != config.crop_side:
-        crop = resize_bilinear(crop, config.crop_side, config.crop_side)
-    if rng.random() < flip_prob:
-        crop = hflip(crop)
-    return crop
+    object_scores, scene_scores = score_regions(
+        image, config, scorers, mean_pixel=mean_pixel
+    )
+    fused = fuse_regions(object_scores, scene_scores, alpha_o, alpha_s)
+    return fused.mean(axis=0), fused

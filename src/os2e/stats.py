@@ -1,9 +1,9 @@
 """Concept-response statistics.
 
-Turns raw per-crop concept scores into the probability objects the rest of
-the toolkit consumes: image-level response distributions, concept-given-event
-conditionals, event priors, concept marginals, Bayes posteriors, conditional
-entropies, and l2-normalized probe features.
+Turns image-level concept responses into the probability objects the rest
+of the toolkit consumes: response distributions, concept-given-event
+conditionals, event priors, concept marginals, Bayes posteriors and
+conditional entropies.
 
 All distributions are plain float64 numpy arrays.  Rows/columns that are
 probability distributions must sum to 1: externally ingested data is accepted
@@ -183,19 +183,6 @@ class PosteriorTable:
         return self.post.shape[1]
 
 
-def aggregate_crop_scores(crop_scores) -> np.ndarray:
-    """Average per-crop score rows into one image-level response vector.
-
-    Every row must be a distribution (within ``INGEST_TOL``); the result is
-    their arithmetic mean and stays on the simplex.
-    """
-    arr = _as_float_matrix(crop_scores)
-    if arr.shape[0] < 1:
-        raise ValueError("no crops")
-    _check_simplex_rows(arr, INGEST_TOL, "crop scores")
-    return arr.mean(axis=0)
-
-
 def estimate_conditional(
     responses: ResponseMatrix, labels: EventLabels
 ) -> ConditionalTable:
@@ -268,14 +255,3 @@ def conditional_entropy(posterior_row) -> float:
     nz = p > 0
     h = -float(np.sum(p[nz] * np.log2(p[nz])))
     return h if h > 0.0 else 0.0
-
-
-def l2_normalize(vector) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; the zero vector passes through."""
-    v = np.asarray(vector, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite entry")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return v.copy()
-    return v / norm

@@ -40,7 +40,7 @@ from os2e.network import (
     grad_check,
     knowledge_loss,
 )
-from os2e.pipeline import CropConfig, classify_image
+from os2e.pipeline import CropConfig, classify_image, generate_regions
 from os2e.selection import (
     DEFAULT_K_OBJECTS,
     DEFAULT_K_SCENES,
@@ -306,14 +306,16 @@ class TestCriterion7MultiCrop:
         scorers = {"object": scorer, "scene": scorer}
         fused_hits = center_hits = 0
         for image, label in zip(test.features, test.labels):
-            scores, regions = classify_image(image, crop_cfg, scorers)
+            scores, fused = classify_image(image, crop_cfg, scorers)
             fused_hits += scores.argmax() == label
             center = next(
-                r for r in regions
-                if r.spec.ratio_mode == "square" and r.spec.scale_factor == 1.0
-                and (r.spec.grid_row, r.spec.grid_col) == (1, 1)
+                i for i, spec in enumerate(
+                    generate_regions(image.height, image.width, crop_cfg)
+                )
+                if spec.ratio_mode == "square" and spec.scale_factor == 1.0
+                and (spec.grid_row, spec.grid_col) == (1, 1)
             )
-            center_hits += center.fused.argmax() == label
+            center_hits += fused[center].argmax() == label
         n = len(test.labels)
         assert n == 200
         fused_acc, center_acc = fused_hits / n, center_hits / n

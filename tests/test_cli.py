@@ -16,6 +16,7 @@ from os2e.network import (
     DEFAULT_LR,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
+from os2e.pipeline import CropConfig, ImageBuffer, RegionSpec, generate_regions
 from os2e.training import TransferConfig
 
 
@@ -232,7 +233,7 @@ class TestInferCommand:
              "--base-side", "32", "--crop-side", "16", "--out", out]
         )
         assert code == 0
-        specs = read_json(os.path.join(out, "region_specs.json"))
+        (specs,) = read_json(os.path.join(out, "region_specs.json"))["sizes"]
         assert len(specs["specs"]) == 54
         with open(os.path.join(out, "scores.csv")) as fh:
             lines = fh.read().splitlines()
@@ -259,8 +260,30 @@ class TestInferCommand:
              "--crop-config", str(crop_cfg), "--out", out]
         )
         assert code == 0
-        specs = read_json(os.path.join(out, "region_specs.json"))
+        (specs,) = read_json(os.path.join(out, "region_specs.json"))["sizes"]
         assert len(specs["specs"]) == 4
+
+    def test_specs_for_every_image_size(self, tmp_path):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(18)
+        for name, shape in (("a", (64, 64)), ("b", (48, 80)), ("c", (64, 64))):
+            io.write_image(str(img_dir / f"{name}.fimg"), ImageBuffer(rng.random(shape)))
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        out = str(tmp_path / "infer")
+        code = run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--base-side", "32", "--crop-side", "16",
+             "--out", out]
+        )
+        assert code == 0
+        sizes = read_json(os.path.join(out, "region_specs.json"))["sizes"]
+        assert [(s["height"], s["width"]) for s in sizes] == [(64, 64), (48, 80)]
+        config = CropConfig(base_side=32, crop_side=16)
+        for size in sizes:
+            expected = generate_regions(size["height"], size["width"], config)
+            assert [RegionSpec(**spec) for spec in size["specs"]] == expected
 
     def test_unknown_crop_config_key_fails_before_any_output(self, tmp_path, capsys):
         img_dir = str(tmp_path / "imgs")

@@ -155,19 +155,19 @@ class TestBlobScorer:
         train, _ = gen_image_dataset(config, truth)
         scorer = make_blob_scorer(config.num_events)
         for img, label in zip(train.features, train.labels):
-            scores = scorer(img.pixels - 0.5)
+            scores = scorer((img.pixels - 0.5)[None])[0]
             assert scores.argmax() == label
 
     def test_abstains_on_empty_crop(self):
         scorer = make_blob_scorer(4)
-        scores = scorer(np.zeros((16, 16, 1)) - 0.5)
+        scores = scorer(np.zeros((1, 16, 16, 1)) - 0.5)[0]
         np.testing.assert_array_equal(scores, 0.25)
 
     def test_output_on_simplex(self):
         rng = np.random.default_rng(12)
         scorer = make_blob_scorer(4)
         for _ in range(20):
-            scores = scorer(rng.random((16, 16, 1)) - 0.5)
+            scores = scorer(rng.random((1, 16, 16, 1)) - 0.5)[0]
             assert abs(scores.sum() - 1.0) <= 1e-9
 
 

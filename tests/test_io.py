@@ -204,6 +204,27 @@ class TestCheckpointJson:
         ):
             io.read_checkpoint_json(path)
 
+    # a wrongly typed value, by the payload path that holds it
+    WRONG_TYPES = {
+        "trunk": (("config", "trunk"), 5),
+        "layout": (("layout",), 5),
+        "config": (("config",), None),
+        "input_dim": (("config", "input_dim"), 0),
+    }
+
+    @pytest.mark.parametrize("case", WRONG_TYPES)
+    def test_wrongly_typed_value_names_file(self, tmp_path, case):
+        keys, value = self.WRONG_TYPES[case]
+
+        def set_value(payload):
+            for key in keys[:-1]:
+                payload = payload[key]
+            payload[keys[-1]] = value
+
+        path = self._edited_checkpoint(tmp_path, set_value)
+        with pytest.raises(io.ParseError, match=re.escape(f"{path}: ")):
+            io.read_checkpoint_json(path)
+
     def test_null_unknown_keys_load(self, tmp_path):
         # files from the normalization-layer era hold null "config.norm" and
         # null top-level statistics
@@ -304,7 +325,8 @@ class TestRegionSpecsJson:
 
         specs = generate_regions(64, 64, CropConfig(base_side=32, crop_side=16))
         path = tmp_path / "specs.json"
-        io.write_region_specs_json(str(path), specs)
+        io.write_region_specs_json(str(path), {(64, 64): specs})
         payload = json.loads(path.read_text())
-        assert len(payload["specs"]) == 54
-        assert payload["specs"][0]["height"] == 16
+        (size,) = payload["sizes"]
+        assert len(size["specs"]) == 54
+        assert size["specs"][0]["height"] == 16

@@ -8,19 +8,13 @@ from os2e.pipeline import (
     ImageBuffer,
     RATIO_ASPECT,
     RATIO_SQUARE,
-    RegionScore,
-    RegionSpec,
     classify_image,
-    crop_extract,
     fuse_regions,
-    fuse_streams,
     generate_regions,
     grid_offsets,
-    hflip,
     resize_bilinear,
     resized_dims,
     score_regions,
-    training_crop_sample,
 )
 
 DESK = CropConfig(base_side=32, crop_side=16)
@@ -32,7 +26,23 @@ def image_of(values):
 
 def constant_scorer(vector):
     vector = np.asarray(vector, dtype=np.float64)
-    return lambda crop: vector
+    return lambda crops: np.tile(vector, (len(crops), 1))
+
+
+def recording_scorer(calls, num_classes=2):
+    """Uniform scorer that keeps a copy of every stack it is handed."""
+
+    def scorer(crops):
+        calls.append(crops.copy())
+        return np.full((len(crops), num_classes), 1.0 / num_classes)
+
+    return scorer
+
+
+def brightness_scorer(crops):
+    """Two-class scores from each crop's mean (mean-subtracted) pixel."""
+    p = np.clip(crops.reshape(len(crops), -1).mean(axis=1) + 0.5, 0.0, 1.0)
+    return np.stack([p, 1.0 - p], axis=1)
 
 
 class TestImageBuffer:
@@ -79,16 +89,29 @@ class TestResizeBilinear:
         out = resize_bilinear(img, 27, 5)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
+    def test_bitwise_equal_to_four_gather_formula(self):
+        def four_gather(px, target_h, target_w):
+            h, w, _ = px.shape
+            ys = np.clip((np.arange(target_h) + 0.5) * (h / target_h) - 0.5, 0.0, h - 1.0)
+            xs = np.clip((np.arange(target_w) + 0.5) * (w / target_w) - 0.5, 0.0, w - 1.0)
+            y0 = np.floor(ys).astype(np.int64)
+            x0 = np.floor(xs).astype(np.int64)
+            y1 = np.minimum(y0 + 1, h - 1)
+            x1 = np.minimum(x0 + 1, w - 1)
+            wy = (ys - y0)[:, None, None]
+            wx = (xs - x0)[None, :, None]
+            top = px[y0][:, x0] * (1.0 - wx) + px[y0][:, x1] * wx
+            bottom = px[y1][:, x0] * (1.0 - wx) + px[y1][:, x1] * wx
+            return top * (1.0 - wy) + bottom * wy
 
-class TestHflip:
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        img = ImageBuffer(rng.random((5, 8, 3)))
-        np.testing.assert_array_equal(hflip(hflip(img)).pixels, img.pixels)
-
-    def test_mirrors_columns(self):
-        img = image_of([[0.1, 0.2, 0.3]])
-        np.testing.assert_allclose(hflip(img).pixels[0, :, 0], [0.3, 0.2, 0.1])
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            h, w, th, tw = (int(x) for x in rng.integers(1, 40, size=4))
+            img = ImageBuffer(rng.random((h, w, int(rng.choice([1, 3])))))
+            if (th, tw) == (h, w):
+                continue
+            out = resize_bilinear(img, th, tw)
+            assert out.pixels.tobytes() == four_gather(img.pixels, th, tw).tobytes()
 
 
 class TestGeometry:
@@ -134,34 +157,88 @@ class TestGeometry:
         with pytest.raises(ValueError, match="crop_side"):
             CropConfig(base_side=16, crop_side=32)
 
+    @pytest.mark.parametrize("field", ["scale_factors", "ratio_modes"])
+    def test_no_views_rejected(self, field):
+        with pytest.raises(ValueError, match="at least one"):
+            CropConfig(**{field: ()})
 
-class TestCropExtract:
+
+class TestCropStacks:
+    def test_one_call_per_view_with_grid_squared_stack(self):
+        img = image_of(np.random.default_rng(5).random((40, 56)))
+        calls = {"object": [], "scene": []}
+        score_regions(
+            img,
+            DESK,
+            {stream: recording_scorer(seen) for stream, seen in calls.items()},
+        )
+        for seen in calls.values():
+            assert len(seen) == 2 * 3
+            assert all(crops.shape == (9, 16, 16, 1) for crops in seen)
+
+    def test_slices_of_resized_view_minus_mean(self):
+        rng = np.random.default_rng(16)
+        img = ImageBuffer(rng.random((40, 56, 3)))
+        mean = np.array([0.4, 0.5, 0.6])
+        calls = []
+        score_regions(
+            img,
+            DESK,
+            {"object": recording_scorer(calls), "scene": constant_scorer([1.0, 0.0])},
+            mean_pixel=mean,
+        )
+        crops = np.concatenate(calls)
+        specs = generate_regions(40, 56, DESK)
+        assert len(crops) == len(specs)
+        for crop, spec in zip(crops, specs):
+            view = resize_bilinear(img, spec.resized_height, spec.resized_width)
+            rect = view.pixels[
+                spec.top : spec.top + spec.height, spec.left : spec.left + spec.width
+            ]
+            np.testing.assert_array_equal(crop, rect - mean)
+
     def test_whole_image_identity(self):
-        rng = np.random.default_rng(5)
-        img = image_of(rng.random((16, 16)))
-        spec = RegionSpec(RATIO_SQUARE, 1.0, 0, 0, 0, 0, 16, 16, 16, 16)
-        np.testing.assert_array_equal(crop_extract(img, spec).pixels, img.pixels)
+        img = image_of(np.random.default_rng(5).random((16, 16)))
+        config = CropConfig(
+            base_side=16, crop_side=16, scale_factors=(1.0,),
+            ratio_modes=(RATIO_SQUARE,), grid=1,
+        )
+        calls = []
+        score_regions(
+            img, config, {"object": recording_scorer(calls), "scene": recording_scorer([])},
+            mean_pixel=0.0,
+        )
+        np.testing.assert_array_equal(calls[0][0], img.pixels)
 
     def test_top_left_block(self):
+        # a 1x1 grid puts the one 2x2 crop at the top-left corner
         img = image_of(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]))
-        spec = RegionSpec(RATIO_SQUARE, 1.0, 0, 0, 0, 0, 2, 2, 3, 3)
-        np.testing.assert_allclose(
-            crop_extract(img, spec).pixels[:, :, 0], [[0.1, 0.2], [0.4, 0.5]]
+        config = CropConfig(
+            base_side=3, crop_side=2, scale_factors=(1.0,),
+            ratio_modes=(RATIO_SQUARE,), grid=1,
         )
+        calls = []
+        score_regions(
+            img, config, {"object": recording_scorer(calls), "scene": recording_scorer([])},
+            mean_pixel=0.0,
+        )
+        np.testing.assert_allclose(calls[0][0, :, :, 0], [[0.1, 0.2], [0.4, 0.5]])
 
     def test_checkerboard_exact_copy(self):
-        board = np.indices((8, 8)).sum(axis=0) % 2
-        img = image_of(board.astype(float))
-        spec = RegionSpec(RATIO_SQUARE, 1.0, 0, 0, 2, 3, 4, 4, 8, 8)
-        np.testing.assert_array_equal(
-            crop_extract(img, spec).pixels[:, :, 0], board[2:6, 3:7].astype(float)
+        # a 2x2 grid over an 8x8 view puts the crops at offsets 0 and 4
+        board = (np.indices((8, 8)).sum(axis=0) % 2).astype(float)
+        config = CropConfig(
+            base_side=8, crop_side=4, scale_factors=(1.0,),
+            ratio_modes=(RATIO_SQUARE,), grid=2,
         )
-
-    def test_wrong_view_rejected(self):
-        img = image_of(np.zeros((8, 8)))
-        spec = RegionSpec(RATIO_SQUARE, 1.0, 0, 0, 0, 0, 4, 4, 16, 16)
-        with pytest.raises(ValueError, match="resized view"):
-            crop_extract(img, spec)
+        calls = []
+        score_regions(
+            image_of(board), config,
+            {"object": recording_scorer(calls), "scene": recording_scorer([])},
+            mean_pixel=0.0,
+        )
+        blocks = [board[t : t + 4, l : l + 4] for t in (0, 4) for l in (0, 4)]
+        np.testing.assert_array_equal(calls[0][:, :, :, 0], blocks)
 
 
 class TestScoreRegions:
@@ -169,22 +246,23 @@ class TestScoreRegions:
         rng = np.random.default_rng(6)
         img = image_of(rng.random((40, 56)))
         v = np.array([0.25, 0.75])
-        regions = score_regions(
+        object_scores, scene_scores = score_regions(
             img, DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
         )
-        assert len(regions) == 54
-        for region in regions:
-            np.testing.assert_array_equal(region.object_scores, v)
+        assert object_scores.shape == scene_scores.shape == (54, 2)
+        np.testing.assert_array_equal(object_scores, np.tile(v, (54, 1)))
 
     def test_order_matches_generate_regions(self):
-        img = image_of(np.random.default_rng(7).random((40, 40)))
-        specs = generate_regions(40, 40, DESK)
-        regions = score_regions(
-            img,
-            DESK,
-            {"object": constant_scorer([1.0, 0.0]), "scene": constant_scorer([1.0, 0.0])},
+        img = image_of(np.random.default_rng(7).random((40, 48)))
+        object_scores, _ = score_regions(
+            img, DESK, {"object": brightness_scorer, "scene": brightness_scorer}
         )
-        assert [r.spec for r in regions] == specs
+        for row, spec in zip(object_scores, generate_regions(40, 48, DESK)):
+            view = resize_bilinear(img, spec.resized_height, spec.resized_width)
+            rect = view.pixels[
+                spec.top : spec.top + spec.height, spec.left : spec.left + spec.width
+            ]
+            np.testing.assert_allclose(row, brightness_scorer(rect[None] - 0.5)[0])
 
     def test_off_simplex_scorer_rejected(self):
         img = image_of(np.zeros((32, 32)))
@@ -192,52 +270,96 @@ class TestScoreRegions:
         with pytest.raises(ValueError, match="off simplex"):
             score_regions(img, DESK, {"object": bad, "scene": bad})
 
+    def test_one_row_off_simplex_rejected(self):
+        def one_bad_row(crops):
+            rows = np.full((len(crops), 2), 0.5)
+            rows[-1] = [0.5, 0.5 + 2e-6]
+            return rows
+
+        with pytest.raises(ValueError, match="off simplex"):
+            score_regions(
+                image_of(np.zeros((32, 32))), DESK,
+                {"object": constant_scorer([1.0, 0.0]), "scene": one_bad_row},
+            )
+
+    def test_negative_entry_rejected(self):
+        bad = constant_scorer([1.5, -0.5])
+        with pytest.raises(ValueError, match="off simplex"):
+            score_regions(image_of(np.zeros((32, 32))), DESK, {"object": bad, "scene": bad})
+
+    def test_wrong_row_count_rejected(self):
+        def one_row(crops):
+            return np.array([[1.0, 0.0]])
+
+        with pytest.raises(ValueError, match="wrong shape"):
+            score_regions(
+                image_of(np.zeros((32, 32))), DESK, {"object": one_row, "scene": one_row}
+            )
+
+    def test_streams_disagree_on_classes_rejected(self):
+        with pytest.raises(ValueError, match="wrong shape"):
+            score_regions(
+                image_of(np.zeros((32, 32))), DESK,
+                {"object": constant_scorer([1.0, 0.0]),
+                 "scene": constant_scorer([1.0, 0.0, 0.0])},
+            )
+
+    def test_views_disagree_on_classes_rejected(self):
+        calls = []
+
+        def growing(crops):
+            calls.append(None)
+            return np.tile(np.eye(len(calls) + 1)[0], (len(crops), 1))
+
+        with pytest.raises(ValueError, match="wrong shape"):
+            score_regions(
+                image_of(np.zeros((32, 32))), DESK, {"object": growing, "scene": growing}
+            )
+
     def test_mean_subtraction_applied(self):
         img = image_of(np.full((32, 32), 0.5))
         seen = []
-
-        def probe(crop):
-            seen.append(crop.copy())
-            return np.array([1.0, 0.0])
-
-        score_regions(img, DESK, {"object": probe, "scene": constant_scorer([1.0, 0.0])})
-        for crop in seen:
-            np.testing.assert_allclose(crop, 0.0, atol=1e-12)
+        score_regions(
+            img, DESK, {"object": recording_scorer(seen), "scene": constant_scorer([1.0, 0.0])}
+        )
+        for crops in seen:
+            np.testing.assert_allclose(crops, 0.0, atol=1e-12)
 
 
 class TestFusion:
-    def region(self, s_o, s_s):
-        spec = RegionSpec(RATIO_SQUARE, 1.0, 0, 0, 0, 0, 1, 1, 1, 1)
-        return RegionScore(spec, np.asarray(s_o, float), np.asarray(s_s, float))
+    @staticmethod
+    def rows(*vectors):
+        return np.array(vectors, dtype=np.float64)
 
     def test_equal_streams_identity(self):
-        fused = fuse_streams(self.region([0.3, 0.7], [0.3, 0.7]))
-        np.testing.assert_allclose(fused, [0.3, 0.7], atol=1e-15)
+        fused = fuse_regions(self.rows([0.3, 0.7]), self.rows([0.3, 0.7]))
+        np.testing.assert_allclose(fused, [[0.3, 0.7]], atol=1e-15)
 
     def test_single_stream(self):
-        fused = fuse_streams(self.region([0.9, 0.1], [0.2, 0.8]), alpha_o=0.6, alpha_s=0.0)
-        np.testing.assert_allclose(fused, [0.54, 0.06])
+        fused = fuse_regions(
+            self.rows([0.9, 0.1]), self.rows([0.2, 0.8]), alpha_o=0.6, alpha_s=0.0
+        )
+        np.testing.assert_allclose(fused, [[0.54, 0.06]])
 
     def test_symmetric_mix(self):
-        fused = fuse_streams(self.region([1.0, 0.0], [0.0, 1.0]))
-        np.testing.assert_array_equal(fused, [0.5, 0.5])
+        fused = fuse_regions(self.rows([1.0, 0.0]), self.rows([0.0, 1.0]))
+        np.testing.assert_array_equal(fused, [[0.5, 0.5]])
 
     def test_fuse_regions_identity(self):
-        regions = [self.region([0.2, 0.8], [0.2, 0.8]) for _ in range(5)]
-        np.testing.assert_allclose(fuse_regions(regions), [0.2, 0.8], atol=1e-15)
+        scores = np.tile([0.2, 0.8], (5, 1))
+        fused = fuse_regions(scores, scores)
+        np.testing.assert_allclose(fused.mean(axis=0), [0.2, 0.8], atol=1e-15)
 
     def test_fuse_regions_symmetric(self):
-        regions = [self.region([1.0, 0.0], [1.0, 0.0]), self.region([0.0, 1.0], [0.0, 1.0])]
-        np.testing.assert_array_equal(fuse_regions(regions), [0.5, 0.5])
+        scores = self.rows([1.0, 0.0], [0.0, 1.0])
+        np.testing.assert_array_equal(fuse_regions(scores, scores).mean(axis=0), [0.5, 0.5])
 
     def test_fuse_regions_order_invariant(self):
         rng = np.random.default_rng(8)
-        regions = [
-            self.region(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
-            for _ in range(10)
-        ]
-        a = fuse_regions(regions)
-        b = fuse_regions(list(reversed(regions)))
+        s_o = rng.dirichlet(np.ones(3), size=10)
+        s_s = rng.dirichlet(np.ones(3), size=10)
+        a = fuse_regions(s_o, s_s).mean(axis=0)
+        b = fuse_regions(s_o[::-1], s_s[::-1]).mean(axis=0)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_mean_vs_sum_same_argmax(self):
@@ -248,64 +370,38 @@ class TestFusion:
 
     def test_simplex_preserved_when_weights_sum_to_one(self):
         rng = np.random.default_rng(10)
-        regions = [
-            self.region(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-            for _ in range(8)
-        ]
-        fused = fuse_regions(regions, alpha_o=0.3, alpha_s=0.7)
-        assert abs(fused.sum() - 1.0) <= 1e-9
+        s_o = rng.dirichlet(np.ones(4), size=8)
+        s_s = rng.dirichlet(np.ones(4), size=8)
+        fused = fuse_regions(s_o, s_s, alpha_o=0.3, alpha_s=0.7)
+        assert np.all(np.abs(fused.sum(axis=1) - 1.0) <= 1e-9)
+        assert abs(fused.mean(axis=0).sum() - 1.0) <= 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no regions"):
-            fuse_regions([])
+            fuse_regions(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            fuse_regions(self.rows([1.0, 0.0]), self.rows([1.0, 0.0]), alpha_o=-0.1)
+
+    def test_stream_shapes_differ_rejected(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            fuse_regions(self.rows([1.0, 0.0]), self.rows([1.0, 0.0], [0.0, 1.0]))
 
     def test_classify_image_fills_fused(self):
         img = image_of(np.random.default_rng(11).random((32, 48)))
         v = np.array([0.5, 0.5])
-        scores, regions = classify_image(
+        scores, fused = classify_image(
             img, DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
         )
         np.testing.assert_allclose(scores, v, atol=1e-15)
-        assert all(r.fused is not None for r in regions)
+        assert fused.shape == (54, 2)
 
-
-class TestTrainingCropSample:
-    def test_degenerate_size_set_no_resize(self):
-        rng = np.random.default_rng(12)
-        img = image_of(rng.random((32, 32)))
-        out = training_crop_sample(
-            img, DESK, np.random.default_rng(0), sizes=(16,), flip_prob=0.0
-        )
-        square = resize_bilinear(img, 32, 32)
-        probe = np.random.default_rng(0)
-        probe.integers(0, 1)  # size index draw
-        top = int(probe.integers(0, 17))
-        left = int(probe.integers(0, 17))
+    def test_classify_image_is_mean_of_fused_regions(self):
+        img = image_of(np.random.default_rng(17).random((40, 56)))
+        scorers = {"object": brightness_scorer, "scene": constant_scorer([0.1, 0.9])}
+        scores, fused = classify_image(img, DESK, scorers, alpha_o=0.3, alpha_s=0.7)
         np.testing.assert_array_equal(
-            out.pixels, square.pixels[top : top + 16, left : left + 16]
+            fused, fuse_regions(*score_regions(img, DESK, scorers), 0.3, 0.7)
         )
-
-    def test_output_is_crop_side(self):
-        rng = np.random.default_rng(13)
-        img = image_of(rng.random((50, 70)))
-        for _ in range(10):
-            out = training_crop_sample(img, DESK, rng)
-            assert (out.height, out.width) == (16, 16)
-
-    def test_seeded_sequence_reproducible(self):
-        img = image_of(np.random.default_rng(14).random((40, 40)))
-        rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        for _ in range(10):
-            x = training_crop_sample(img, DESK, rng1)
-            y = training_crop_sample(img, DESK, rng2)
-            np.testing.assert_array_equal(x.pixels, y.pixels)
-
-    def test_default_sizes_scale_with_base(self):
-        from os2e.pipeline import TRAIN_CROP_FRACTIONS
-
-        assert [int(round(256 * f)) for f in TRAIN_CROP_FRACTIONS] == [
-            256, 224, 192, 160, 128,
-        ]
-        assert [int(round(32 * f)) for f in TRAIN_CROP_FRACTIONS] == [
-            32, 28, 24, 20, 16,
-        ]
+        np.testing.assert_array_equal(scores, fused.mean(axis=0))

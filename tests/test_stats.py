@@ -7,12 +7,10 @@ from os2e.stats import (
     ConditionalTable,
     EventLabels,
     ResponseMatrix,
-    aggregate_crop_scores,
     bayes_posterior,
     conditional_entropy,
     default_class_ids,
     estimate_conditional,
-    l2_normalize,
     marginalize,
 )
 
@@ -25,37 +23,6 @@ def make_responses(values, kind="object"):
 def random_simplex_rows(rng, n, c):
     rows = rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0), size=n)
     return rows
-
-
-class TestAggregateCropScores:
-    def test_symmetric_two_crops(self):
-        np.testing.assert_allclose(
-            aggregate_crop_scores([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5]
-        )
-
-    def test_single_crop_identity(self):
-        np.testing.assert_allclose(
-            aggregate_crop_scores([[0.3, 0.7]]), [0.3, 0.7], atol=0
-        )
-
-    def test_three_crop_column_means(self):
-        # hand-computed column means of the three rows
-        result = aggregate_crop_scores([[0.2, 0.8], [0.4, 0.6], [0.6, 0.4]])
-        np.testing.assert_allclose(result, [0.4, 0.6], atol=1e-12)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="no crops"):
-            aggregate_crop_scores(np.zeros((0, 3)))
-
-    def test_off_simplex_row_rejected(self):
-        with pytest.raises(ValueError, match="unnormalized scores"):
-            aggregate_crop_scores([[0.5, 0.6]])
-
-    def test_rows_stay_on_simplex(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rows = random_simplex_rows(rng, rng.integers(1, 12), rng.integers(2, 9))
-            assert abs(aggregate_crop_scores(rows).sum() - 1.0) <= 1e-9
 
 
 class TestEstimateConditional:
@@ -197,27 +164,6 @@ class TestConditionalEntropy:
             m = int(rng.integers(1, 9))
             h = conditional_entropy(rng.dirichlet(np.ones(m)))
             assert 0.0 <= h <= np.log2(m) + 1e-12
-
-
-class TestL2Normalize:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
-
-    def test_unit_vector_unchanged(self):
-        np.testing.assert_array_equal(l2_normalize([1.0, 0.0]), [1.0, 0.0])
-
-    def test_zero_vector_passes_through(self):
-        np.testing.assert_array_equal(l2_normalize([0.0, 0.0]), [0.0, 0.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            l2_normalize([1.0, np.inf])
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            v = rng.normal(size=rng.integers(1, 20))
-            assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) <= 1e-12
 
 
 class TestResponseMatrix:
