@@ -1,7 +1,8 @@
 """Command-line entry point: gen, stats, select, train, infer, report.
 
 Config precedence is defaults < ``--config`` JSON file < command-line flags;
-a config file key that names no setting is an error.  Every subcommand writes
+a config file key that names no setting, or whose value has the wrong type,
+is an error naming the file and the key.  Every subcommand writes
 a ``resolved_config.json`` into its output directory with the fully-explicit
 settings of the run, so any output can be reproduced bit for bit.
 """
@@ -31,26 +32,47 @@ from .network import (
 
 def _write_resolved_config(out_dir: str, payload: dict) -> None:
     io.ensure_dir(out_dir)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    io.write_json(os.path.join(out_dir, "resolved_config.json"), payload, sort_keys=True)
 
 
-def _read_settings(path: str, known) -> dict:
-    """A JSON object of settings whose every key is in ``known``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        settings = json.load(fh)
-    for key in settings:
-        if key not in known:
+def _typed_like(value, example) -> bool:
+    """Whether a JSON value has the type of ``example``: a list for a tuple,
+    an int or float for a float, and never a bool (no setting is one)."""
+    if isinstance(example, tuple):
+        return isinstance(value, list) and all(_typed_like(v, example[0]) for v in value)
+    kinds = (int, float) if isinstance(example, float) else type(example)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _read_settings(path: str, defaults: dict, fallback=None) -> dict:
+    """A JSON object of settings, each named in ``defaults`` and typed like it.
+
+    A setting whose default is None may be null, and is otherwise typed like
+    the same-named attribute of ``fallback``.
+    """
+    settings = io.read_json(path)
+    if not isinstance(settings, dict):
+        raise ValueError(f"{path}: expected a JSON object of settings")
+    for key, value in settings.items():
+        if key not in defaults:
             raise ValueError(f"{path}: unknown setting {key!r}")
+        example = defaults[key]
+        if example is None:
+            if value is None:
+                continue
+            example = getattr(fallback, key)
+        if not _typed_like(value, example):
+            raise ValueError(
+                f"{path}: setting {key!r} must have the type of {example!r}, got {value!r}"
+            )
     return settings
 
 
-def _layer_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _layer_config(args: argparse.Namespace, defaults: dict, fallback=None) -> dict:
     """defaults < config file < explicit flags."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
-        resolved.update(_read_settings(args.config, defaults))
+        resolved.update(_read_settings(args.config, defaults, fallback))
     for key in defaults:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
@@ -78,14 +100,8 @@ def _generator_config(resolved: dict) -> datagen.GeneratorConfig:
         "vectors": datagen.preset_vector_benchmark,
         "images": datagen.preset_image_benchmark,
     }[resolved["preset"]](int(resolved["seed"]))
-    overrides = {
-        key: resolved[key]
-        for key in ("concentration", "noise_sigma", "n_train", "n_test")
-        if resolved.get(key) is not None
-    }
-    if overrides:
-        preset = dataclasses.replace(preset, **overrides)
-    return preset
+    overrides = {k: v for k, v in resolved.items() if v is not None and _GEN_DEFAULTS[k] is None}
+    return dataclasses.replace(preset, **overrides)
 
 
 def _truth_payload(truth: datagen.PlantedTruth) -> dict:
@@ -103,7 +119,7 @@ def _truth_payload(truth: datagen.PlantedTruth) -> dict:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    resolved = _layer_config(args, _GEN_DEFAULTS)
+    resolved = _layer_config(args, _GEN_DEFAULTS, datagen.GeneratorConfig())
     out = io.ensure_dir(args.out)
     config = _generator_config(resolved)
     produced = []
@@ -130,7 +146,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             split_dir = io.ensure_dir(os.path.join(out, split))
             ids = []
             for i, image in enumerate(ds.features):
-                name = f"img_{i:04d}.fimg"
+                name = f"img_{i:04d}.npy"
                 io.write_image(os.path.join(split_dir, name), image)
                 ids.append(f"img_{i:04d}")
             io.write_labels_csv(
@@ -140,12 +156,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             )
             produced.append(f"{split}/")
 
-    with open(os.path.join(out, "truth.json"), "w", encoding="utf-8") as fh:
-        json.dump(_truth_payload(truth), fh, indent=1)
-        fh.write("\n")
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump({"preset": resolved["preset"], "files": produced + ["truth.json"]}, fh, indent=1)
-        fh.write("\n")
+    io.write_json(os.path.join(out, "truth.json"), _truth_payload(truth))
+    manifest = {"preset": resolved["preset"], "files": produced + ["truth.json"]}
+    io.write_json(os.path.join(out, "manifest.json"), manifest)
     _write_resolved_config(out, {"subcommand": "gen", **resolved})
     return 0
 
@@ -300,8 +313,8 @@ def _checkpoint_scorer(checkpoint_path: str):
 def _cmd_infer(args: argparse.Namespace) -> int:
     crop = {}
     if args.crop_config:
-        fields = {f.name for f in dataclasses.fields(pipeline.CropConfig)}
-        crop = _read_settings(args.crop_config, fields)
+        defaults = dataclasses.asdict(pipeline.CropConfig())
+        crop = _read_settings(args.crop_config, defaults)
     if args.base_side is not None:
         crop["base_side"] = args.base_side
     if args.crop_side is not None:
@@ -316,16 +329,14 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         if key in crop:
             crop[key] = tuple(crop[key])
     config = dataclasses.replace(pipeline.CropConfig(), **crop)
+    names = sorted(f for f in os.listdir(args.image_dir) if f.endswith(".npy"))
+    if not names:
+        raise ValueError(f"{args.image_dir}: no .npy images found")
     out = io.ensure_dir(args.out)
     scorers = {
         "object": _checkpoint_scorer(args.checkpoint_o),
         "scene": _checkpoint_scorer(args.checkpoint_s),
     }
-    names = sorted(
-        f for f in os.listdir(args.image_dir) if f.endswith(".fimg")
-    )
-    if not names:
-        raise ValueError(f"no .fimg images found in {args.image_dir}")
     ids, rows = [], []
     specs = {}  # (height, width) -> region specs, one entry per distinct size
     for name in names:
@@ -336,7 +347,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         scores, _ = pipeline.classify_image(
             image, config, scorers, mean_pixel=args.mean_pixel
         )
-        ids.append(name[: -len(".fimg")])
+        ids.append(name[: -len(".npy")])
         rows.append(scores)
     io.write_region_specs_json(os.path.join(out, "region_specs.json"), specs)
     io.write_scores_csv(os.path.join(out, "scores.csv"), ids, np.array(rows))
@@ -380,11 +391,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             mode = "unknown"
             resolved_path = os.path.join(root, "resolved_config.json")
             if os.path.exists(resolved_path):
-                with open(resolved_path, "r", encoding="utf-8") as fh:
-                    mode = json.load(fh).get("mode", "unknown")
+                mode = io.read_json(resolved_path).get("mode", "unknown")
             report_path = os.path.join(root, "report.json")
-            with open(report_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = io.read_json(report_path)
             try:
                 records = [training.EvalRecord(**r) for r in payload["records"]]
             except (KeyError, TypeError) as exc:
@@ -432,9 +441,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     summary = {"produced": produced, "warnings": warnings}
-    with open(os.path.join(out, "report_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    io.write_json(os.path.join(out, "report_summary.json"), summary)
     _write_resolved_config(
         out, {"subcommand": "report", "run_dir": args.run_dir, "top_k": args.top_k}
     )

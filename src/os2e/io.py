@@ -1,9 +1,10 @@
 """File formats: CSVs for responses/labels/datasets/reports, JSON for tables,
-selections, checkpoints and soft targets, and a plain-text float container
-for images.
+selections, checkpoints and soft targets, and ``.npy`` files for images.
 
-Floats are written with ``repr`` (shortest round-trip form), so write-then-
-read returns bitwise-equal values; parse errors name the 1-based line number.
+Floats in text are written with ``repr`` (shortest round-trip form), so
+write-then-read returns bitwise-equal values; parse errors name the 1-based
+line number.  Images are float64 ``.npy`` arrays of shape HxWxC and round-trip
+bitwise; a malformed image file raises ``ParseError`` naming the file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .training import Dataset, EvalRecord, SoftTargets, TrainReport
 
 
 class ParseError(ValueError):
-    """Malformed input file; the message carries the offending line number."""
+    """Malformed input file; the message names the file and, in text, the line."""
 
 
 def _fmt(x: float) -> str:
@@ -143,19 +144,22 @@ def read_labels_csv(
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: str, payload: dict) -> None:
+def write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, sort_keys=sort_keys)
         fh.write("\n")
 
 
-def _read_json(path: str) -> dict:
+def read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def write_conditional_json(path: str, table: ConditionalTable) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "type": "conditional_table",
@@ -171,7 +175,7 @@ def write_conditional_json(path: str, table: ConditionalTable) -> None:
 
 
 def read_conditional_json(path: str) -> ConditionalTable:
-    d = _read_json(path)
+    d = read_json(path)
     c, m = int(d["num_classes"]), int(d["num_events"])
     return ConditionalTable(
         cond=np.array(d["cond"], dtype=np.float64).reshape(c, m),
@@ -183,7 +187,7 @@ def read_conditional_json(path: str) -> ConditionalTable:
 
 
 def write_posterior_json(path: str, table: PosteriorTable) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "type": "posterior_table",
@@ -198,7 +202,7 @@ def write_posterior_json(path: str, table: PosteriorTable) -> None:
 
 
 def read_posterior_json(path: str) -> PosteriorTable:
-    d = _read_json(path)
+    d = read_json(path)
     c, m = int(d["num_classes"]), int(d["num_events"])
     return PosteriorTable(
         post=np.array(d["post"], dtype=np.float64).reshape(c, m),
@@ -214,7 +218,7 @@ def read_posterior_json(path: str) -> PosteriorTable:
 
 
 def write_selection_json(path: str, result: SelectionResult) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "type": "selection_result",
@@ -227,7 +231,7 @@ def write_selection_json(path: str, result: SelectionResult) -> None:
 
 
 def read_selection_json(path: str) -> SelectionResult:
-    d = _read_json(path)
+    d = read_json(path)
     return SelectionResult(
         selected=[int(i) for i in d["selected"]],
         step_costs=[float(x) for x in d["step_costs"]],
@@ -267,7 +271,7 @@ _CONFIG_KEYS = ("input_dim", "trunk", "heads", "dropout_rate")
 
 def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
     params = checkpoint.params
-    _write_json(
+    write_json(
         path,
         {
             "type": "checkpoint",
@@ -295,7 +299,7 @@ def read_checkpoint_json(path: str) -> Checkpoint:
     null keys, and a set one would silently be dropped.
     """
     try:
-        return _checkpoint_from(_read_json(path), path)
+        return _checkpoint_from(read_json(path), path)
     except ParseError:
         raise
     except (TypeError, AttributeError, ValueError) as exc:
@@ -340,7 +344,7 @@ def _checkpoint_from(d: dict, path: str) -> Checkpoint:
 
 
 def write_report_json(path: str, report: TrainReport, checkpoint_path: str) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "type": "train_report",
@@ -440,7 +444,7 @@ def read_dataset_csv(
 
 
 def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "type": "soft_targets",
@@ -453,7 +457,7 @@ def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
 
 
 def read_soft_targets_json(path: str) -> SoftTargets:
-    d = _read_json(path)
+    d = read_json(path)
     values = np.array(d["values"], dtype=np.float64).reshape(
         int(d["num_rows"]), int(d["num_concepts"])
     )
@@ -461,42 +465,26 @@ def read_soft_targets_json(path: str) -> SoftTargets:
 
 
 # ---------------------------------------------------------------------------
-# portable float images: header "H W C", then row-major floats
+# images: float64 HxWxC .npy arrays
 # ---------------------------------------------------------------------------
 
 
 def write_image(path: str, image: ImageBuffer) -> None:
-    px = image.pixels
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{px.shape[0]} {px.shape[1]} {px.shape[2]}\n")
-        for row in px.reshape(px.shape[0], -1):
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    with open(path, "wb") as fh:
+        np.save(fh, image.pixels, allow_pickle=False)
 
 
 def read_image(path: str) -> ImageBuffer:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: line 1: empty file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(f"{path}: line 1: expected header 'H W C'")
+    """An ``ImageBuffer`` from a float64 HxWxC ``.npy`` file; ``read_array``, not
+    ``np.load``, which would open a zip archive renamed ``.npy`` as an NpzFile."""
     try:
-        h, w, c = (int(x) for x in head)
-    except ValueError:
-        raise ParseError(f"{path}: line 1: expected integer dims") from None
-    if len(lines) - 1 != h:
-        raise ParseError(
-            f"{path}: line {len(lines)}: expected {h} pixel rows, got {len(lines) - 1}"
-        )
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split()
-        if len(cells) != w * c:
-            raise ParseError(
-                f"{path}: line {line_no}: expected {w * c} values, got {len(cells)}"
-            )
-        rows.append([_parse_float(x, line_no, path) for x in cells])
-    return ImageBuffer(np.array(rows).reshape(h, w, c))
+        with open(path, "rb") as fh:
+            px = np.lib.format.read_array(fh, allow_pickle=False)
+        if px.dtype != np.float64 or px.ndim != 3:
+            raise ValueError(f"expected float64 HxWxC pixels, got {px.dtype} {px.shape}")
+        return ImageBuffer(px)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +500,7 @@ def write_region_specs_json(
         {"height": h, "width": w, "specs": [asdict(s) for s in size_specs]}
         for (h, w), size_specs in specs.items()
     ]
-    _write_json(path, {"type": "region_specs", "sizes": sizes})
+    write_json(path, {"type": "region_specs", "sizes": sizes})
 
 
 def write_scores_csv(path: str, image_ids: list[str], scores: np.ndarray) -> None:

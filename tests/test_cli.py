@@ -1,5 +1,6 @@
 """End-to-end CLI: subcommands, error paths, reproducibility, artifacts."""
 
+import dataclasses
 import json
 import os
 
@@ -8,15 +9,23 @@ import numpy as np
 from os2e import fixture_path
 from os2e.cli import _TRAIN_DEFAULTS, run
 from os2e import io
+from os2e.datagen import gen_image_dataset, make_truth, preset_image_benchmark
 from os2e.network import (
     Checkpoint,
     NetworkConfig,
+    forward,
     init_params,
     DEFAULT_DROPOUT,
     DEFAULT_LR,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
-from os2e.pipeline import CropConfig, ImageBuffer, RegionSpec, generate_regions
+from os2e.pipeline import (
+    CropConfig,
+    ImageBuffer,
+    RegionSpec,
+    classify_image,
+    generate_regions,
+)
 from os2e.training import TransferConfig
 
 
@@ -97,8 +106,25 @@ class TestGenCommand:
              "--n-test", "2", "--out", out]
         )
         assert code == 0
-        assert os.path.exists(os.path.join(out, "train", "img_0000.fimg"))
+        assert os.path.exists(os.path.join(out, "train", "img_0000.npy"))
         assert os.path.exists(os.path.join(out, "test", "labels.csv"))
+
+    def test_wrongly_typed_config_value_fails_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "abc"}))
+        out = tmp_path / "g"
+        assert run(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'seed'" in err
+        assert not out.exists()
+
+    def test_null_override_keeps_preset_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"concentration": None, "n_test": 3}))
+        out = tmp_path / "g"
+        assert run(["gen", "--preset", "images", "--n-train", "1",
+                    "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(list((out / "test").glob("*.npy"))) == 3
 
 
 class TestTrainCommand:
@@ -191,6 +217,17 @@ class TestTrainCommand:
         assert str(cfg) in err and "'shcedule'" in err
         assert not out.exists()
 
+    def test_wrongly_typed_config_value_fails_before_any_output(self, tmp_path, capsys):
+        gen_dir = self.gen_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedule": [3]}))
+        out = tmp_path / "c"
+        code = run(self.common_args(gen_dir, str(out), ["--config", str(cfg)]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'schedule'" in err
+        assert not out.exists()
+
 
 class TestTrainDefaults:
     def test_defaults_equal_library_constants(self):
@@ -268,7 +305,7 @@ class TestInferCommand:
         img_dir.mkdir()
         rng = np.random.default_rng(18)
         for name, shape in (("a", (64, 64)), ("b", (48, 80)), ("c", (64, 64))):
-            io.write_image(str(img_dir / f"{name}.fimg"), ImageBuffer(rng.random(shape)))
+            io.write_image(str(img_dir / f"{name}.npy"), ImageBuffer(rng.random(shape)))
         ckpt = str(tmp_path / "o.json")
         self.make_checkpoint(ckpt)
         out = str(tmp_path / "infer")
@@ -303,6 +340,77 @@ class TestInferCommand:
         err = capsys.readouterr().err
         assert str(crop_cfg) in err and "'grdi'" in err
         assert not out.exists()
+
+    def test_wrongly_typed_crop_config_fails_before_any_output(self, tmp_path, capsys):
+        img_dir = str(tmp_path / "imgs")
+        run(["gen", "--preset", "images", "--seed", "6", "--n-train", "1",
+             "--n-test", "1", "--out", img_dir])
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        out = tmp_path / "infer"
+        for bad in ({"grid": "3"}, {"scale_factors": [1.0, "2"]}, {"crop_side": 16.0}):
+            crop_cfg = tmp_path / "crop.json"
+            crop_cfg.write_text(json.dumps(bad))
+            code = run(
+                ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+                 "--image-dir", os.path.join(img_dir, "test"),
+                 "--crop-config", str(crop_cfg), "--out", str(out)]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            (key,) = bad
+            assert str(crop_cfg) in err and repr(key) in err
+            assert not out.exists()
+
+    def test_dir_without_npy_images_names_dir_and_suffix(self, tmp_path, capsys):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        (img_dir / "img_0000.fimg").write_text("1 1 1\n0.5\n")
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        out = tmp_path / "infer"
+        code = run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(img_dir) in err and ".npy" in err
+        assert not out.exists()
+
+    def test_gen_then_infer_matches_in_memory_pipeline(self, tmp_path):
+        gen_dir = tmp_path / "imgs"
+        assert run(["gen", "--preset", "images", "--seed", "5", "--n-train", "2",
+                    "--n-test", "4", "--out", str(gen_dir)]) == 0
+        config = dataclasses.replace(preset_image_benchmark(5), n_train=2, n_test=4)
+        train, test = gen_image_dataset(config, make_truth(config))
+        loaded = io.read_image(str(gen_dir / "train" / "img_0000.npy"))
+        assert loaded.pixels.tobytes() == train.features[0].pixels.tobytes()
+
+        ckpts = {}
+        for stream, seed in (("o", 1), ("s", 2)):
+            cfg = NetworkConfig(input_dim=16 * 16, trunk=(), heads=(4,), dropout_rate=0.0)
+            ckpts[stream] = Checkpoint(cfg, init_params(cfg, seed=seed))
+            io.write_checkpoint_json(str(tmp_path / f"{stream}.json"), ckpts[stream])
+        out = tmp_path / "infer"
+        assert run(["infer", "--checkpoint-o", str(tmp_path / "o.json"),
+                    "--checkpoint-s", str(tmp_path / "s.json"),
+                    "--image-dir", str(gen_dir / "test"), "--base-side", "32",
+                    "--crop-side", "16", "--out", str(out)]) == 0
+
+        def scorer(ckpt):
+            return lambda crops: forward(
+                ckpt.config, ckpt.params, crops.reshape(len(crops), -1), mode="eval"
+            ).head_prob[0]
+
+        scorers = {"object": scorer(ckpts["o"]), "scene": scorer(ckpts["s"])}
+        crop = CropConfig(base_side=32, crop_side=16)
+        lines = (out / "scores.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [f"img_{i:04d}" for i in range(4)]
+        for line, image in zip(lines, test.features):
+            expected, _ = classify_image(image, crop, scorers)
+            got = np.array([float(x) for x in line.split(",")[1:]])
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestReportCommand:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestTableJson:
         loaded = io.read_posterior_json(path)
         np.testing.assert_array_equal(loaded.post, posterior.post)
         np.testing.assert_array_equal(loaded.undefined_mask, posterior.undefined_mask)
+
+    def test_malformed_json_names_file(self, tmp_path):
+        path = tmp_path / "cond.json"
+        path.write_text('{"type": "conditional_table",\n')
+        with pytest.raises(io.ParseError, match=re.escape(f"{path}: ")):
+            io.read_conditional_json(str(path))
 
 
 class TestSelectionFiles:
@@ -297,26 +304,65 @@ class TestSoftTargetsJson:
         assert loaded.concept_ids == soft.concept_ids
 
 
+def _npy_bytes(array, allow_pickle=False):
+    buf = BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _zip_bytes(array):
+    buf = BytesIO()
+    np.savez(buf, pixels=array)
+    return buf.getvalue()
+
+
+_PIXELS = np.random.default_rng(3).random((4, 5, 3))
+_HEADER_LEN = len(_npy_bytes(_PIXELS)) - _PIXELS.nbytes
+
+
+def _with_pixel(value):
+    px = _PIXELS.copy()
+    px[1, 2, 0] = value
+    return px
+
+
 class TestImageContainer:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
         img = ImageBuffer(rng.random((5, 4, 3)))
-        path = str(tmp_path / "img.fimg")
+        path = str(tmp_path / "img.npy")
         io.write_image(path, img)
         loaded = io.read_image(path)
         assert loaded.pixels.tobytes() == img.pixels.tobytes()
 
-    def test_header_mismatch_names_line(self, tmp_path):
-        path = tmp_path / "img.fimg"
-        path.write_text("2 2 1\n0.0 0.0\n")
-        with pytest.raises(io.ParseError, match="expected 2 pixel rows"):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "EOF"),
+            (_npy_bytes(_PIXELS)[:_HEADER_LEN], "could only read|cannot reshape"),
+            (_npy_bytes(_PIXELS)[: _HEADER_LEN + 100], "could only read|cannot reshape"),
+            (b"2 2 1\n0.0 0.0\n0.0 0.0\n", "magic string"),
+            (_zip_bytes(_PIXELS), "magic string"),
+            (_npy_bytes(np.array([None, {}]), allow_pickle=True), "allow_pickle"),
+            (_npy_bytes(_PIXELS.astype(np.float32)), "float32"),
+            (_npy_bytes(np.ones((4, 5, 3), dtype=np.int64)), "int64"),
+            (_npy_bytes(_PIXELS[:, :, 0]), r"\(4, 5\)"),
+            (_npy_bytes(_PIXELS[None]), r"\(1, 4, 5, 3\)"),
+            (_npy_bytes(_PIXELS[:, :, :2]), "channels must be 1 or 3, got 2"),
+            (_npy_bytes(_with_pixel(np.nan)), "finite"),
+            (_npy_bytes(_with_pixel(1.5)), r"\[0, 1\]"),
+        ],
+        ids=[
+            "empty", "header_only", "truncated", "text_fimg", "npz_zip", "pickle",
+            "float32", "int64", "ndim2", "ndim4", "two_channels", "nan", "above_one",
+        ],
+    )
+    def test_malformed_file_names_path(self, tmp_path, content, message):
+        path = tmp_path / "img.npy"
+        path.write_bytes(content)
+        with pytest.raises(io.ParseError, match=message) as info:
             io.read_image(str(path))
-
-    def test_short_row_names_line(self, tmp_path):
-        path = tmp_path / "img.fimg"
-        path.write_text("2 2 1\n0.0 0.0\n0.0\n")
-        with pytest.raises(io.ParseError, match="line 3"):
-            io.read_image(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestRegionSpecsJson:
