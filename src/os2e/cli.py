@@ -1,17 +1,18 @@
 """Command-line entry point: gen, stats, select, train, infer, report.
 
 Config precedence is defaults < ``--config`` JSON file < command-line flags;
-a config file key that names no setting, or whose value has the wrong type,
-is an error naming the file and the key.  Every subcommand writes
-a ``resolved_config.json`` into its output directory with the fully-explicit
-settings of the run, so any output can be reproduced bit for bit.
+a config file key that names no setting, or whose value has the wrong type or
+is not one of the flag's choices, is an error naming the file and the key.
+Every subcommand reads and checks all of its inputs before it creates its
+output directory, so a failed run leaves none behind, and writes a
+``resolved_config.json`` there with the fully-explicit settings of the run,
+so any output can be reproduced bit for bit.  File formats live in ``io``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -44,11 +45,27 @@ def _typed_like(value, example) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+_PRESETS = {
+    "responses": datagen.preset_responses,
+    "vectors": datagen.preset_vector_benchmark,
+    "images": datagen.preset_image_benchmark,
+}
+
+# the values a choice-valued setting may take, as a flag or in a config file
+_CHOICES = {
+    "preset": tuple(_PRESETS),
+    "mode": training.TRANSFER_MODES,
+    "soft_direction": (SOFT_TARGET_AS_DISTRIBUTION, SOFT_TARGET_IN_LOG),
+    "ratio_modes": pipeline.RATIO_MODES,
+}
+
+
 def _read_settings(path: str, defaults: dict, fallback=None) -> dict:
     """A JSON object of settings, each named in ``defaults`` and typed like it.
 
     A setting whose default is None may be null, and is otherwise typed like
-    the same-named attribute of ``fallback``.
+    the same-named attribute of ``fallback``.  A choice-valued setting (or
+    each item of a list one) must be one of its ``_CHOICES``.
     """
     settings = io.read_json(path)
     if not isinstance(settings, dict):
@@ -64,6 +81,12 @@ def _read_settings(path: str, defaults: dict, fallback=None) -> dict:
         if not _typed_like(value, example):
             raise ValueError(
                 f"{path}: setting {key!r} must have the type of {example!r}, got {value!r}"
+            )
+        choices = _CHOICES.get(key)
+        items = value if isinstance(value, list) else [value]
+        if choices and not set(items) <= set(choices):
+            raise ValueError(
+                f"{path}: setting {key!r} must be one of {choices}, got {value!r}"
             )
     return settings
 
@@ -95,11 +118,7 @@ _GEN_DEFAULTS = {
 
 
 def _generator_config(resolved: dict) -> datagen.GeneratorConfig:
-    preset = {
-        "responses": datagen.preset_responses,
-        "vectors": datagen.preset_vector_benchmark,
-        "images": datagen.preset_image_benchmark,
-    }[resolved["preset"]](int(resolved["seed"]))
+    preset = _PRESETS[resolved["preset"]](int(resolved["seed"]))
     overrides = {k: v for k, v in resolved.items() if v is not None and _GEN_DEFAULTS[k] is None}
     return dataclasses.replace(preset, **overrides)
 
@@ -120,8 +139,8 @@ def _truth_payload(truth: datagen.PlantedTruth) -> dict:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _GEN_DEFAULTS, datagen.GeneratorConfig())
-    out = io.ensure_dir(args.out)
     config = _generator_config(resolved)
+    out = io.ensure_dir(args.out)
     produced = []
 
     if resolved["preset"] == "responses":
@@ -169,11 +188,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    out = io.ensure_dir(args.out)
     responses, _ = io.read_response_csv(args.responses, kind=args.kind)
     labels, _ = io.read_labels_csv(args.labels)
     table = stats.estimate_conditional(responses, labels)
     posterior = stats.bayes_posterior(table)
+    out = io.ensure_dir(args.out)
     io.write_conditional_json(os.path.join(out, "conditional.json"), table)
     io.write_posterior_json(os.path.join(out, "posterior.json"), posterior)
     _write_resolved_config(
@@ -194,11 +213,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    out = io.ensure_dir(args.out)
     table = io.read_conditional_json(args.table)
     posterior = stats.bayes_posterior(table)
     problem = selection.SelectionProblem.from_posterior(posterior, k=args.k, lam=args.lam)
     result = selection.greedy_select(problem)
+    out = io.ensure_dir(args.out)
     io.write_selection_json(os.path.join(out, "selection.json"), result)
     io.write_selection_report_csv(
         os.path.join(out, "selection_report.csv"), result, problem
@@ -230,7 +249,6 @@ _TRAIN_DEFAULTS = {
 
 def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _TRAIN_DEFAULTS)
-    out = io.ensure_dir(args.out)
     train = io.read_dataset_csv(args.train, split="train")
     test = io.read_dataset_csv(args.test, num_classes=train.num_classes, split="test")
     config = training.TransferConfig(
@@ -276,8 +294,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             aux = io.read_dataset_csv(args.aux, split="train", name="aux")
             report = training.data_transfer_train(source, train, test, aux, config)
 
-    checkpoint_path = os.path.join(out, "checkpoint.json")
-    io.write_checkpoint_json(checkpoint_path, report.checkpoint)
+    out = io.ensure_dir(args.out)
+    io.write_checkpoint_json(os.path.join(out, "checkpoint.json"), report.checkpoint)
     io.write_report_json(os.path.join(out, "report.json"), report, "checkpoint.json")
     io.write_report_csv(os.path.join(out, "report.csv"), report.records)
     _write_resolved_config(
@@ -332,7 +350,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     names = sorted(f for f in os.listdir(args.image_dir) if f.endswith(".npy"))
     if not names:
         raise ValueError(f"{args.image_dir}: no .npy images found")
-    out = io.ensure_dir(args.out)
     scorers = {
         "object": _checkpoint_scorer(args.checkpoint_o),
         "scene": _checkpoint_scorer(args.checkpoint_s),
@@ -349,6 +366,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         )
         ids.append(name[: -len(".npy")])
         rows.append(scores)
+    out = io.ensure_dir(args.out)
     io.write_region_specs_json(os.path.join(out, "region_specs.json"), specs)
     io.write_scores_csv(os.path.join(out, "scores.csv"), ids, np.array(rows))
     _write_resolved_config(
@@ -375,62 +393,34 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    out = io.ensure_dir(args.out)
-    warnings = []
-    produced = []
-
     conditional_path = None
-    posterior_path = None
-    report_runs = []
+    runs = []  # (mode, report.json path, eval records)
     for root, _, files in os.walk(args.run_dir):
         if "conditional.json" in files and conditional_path is None:
             conditional_path = os.path.join(root, "conditional.json")
-        if "posterior.json" in files and posterior_path is None:
-            posterior_path = os.path.join(root, "posterior.json")
         if "report.json" in files:
-            mode = "unknown"
             resolved_path = os.path.join(root, "resolved_config.json")
-            if os.path.exists(resolved_path):
-                mode = io.read_json(resolved_path).get("mode", "unknown")
+            resolved = io.read_json(resolved_path) if os.path.exists(resolved_path) else {}
+            mode = resolved.get("mode", "unknown")
             report_path = os.path.join(root, "report.json")
-            payload = io.read_json(report_path)
-            try:
-                records = [training.EvalRecord(**r) for r in payload["records"]]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{report_path}: malformed train report: {exc}") from None
-            report_runs.append((mode, report_path, records))
+            runs.append((mode, report_path, io.read_report_json(report_path)))
+    runs = [(mode, records) for mode, _, records in sorted(runs, key=lambda r: r[:2])]
+    table = io.read_conditional_json(conditional_path) if conditional_path else None
+    out = io.ensure_dir(args.out)
+    warnings, produced = [], []
 
-    if conditional_path:
-        table = io.read_conditional_json(conditional_path)
-        top_k = min(args.top_k, table.num_classes)
-        with open(os.path.join(out, "top_concepts.csv"), "w", encoding="utf-8") as fh:
-            fh.write("event,rank,class_id,p_concept_given_event\n")
-            for e in range(table.num_events):
-                order = np.argsort(-table.cond[:, e], kind="stable")[:top_k]
-                for rank, c in enumerate(order, 1):
-                    fh.write(
-                        f"{e},{rank},{table.class_ids[c]},{float(table.cond[c, e])!r}\n"
-                    )
-        marginal = stats.marginalize(table)
-        with open(os.path.join(out, "marginals.csv"), "w", encoding="utf-8") as fh:
-            fh.write("class_id,p_concept\n")
-            for c in range(table.num_classes):
-                fh.write(f"{table.class_ids[c]},{float(marginal[c])!r}\n")
+    if table is not None:
+        io.write_top_concepts_csv(os.path.join(out, "top_concepts.csv"), table, args.top_k)
+        io.write_marginals_csv(
+            os.path.join(out, "marginals.csv"), table.class_ids, stats.marginalize(table)
+        )
         produced += ["top_concepts.csv", "marginals.csv"]
     else:
         warnings.append("no conditional.json found; skipping concept tables")
 
-    if report_runs:
-        report_runs.sort(key=lambda run: run[:2])
-        with open(os.path.join(out, "mode_comparison.csv"), "w", encoding="utf-8") as fh:
-            fh.write("mode,final_iter,train_loss,test_loss,test_acc,test_map\n")
-            for mode, _, records in report_runs:
-                last = records[-1]
-                fh.write(
-                    f"{mode},{last.iteration},{last.train_loss!r},"
-                    f"{last.test_loss!r},{last.test_accuracy!r},{last.test_map!r}\n"
-                )
-        for i, (mode, _, records) in enumerate(report_runs):
+    if runs:
+        io.write_mode_comparison_csv(os.path.join(out, "mode_comparison.csv"), runs)
+        for i, (mode, records) in enumerate(runs):
             curve_name = f"loss_curve_{mode}_{i}.csv"
             io.write_report_csv(os.path.join(out, curve_name), records)
             produced.append(curve_name)
@@ -462,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark dataset")
-    p.add_argument("--preset", choices=("responses", "vectors", "images"))
+    p.add_argument("--preset", choices=_CHOICES["preset"])
     p.add_argument("--seed", type=int)
     p.add_argument("--concentration", type=float)
     p.add_argument("--noise-sigma", type=float)
@@ -487,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_select)
 
     p = sub.add_parser("train", help="run one transfer-training mode")
-    p.add_argument("--mode", choices=("init", "knowledge", "data", "probe"))
+    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--source")
@@ -500,9 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--dropout", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--soft-direction", choices=(SOFT_TARGET_AS_DISTRIBUTION, SOFT_TARGET_IN_LOG)
-    )
+    p.add_argument("--soft-direction", choices=_CHOICES["soft_direction"])
     p.add_argument("--trunk", help="comma-separated widths for a fresh source")
     p.add_argument("--config")
     p.add_argument("--out", required=True)

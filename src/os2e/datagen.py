@@ -74,9 +74,6 @@ class PlantedTruth:
     def planted_objects(self) -> list[int]:
         return sorted({c for sig in self.object_signatures for c in sig})
 
-    def planted_scenes(self) -> list[int]:
-        return sorted({c for sig in self.scene_signatures for c in sig})
-
 
 def _draw_signatures(
     rng: np.random.Generator, num_events: int, num_classes: int, sparsity: int

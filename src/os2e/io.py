@@ -1,17 +1,20 @@
-"""File formats: CSVs for responses/labels/datasets/reports, JSON for tables,
-selections, checkpoints and soft targets, and ``.npy`` files for images.
+"""File formats: the only module that knows how os2e artifacts are stored.
 
-Floats in text are written with ``repr`` (shortest round-trip form), so
-write-then-read returns bitwise-equal values; parse errors name the 1-based
-line number.  Images are float64 ``.npy`` arrays of shape HxWxC and round-trip
-bitwise; a malformed image file raises ``ParseError`` naming the file.
+Every CSV goes through ``_write_csv`` and ``_read_csv``: a header line, then
+one line per row, floats in ``repr`` form (shortest round-trip), so
+write-then-read is bitwise; a malformed line raises ``ParseError`` naming the
+file and the 1-based line.  Every JSON artifact is read through
+``_read_object``: a missing key raises ``ParseError`` ``<file>: missing key
+'<key>'``, a wrongly typed or shaped value one starting with ``<file>: ``.
+``posterior.json`` is written for inspection and read by nothing.  Images are
+float64 HxWxC ``.npy`` arrays and round-trip bitwise.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -33,115 +36,72 @@ class ParseError(ValueError):
     """Malformed input file; the message names the file and, in text, the line."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# ---------------------------------------------------------------------------
+# the two formats: CSV tables and JSON objects
+# ---------------------------------------------------------------------------
 
 
-def _parse_float(text: str, line_no: int, path: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{path}: line {line_no}: not a number: {text!r}") from None
+def _cell(x) -> str:
+    """A Python or numpy float in ``repr`` form, any other cell as ``str``."""
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _split_csv_line(line: str) -> list[str]:
-    return [cell.strip() for cell in line.rstrip("\n").split(",")]
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_csv(path: str, header: list[str], parse_row, exact: bool = False):
+    """The header cells and ``parse_row(cells)`` of each non-blank data line.
+
+    The header must equal ``header`` when ``exact`` and otherwise extend it by
+    at least one column; every line must have as many fields as the header.
+    A ``ValueError`` from ``parse_row`` becomes a ``ParseError`` naming the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in fh.read().splitlines() if line.strip()]
+        lines = (
+            (line_no, [cell.strip() for cell in line.split(",")])
+            for line_no, line in enumerate(fh, start=1)
+            if line.strip()
+        )
+        head_no, head = next(lines, (1, []))
+        n = len(header)
+        if (head != header) if exact else (head[:n] != header or len(head) == n):
+            expected = ",".join(header) + ("" if exact else ",...")
+            raise ParseError(f"{path}: line {head_no}: expected header '{expected}'")
+        rows = []
+        for line_no, cells in lines:
+            if len(cells) != len(head):
+                got = f"expected {len(head)} fields, got {len(cells)}"
+                raise ParseError(f"{path}: line {line_no}: {got}")
+            try:
+                rows.append(parse_row(cells))
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {line_no}: {exc}") from None
+    return head, rows
 
 
-# ---------------------------------------------------------------------------
-# response matrices and labels
-# ---------------------------------------------------------------------------
-
-
-def write_response_csv(
-    path: str, matrix: ResponseMatrix, image_ids: list[str] | None = None
-) -> None:
-    if image_ids is None:
-        image_ids = [f"img_{i}" for i in range(matrix.num_images)]
-    if len(image_ids) != matrix.num_images:
-        raise ValueError("one image id per row required")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("image_id," + ",".join(matrix.class_ids) + "\n")
-        for image_id, row in zip(image_ids, matrix.values):
-            fh.write(image_id + "," + ",".join(_fmt(x) for x in row) + "\n")
-
-
-def read_response_csv(path: str, kind: str = "object") -> tuple[ResponseMatrix, list[str]]:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: line 1: empty file")
-    header = _split_csv_line(lines[0])
-    if len(header) < 2 or header[0] != "image_id":
-        raise ParseError(f"{path}: line 1: expected header 'image_id,<class ids>'")
-    class_ids = header[1:]
-    rows, image_ids = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = _split_csv_line(line)
-        if len(cells) != len(header):
-            raise ParseError(
-                f"{path}: line {line_no}: expected {len(header)} fields, "
-                f"got {len(cells)}"
-            )
-        image_ids.append(cells[0])
-        row = [_parse_float(c, line_no, path) for c in cells[1:]]
-        total = sum(row)
-        if any(x < 0 for x in row) or abs(total - 1.0) > INGEST_TOL:
-            raise ParseError(
-                f"{path}: line {line_no}: unnormalized scores (row sums to {total!r})"
-            )
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: line 2: no data rows")
-    return ResponseMatrix(values=np.array(rows), class_ids=class_ids, kind=kind), image_ids
-
-
-def write_labels_csv(
-    path: str, labels: EventLabels, image_ids: list[str] | None = None
-) -> None:
-    if image_ids is None:
-        image_ids = [f"img_{i}" for i in range(labels.labels.size)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("image_id,event_index\n")
-        for image_id, y in zip(image_ids, labels.labels):
-            fh.write(f"{image_id},{int(y)}\n")
-
-
-def read_labels_csv(
-    path: str, num_events: int | None = None
-) -> tuple[EventLabels, list[str]]:
-    lines = _read_lines(path)
-    if not lines or _split_csv_line(lines[0]) != ["image_id", "event_index"]:
-        raise ParseError(f"{path}: line 1: expected header 'image_id,event_index'")
-    ids, values = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = _split_csv_line(line)
-        if len(cells) != 2:
-            raise ParseError(f"{path}: line {line_no}: expected 2 fields")
-        ids.append(cells[0])
+def _numbers(cells: list[str], kind=float) -> list:
+    """``cells`` converted by ``kind`` (float or int); the error names a bad cell."""
+    values = []
+    for cell in cells:
         try:
-            values.append(int(cells[1]))
+            values.append(kind(cell))
         except ValueError:
-            raise ParseError(
-                f"{path}: line {line_no}: not an integer: {cells[1]!r}"
-            ) from None
-    if num_events is None:
-        num_events = max(values) + 1 if values else 1
-    for line_no, y in enumerate(values, start=2):
-        if not 0 <= y < num_events:
-            raise ParseError(
-                f"{path}: line {line_no}: label {y} out of range [0, {num_events})"
-            )
-    return EventLabels(np.array(values), num_events), ids
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"not {what}: {cell!r}") from None
+    return values
 
 
-# ---------------------------------------------------------------------------
-# probability tables (JSON, row-major arrays with explicit dims)
-# ---------------------------------------------------------------------------
+def _label(cell: str, num_classes: int | None) -> int:
+    """An integer label in [0, num_classes), or >= 0 when ``num_classes`` is None."""
+    (y,) = _numbers([cell], int)
+    if y < 0 or (num_classes is not None and y >= num_classes):
+        bound = "inf" if num_classes is None else num_classes
+        raise ValueError(f"label {y} out of range [0, {bound})")
+    return y
 
 
 def write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
@@ -156,6 +116,90 @@ def read_json(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
+
+
+def _key(d: dict, key: str, path: str, prefix: str = "", kind=object):
+    try:
+        value = d[key]
+    except KeyError:
+        raise ParseError(f"{path}: missing key '{prefix}{key}'") from None
+    if not isinstance(value, kind):
+        raise ParseError(
+            f"{path}: '{prefix}{key}' must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _read_object(path: str, build):
+    """``build(d, key)`` of the JSON object ``d`` in ``path``, ``key`` being
+    ``_key`` for this file; any other error of a malformed value (``"trunk": 5``,
+    a ``cond`` that does not fill its dims) becomes a ``ParseError`` naming it."""
+    d = read_json(path)
+
+    def key(name, holder=d, prefix="", kind=object):
+        return _key(holder, name, path, prefix, kind)
+
+    try:
+        return build(d, key)
+    except ParseError:
+        raise
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# concept statistics: responses, labels, tables, selections, report tables
+# ---------------------------------------------------------------------------
+
+
+def write_response_csv(
+    path: str, matrix: ResponseMatrix, image_ids: list[str] | None = None
+) -> None:
+    if image_ids is None:
+        image_ids = [f"img_{i}" for i in range(matrix.num_images)]
+    if len(image_ids) != matrix.num_images:
+        raise ValueError("one image id per row required")
+    rows = ([image_id, *row] for image_id, row in zip(image_ids, matrix.values.tolist()))
+    _write_csv(path, ["image_id", *matrix.class_ids], rows)
+
+
+def _response_row(cells: list[str]) -> tuple[str, list[float]]:
+    row = _numbers(cells[1:])
+    total = sum(row)
+    if any(x < 0 for x in row) or abs(total - 1.0) > INGEST_TOL:
+        raise ValueError(f"unnormalized scores (row sums to {total!r})")
+    return cells[0], row
+
+
+def read_response_csv(path: str, kind: str = "object") -> tuple[ResponseMatrix, list[str]]:
+    header, rows = _read_csv(path, ["image_id"], _response_row)
+    if not rows:
+        raise ParseError(f"{path}: line 2: no data rows")
+    image_ids, values = zip(*rows)
+    matrix = ResponseMatrix(values=np.array(values), class_ids=header[1:], kind=kind)
+    return matrix, list(image_ids)
+
+
+def write_labels_csv(
+    path: str, labels: EventLabels, image_ids: list[str] | None = None
+) -> None:
+    if image_ids is None:
+        image_ids = [f"img_{i}" for i in range(labels.labels.size)]
+    rows = zip(image_ids, labels.labels.tolist())
+    _write_csv(path, ["image_id", "event_index"], rows)
+
+
+def read_labels_csv(
+    path: str, num_events: int | None = None
+) -> tuple[EventLabels, list[str]]:
+    def parse_row(cells):
+        return cells[0], _label(cells[1], num_events)
+
+    _, rows = _read_csv(path, ["image_id", "event_index"], parse_row, exact=True)
+    values = [y for _, y in rows]
+    if num_events is None:
+        num_events = max(values) + 1 if values else 1
+    return EventLabels(np.array(values), num_events), [image_id for image_id, _ in rows]
 
 
 def write_conditional_json(path: str, table: ConditionalTable) -> None:
@@ -175,15 +219,17 @@ def write_conditional_json(path: str, table: ConditionalTable) -> None:
 
 
 def read_conditional_json(path: str) -> ConditionalTable:
-    d = read_json(path)
-    c, m = int(d["num_classes"]), int(d["num_events"])
-    return ConditionalTable(
-        cond=np.array(d["cond"], dtype=np.float64).reshape(c, m),
-        prior=np.array(d["prior"], dtype=np.float64),
-        counts=np.array(d["counts"], dtype=np.int64),
-        total=int(d["total"]),
-        class_ids=list(d["class_ids"]),
-    )
+    def build(d, key):
+        c, m = int(key("num_classes")), int(key("num_events"))
+        return ConditionalTable(
+            cond=np.array(key("cond"), dtype=np.float64).reshape(c, m),
+            prior=np.array(key("prior"), dtype=np.float64),
+            counts=np.array(key("counts"), dtype=np.int64),
+            total=int(key("total")),
+            class_ids=key("class_ids", kind=list),
+        )
+
+    return _read_object(path, build)
 
 
 def write_posterior_json(path: str, table: PosteriorTable) -> None:
@@ -201,22 +247,6 @@ def write_posterior_json(path: str, table: PosteriorTable) -> None:
     )
 
 
-def read_posterior_json(path: str) -> PosteriorTable:
-    d = read_json(path)
-    c, m = int(d["num_classes"]), int(d["num_events"])
-    return PosteriorTable(
-        post=np.array(d["post"], dtype=np.float64).reshape(c, m),
-        marginal=np.array(d["marginal"], dtype=np.float64),
-        undefined_mask=np.array(d["undefined_mask"], dtype=bool),
-        class_ids=list(d["class_ids"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# selection results
-# ---------------------------------------------------------------------------
-
-
 def write_selection_json(path: str, result: SelectionResult) -> None:
     write_json(
         path,
@@ -231,13 +261,15 @@ def write_selection_json(path: str, result: SelectionResult) -> None:
 
 
 def read_selection_json(path: str) -> SelectionResult:
-    d = read_json(path)
-    return SelectionResult(
-        selected=[int(i) for i in d["selected"]],
-        step_costs=[float(x) for x in d["step_costs"]],
-        energy=float(d["energy"]),
-        indicator=np.array(d["indicator"], dtype=np.int8),
-    )
+    def build(d, key):
+        return SelectionResult(
+            selected=[int(i) for i in key("selected")],
+            step_costs=[float(x) for x in key("step_costs")],
+            energy=float(key("energy")),
+            indicator=np.array(key("indicator"), dtype=np.int8),
+        )
+
+    return _read_object(path, build)
 
 
 def write_selection_report_csv(
@@ -245,28 +277,32 @@ def write_selection_report_csv(
 ) -> None:
     """Rank/class/entropy/step-cost table for the selected classes, in pick order."""
     class_ids = problem.posterior.class_ids
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,class_id,entropy_bits,step_cost\n")
-        for rank, (idx, cost) in enumerate(zip(result.selected, result.step_costs), 1):
-            fh.write(
-                f"{rank},{class_ids[idx]},{_fmt(problem.phi[idx])},{_fmt(cost)}\n"
-            )
+    picks = enumerate(zip(result.selected, result.step_costs), 1)
+    rows = ((rank, class_ids[i], problem.phi[i], cost) for rank, (i, cost) in picks)
+    _write_csv(path, ["rank", "class_id", "entropy_bits", "step_cost"], rows)
+
+
+def write_top_concepts_csv(path: str, table: ConditionalTable, top_k: int) -> None:
+    """The ``top_k`` concepts of each event by descending p(concept|event)."""
+    ids, rows = table.class_ids, []
+    for e in range(table.num_events):
+        order = np.argsort(-table.cond[:, e], kind="stable")[:top_k]
+        rows += [(e, rank, ids[c], table.cond[c, e]) for rank, c in enumerate(order, 1)]
+    _write_csv(path, ["event", "rank", "class_id", "p_concept_given_event"], rows)
+
+
+def write_marginals_csv(path: str, class_ids: list[str], marginal: np.ndarray) -> None:
+    _write_csv(path, ["class_id", "p_concept"], zip(class_ids, marginal))
 
 
 # ---------------------------------------------------------------------------
-# network checkpoints (bitwise round-trip)
+# training: checkpoints (bitwise round-trip), reports, datasets, soft targets
 # ---------------------------------------------------------------------------
-
-
-def _key(d: dict, key: str, path: str, prefix: str = ""):
-    try:
-        return d[key]
-    except KeyError:
-        raise ParseError(f"{path}: missing key '{prefix}{key}'") from None
 
 
 _CHECKPOINT_KEYS = ("type", "config", "seed", "layout", "values")
 _CONFIG_KEYS = ("input_dim", "trunk", "heads", "dropout_rate")
+_RECORD_KEYS = tuple(f.name for f in fields(EvalRecord))
 
 
 def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
@@ -298,49 +334,38 @@ def read_checkpoint_json(path: str) -> Checkpoint:
     an input-normalization layer carry its unused settings and statistics as
     null keys, and a set one would silently be dropped.
     """
-    try:
-        return _checkpoint_from(read_json(path), path)
-    except ParseError:
-        raise
-    except (TypeError, AttributeError, ValueError) as exc:
-        # wrongly typed values: "trunk": 5, "config": null, "input_dim": 0
-        raise ParseError(f"{path}: {exc}") from None
+    return _read_object(path, _checkpoint_from)
 
 
-def _checkpoint_from(d: dict, path: str) -> Checkpoint:
-    c = _key(d, "config", path)
+def _checkpoint_from(d: dict, key) -> Checkpoint:
+    c = key("config", kind=dict)
     for prefix, holder, known in (("", d, _CHECKPOINT_KEYS), ("config.", c, _CONFIG_KEYS)):
-        for key, value in holder.items():
-            if key not in known and value is not None:
-                raise ParseError(f"{path}: unknown key '{prefix}{key}' is set")
+        for name, value in holder.items():
+            if name not in known and value is not None:
+                raise ValueError(f"unknown key '{prefix}{name}' is set")
     config = NetworkConfig(
-        input_dim=int(_key(c, "input_dim", path, "config.")),
-        trunk=tuple(_key(c, "trunk", path, "config.")),
-        heads=tuple(_key(c, "heads", path, "config.")),
-        dropout_rate=float(_key(c, "dropout_rate", path, "config.")),
+        input_dim=int(key("input_dim", c, "config.")),
+        trunk=tuple(key("trunk", c, "config.", list)),
+        heads=tuple(key("heads", c, "config.", list)),
+        dropout_rate=float(key("dropout_rate", c, "config.")),
     )
     layout = [
         (
-            _key(entry, "name", path, f"layout[{i}]."),
-            int(_key(entry, "offset", path, f"layout[{i}].")),
-            tuple(_key(entry, "shape", path, f"layout[{i}].")),
+            key("name", entry, f"layout[{i}]."),
+            int(key("offset", entry, f"layout[{i}].")),
+            tuple(key("shape", entry, f"layout[{i}].", list)),
         )
-        for i, entry in enumerate(_key(d, "layout", path))
+        for i, entry in enumerate(key("layout", kind=list))
     ]
     for i, (got, want) in enumerate(zip_longest(layout, build_layout(config))):
         if got != want:
-            raise ParseError(f"{path}: layout entry {i} is {got}, config wants {want}")
+            raise ValueError(f"layout entry {i} is {got}, config wants {want}")
     params = ParamStore(
-        values=np.array(_key(d, "values", path), dtype=np.float64),
+        values=np.array(key("values"), dtype=np.float64),
         layout=layout,
-        rng_seed=int(_key(d, "seed", path)),
+        rng_seed=int(key("seed")),
     )
     return Checkpoint(config=config, params=params)
-
-
-# ---------------------------------------------------------------------------
-# train reports
-# ---------------------------------------------------------------------------
 
 
 def write_report_json(path: str, report: TrainReport, checkpoint_path: str) -> None:
@@ -355,87 +380,55 @@ def write_report_json(path: str, report: TrainReport, checkpoint_path: str) -> N
     )
 
 
+def read_report_json(path: str) -> list[EvalRecord]:
+    """The eval records of a train report written by ``write_report_json``."""
+
+    def build(d, key):
+        records = []
+        for i, r in enumerate(key("records", kind=list)):
+            if not isinstance(r, dict) or not set(r) <= set(_RECORD_KEYS):
+                raise ValueError(f"records[{i}] must be an object of {_RECORD_KEYS}")
+            iteration, *values = (key(k, r, f"records[{i}].") for k in _RECORD_KEYS)
+            records.append(EvalRecord(int(iteration), *map(float, values)))
+        if not records:
+            raise ValueError("a train report needs at least one record")
+        return records
+
+    return _read_object(path, build)
+
+
 def write_report_csv(path: str, records: list[EvalRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,train_loss,test_loss,test_acc,test_map\n")
-        for r in records:
-            fh.write(
-                f"{r.iteration},{_fmt(r.train_loss)},{_fmt(r.test_loss)},"
-                f"{_fmt(r.test_accuracy)},{_fmt(r.test_map)}\n"
-            )
+    header = ["iter", "train_loss", "test_loss", "test_acc", "test_map"]
+    _write_csv(path, header, map(astuple, records))
 
 
-def read_report_csv(path: str) -> list[EvalRecord]:
-    lines = _read_lines(path)
-    expected = ["iter", "train_loss", "test_loss", "test_acc", "test_map"]
-    if not lines or _split_csv_line(lines[0]) != expected:
-        raise ParseError(f"{path}: line 1: expected header {','.join(expected)}")
-    records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = _split_csv_line(line)
-        if len(cells) != 5:
-            raise ParseError(f"{path}: line {line_no}: expected 5 fields")
-        records.append(
-            EvalRecord(
-                iteration=int(cells[0]),
-                train_loss=_parse_float(cells[1], line_no, path),
-                test_loss=_parse_float(cells[2], line_no, path),
-                test_accuracy=_parse_float(cells[3], line_no, path),
-                test_map=_parse_float(cells[4], line_no, path),
-            )
-        )
-    return records
-
-
-# ---------------------------------------------------------------------------
-# feature datasets and soft targets
-# ---------------------------------------------------------------------------
+def write_mode_comparison_csv(path: str, runs: list[tuple[str, list]]) -> None:
+    """One line per (mode, records) run: its final eval record."""
+    header = ["mode", "final_iter", "train_loss", "test_loss", "test_acc", "test_map"]
+    _write_csv(path, header, ((mode, *astuple(records[-1])) for mode, records in runs))
 
 
 def write_dataset_csv(path: str, dataset: Dataset) -> None:
     if not isinstance(dataset.features, np.ndarray):
         raise ValueError("only feature-matrix datasets serialize to CSV")
     d = dataset.features.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,label," + ",".join(f"x_{j}" for j in range(d)) + "\n")
-        for i, (y, row) in enumerate(zip(dataset.labels, dataset.features)):
-            fh.write(f"s_{i},{int(y)}," + ",".join(_fmt(x) for x in row) + "\n")
+    header = ["sample_id", "label", *(f"x_{j}" for j in range(d))]
+    samples = enumerate(zip(dataset.labels.tolist(), dataset.features.tolist()))
+    _write_csv(path, header, ([f"s_{i}", y, *row] for i, (y, row) in samples))
 
 
 def read_dataset_csv(
     path: str, num_classes: int | None = None, split: str = "train", name: str = ""
 ) -> Dataset:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: line 1: empty file")
-    header = _split_csv_line(lines[0])
-    if header[:2] != ["sample_id", "label"]:
-        raise ParseError(f"{path}: line 1: expected header 'sample_id,label,x_0,...'")
-    width = len(header) - 2
-    labels, rows = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = _split_csv_line(line)
-        if len(cells) != len(header):
-            raise ParseError(
-                f"{path}: line {line_no}: expected {len(header)} fields, "
-                f"got {len(cells)}"
-            )
-        try:
-            labels.append(int(cells[1]))
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {line_no}: not an integer label: {cells[1]!r}"
-            ) from None
-        rows.append([_parse_float(c, line_no, path) for c in cells[2:]])
+    def parse_row(cells):
+        return _label(cells[1], num_classes), _numbers(cells[2:])
+
+    header, rows = _read_csv(path, ["sample_id", "label"], parse_row)
+    labels = [y for y, _ in rows]
     if num_classes is None:
         num_classes = max(labels) + 1 if labels else 1
-    for line_no, y in enumerate(labels, start=2):
-        if not 0 <= y < num_classes:
-            raise ParseError(
-                f"{path}: line {line_no}: label {y} out of range [0, {num_classes})"
-            )
     return Dataset(
-        features=np.array(rows).reshape(len(rows), width),
+        features=np.array([x for _, x in rows]).reshape(len(rows), len(header) - 2),
         labels=np.array(labels),
         num_classes=num_classes,
         split=split,
@@ -457,15 +450,17 @@ def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
 
 
 def read_soft_targets_json(path: str) -> SoftTargets:
-    d = read_json(path)
-    values = np.array(d["values"], dtype=np.float64).reshape(
-        int(d["num_rows"]), int(d["num_concepts"])
-    )
-    return SoftTargets(values=values, concept_ids=[int(c) for c in d["concept_ids"]])
+    def build(d, key):
+        shape = int(key("num_rows")), int(key("num_concepts"))
+        values = np.array(key("values"), dtype=np.float64).reshape(shape)
+        concept_ids = [int(c) for c in key("concept_ids")]
+        return SoftTargets(values=values, concept_ids=concept_ids)
+
+    return _read_object(path, build)
 
 
 # ---------------------------------------------------------------------------
-# images: float64 HxWxC .npy arrays
+# inference: images (float64 HxWxC .npy arrays), region specs, image scores
 # ---------------------------------------------------------------------------
 
 
@@ -487,11 +482,6 @@ def read_image(path: str) -> ImageBuffer:
         raise ParseError(f"{path}: {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# region specs and per-image scores
-# ---------------------------------------------------------------------------
-
-
 def write_region_specs_json(
     path: str, specs: dict[tuple[int, int], list[RegionSpec]]
 ) -> None:
@@ -505,11 +495,8 @@ def write_region_specs_json(
 
 def write_scores_csv(path: str, image_ids: list[str], scores: np.ndarray) -> None:
     scores = np.asarray(scores, dtype=np.float64)
-    m = scores.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("image_id," + ",".join(f"score_{k}" for k in range(m)) + "\n")
-        for image_id, row in zip(image_ids, scores):
-            fh.write(image_id + "," + ",".join(_fmt(x) for x in row) + "\n")
+    header = ["image_id", *(f"score_{k}" for k in range(scores.shape[1]))]
+    _write_csv(path, header, ([i, *row] for i, row in zip(image_ids, scores.tolist())))
 
 
 def ensure_dir(path: str) -> str:

@@ -22,6 +22,7 @@ import numpy as np
 
 RATIO_ASPECT = "aspect_preserving"
 RATIO_SQUARE = "square"
+RATIO_MODES = (RATIO_ASPECT, RATIO_SQUARE)
 
 DEFAULT_MEAN_PIXEL = 0.5
 
@@ -67,7 +68,7 @@ class CropConfig:
     base_side: int = 256
     crop_side: int = 224
     scale_factors: tuple[float, ...] = (1.0, 1.5, 2.0)
-    ratio_modes: tuple[str, ...] = (RATIO_ASPECT, RATIO_SQUARE)
+    ratio_modes: tuple[str, ...] = RATIO_MODES
     grid: int = 3
 
     def __post_init__(self):
@@ -82,7 +83,7 @@ class CropConfig:
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
         for mode in self.ratio_modes:
-            if mode not in (RATIO_ASPECT, RATIO_SQUARE):
+            if mode not in RATIO_MODES:
                 raise ValueError(f"unknown ratio mode {mode!r}")
 
     @property

@@ -1,11 +1,15 @@
 """Discriminative-diverse concept class selection.
 
 Chooses K concept classes whose event posteriors are peaked (low conditional
-entropy, the unary cost) while staying mutually decorrelated (low pairwise
-posterior inner products).  The greedy routine picks the argmin of
-``phi(o) + lam * S(O, o)`` each step; ``energy`` scores a full subset with the
-ordered-pair pairwise sum, and an exhaustive enumerator serves as the exact
-oracle for small instances.
+entropy, the unary cost ``phi``) while staying mutually decorrelated.  The
+correlation of two classes is the inner product of their posterior rows,
+``psi(i, j) = post[i] @ post[j]``.  The greedy routine picks the argmin of
+``phi(o) + lam * S(O, o)`` each step, where ``S(O, o)`` is the mean of
+``psi(i, o)`` over the already-selected set ``O`` (0 while it is empty); it
+keeps the running ``psi`` sum of every candidate, one matrix-vector product
+per pick.  ``energy`` scores a full subset with the ordered-pair pairwise
+sum, and an exhaustive enumerator serves as the exact oracle for small
+instances.
 
 Note the two costs are deliberately not the same function: the greedy step
 uses the running *average* correlation against the already-selected set,
@@ -83,13 +87,6 @@ class SelectionResult:
             raise ValueError("indicator must mark exactly the selected classes")
 
 
-def pairwise_correlation(posterior: PosteriorTable, i: int, j: int) -> float:
-    """Inner product of two posterior rows; 1 means the classes predict alike."""
-    if i == j:
-        raise ValueError("self pair")
-    return float(posterior.post[i] @ posterior.post[j])
-
-
 def energy(problem: SelectionProblem, indicator) -> float:
     """Subset energy: sum of unary costs plus lam times all ordered-pair correlations.
 
@@ -109,20 +106,6 @@ def energy(problem: SelectionProblem, indicator) -> float:
     gram = rows @ rows.T
     pair = float(gram.sum() - np.trace(gram))
     return unary + problem.lam * pair
-
-
-def average_correlation(posterior: PosteriorTable, selected, candidate: int) -> float:
-    """Mean correlation of a candidate against the already-selected set.
-
-    Defined as 0 for an empty set so the first greedy pick is pure min-entropy.
-    """
-    sel = list(selected)
-    if candidate in sel:
-        raise ValueError(f"candidate {candidate} already selected")
-    if not sel:
-        return 0.0
-    rows = posterior.post[sel]
-    return float((rows @ posterior.post[candidate]).sum()) / len(sel)
 
 
 def greedy_select(problem: SelectionProblem) -> SelectionResult:

@@ -124,6 +124,8 @@ class ConditionalTable:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if not self.class_ids:
             self.class_ids = default_class_ids(self.cond.shape[0])
+        if len(self.class_ids) != self.cond.shape[0]:
+            raise ValueError("one class id per concept row required")
         if self.prior.shape != (self.cond.shape[1],):
             raise ValueError("prior length must match number of events")
         if self.counts.shape != self.prior.shape:

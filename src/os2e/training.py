@@ -50,6 +50,7 @@ K_ITERS_DEFAULT = 300
 BATCH_SIZE_DEFAULT = 32
 LR_DECAY_DEFAULT = 0.1
 SCHEDULE_STOP_MULTIPLE = 2.5
+TRANSFER_MODES = ("init", "knowledge", "data", "probe")
 
 # independent rng streams hanging off the run seed
 _STREAM_BATCH = 1
@@ -118,7 +119,7 @@ class TransferConfig:
     track_params: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("init", "knowledge", "data", "probe"):
+        if self.mode not in TRANSFER_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")

@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from os2e import fixture_path
 from os2e.cli import _TRAIN_DEFAULTS, run
@@ -81,8 +82,8 @@ class TestStatsCommand:
         assert code == 0
         table = io.read_conditional_json(os.path.join(out, "conditional.json"))
         assert table.num_events == 4
-        posterior = io.read_posterior_json(os.path.join(out, "posterior.json"))
-        assert posterior.num_classes == 20
+        posterior = read_json(os.path.join(out, "posterior.json"))
+        assert posterior["num_classes"] == 20
 
 
 class TestGenCommand:
@@ -474,3 +475,98 @@ class TestReportCommand:
         assert "warning" in capsys.readouterr().err
         summary = read_json(os.path.join(out, "report_summary.json"))
         assert summary["produced"] == []
+
+
+def _vectors(tmp_path):
+    gen_dir = tmp_path / "vec"
+    assert run(["gen", "--preset", "vectors", "--seed", "4", "--n-train", "16",
+                "--n-test", "16", "--out", str(gen_dir)]) == 0
+    return ["--train", str(gen_dir / "train.csv"), "--test", str(gen_dir / "test.csv"),
+            "--schedule", "4", "--batch-size", "8", "--trunk", "8"]
+
+
+def _images_and_checkpoint(tmp_path):
+    img_dir = tmp_path / "imgs"
+    assert run(["gen", "--preset", "images", "--seed", "6", "--n-train", "1",
+                "--n-test", "1", "--out", str(img_dir)]) == 0
+    ckpt = str(tmp_path / "o.json")
+    cfg = NetworkConfig(input_dim=16 * 16, trunk=(), heads=(4,), dropout_rate=0.0)
+    io.write_checkpoint_json(ckpt, Checkpoint(cfg, init_params(cfg, seed=5)))
+    return ["--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+            "--image-dir", str(img_dir / "test")]
+
+
+class TestChoiceSettings:
+    # setting -> (subcommand, its config-file flag, a bad value, the other arguments)
+    CASES = {
+        "preset": ("gen", "--config", "bogus", lambda tmp_path: []),
+        "mode": ("train", "--config", "bogus", _vectors),
+        "soft_direction": ("train", "--config", "bogus", _vectors),
+        "ratio_modes": ("infer", "--crop-config", ["square", "x"], _images_and_checkpoint),
+    }
+
+    @pytest.mark.parametrize("key", CASES)
+    def test_bad_choice_fails_before_any_output(self, tmp_path, capsys, key):
+        subcommand, flag, value, other_args = self.CASES[key]
+        args = other_args(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([subcommand, *args, flag, str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: setting {key!r} must be one of" in err
+        assert not out.exists()
+
+
+def _stats_missing_labels(tmp_path):
+    resp = tmp_path / "resp.csv"
+    resp.write_text("image_id,class_0,class_1\nimg_0,0.5,0.5\n")
+    return ["stats", "--responses", str(resp), "--labels", str(tmp_path / "missing.csv")]
+
+
+def _select_malformed_table(tmp_path):
+    table = tmp_path / "conditional.json"
+    payload = read_json(fixture_path("three_class_conditional.json"))
+    del payload["cond"]
+    table.write_text(json.dumps(payload))
+    return ["select", "--table", str(table), "--k", "2"]
+
+
+def _train_missing_test(tmp_path):
+    args = _vectors(tmp_path)
+    args[3] = str(tmp_path / "missing.csv")
+    return ["train", "--mode", "init", *args]
+
+
+def _infer_missing_checkpoint(tmp_path):
+    args = _images_and_checkpoint(tmp_path)
+    args[1] = str(tmp_path / "missing.json")
+    return ["infer", *args]
+
+
+def _report_malformed_run(tmp_path):
+    run_dir = tmp_path / "runs" / "init"
+    run_dir.mkdir(parents=True)
+    (run_dir / "report.json").write_text(json.dumps({"records": [{"iteration": 0}]}))
+    return ["report", "--run-dir", str(tmp_path / "runs")]
+
+
+def _gen_bad_sample_count(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_train": 0}))
+    return ["gen", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize(
+    "bad_input",
+    [_gen_bad_sample_count, _stats_missing_labels, _select_malformed_table,
+     _train_missing_test, _infer_missing_checkpoint, _report_malformed_run],
+    ids=["gen", "stats", "select", "train", "infer", "report"],
+)
+def test_bad_input_leaves_no_out_dir(tmp_path, capsys, bad_input):
+    args = bad_input(tmp_path)
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """File formats: round-trips at stated tolerances and line-numbered errors."""
 
+import dataclasses
 import json
 import re
 from io import BytesIO
@@ -19,7 +20,13 @@ from os2e.network import NetworkConfig, Checkpoint, init_params
 from os2e.pipeline import ImageBuffer, generate_regions, CropConfig
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import EventLabels, bayes_posterior, estimate_conditional
-from os2e.training import Dataset, TransferConfig, init_transfer_train
+from os2e.training import (
+    Dataset,
+    EvalRecord,
+    TrainReport,
+    TransferConfig,
+    init_transfer_train,
+)
 from os2e.datagen import make_source_checkpoint
 
 
@@ -87,13 +94,16 @@ class TestTableJson:
         assert loaded.total == table.total
 
     def test_posterior_round_trip_bitwise(self, tmp_path, response_data):
+        # posterior.json is for inspection only: os2e writes it and reads nothing
         objects, _, labels, _ = response_data
         posterior = bayes_posterior(estimate_conditional(objects, labels))
         path = str(tmp_path / "post.json")
         io.write_posterior_json(path, posterior)
-        loaded = io.read_posterior_json(path)
-        np.testing.assert_array_equal(loaded.post, posterior.post)
-        np.testing.assert_array_equal(loaded.undefined_mask, posterior.undefined_mask)
+        d = io.read_json(path)
+        post = np.array(d["post"]).reshape(d["num_classes"], d["num_events"])
+        assert post.tobytes() == posterior.post.tobytes()
+        assert np.array(d["marginal"]).tobytes() == posterior.marginal.tobytes()
+        np.testing.assert_array_equal(d["undefined_mask"], posterior.undefined_mask)
 
     def test_malformed_json_names_file(self, tmp_path):
         path = tmp_path / "cond.json"
@@ -268,11 +278,183 @@ class TestReportFiles:
         source = make_source_checkpoint(config, truth, (16,), "vocabulary", 4)
         tc = TransferConfig(mode="init", k_iters=8, batch_size=8, dropout_rate=0.0, seed=4)
         report = init_transfer_train(source, train, test, tc)
-        path = str(tmp_path / "report.csv")
-        io.write_report_csv(path, report.records)
-        records = io.read_report_csv(path)
-        assert [r.iteration for r in records] == [r.iteration for r in report.records]
-        assert records[-1].train_loss == report.records[-1].train_loss
+        json_path = str(tmp_path / "report.json")
+        io.write_report_json(json_path, report, "checkpoint.json")
+        assert io.read_report_json(json_path) == report.records
+        path = tmp_path / "report.csv"
+        io.write_report_csv(str(path), report.records)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "iter,train_loss,test_loss,test_acc,test_map"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows == [list(dataclasses.astuple(r)) for r in report.records]
+
+
+def _records_report():
+    records = [EvalRecord(0, 1.5, 1.25, 0.5, 0.5), EvalRecord(8, 0.75, 1.0, 0.75, 0.625)]
+    return TrainReport(records=records, checkpoint=None, wall_clock_s=0.1)
+
+
+def _selection_result():
+    posterior = bayes_posterior(_conditional_table())
+    return greedy_select(SelectionProblem.from_posterior(posterior, k=4))
+
+
+def _response_tables():
+    objects, _, labels, _ = gen_response_data(preset_responses(0))
+    return objects, labels
+
+
+def _conditional_table():
+    return estimate_conditional(*_response_tables())
+
+
+def _soft_targets():
+    config = preset_vector_benchmark(6)
+    return gen_vector_dataset(config, make_truth(config))[2]
+
+
+def _checkpoint():
+    cfg = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
+    return Checkpoint(cfg, init_params(cfg, seed=12))
+
+
+# reader, its writer and a valid artifact, then a missing key, a wrong
+# dimension and a wrongly typed value: (edit, the missing key or None)
+JSON_READERS = {
+    "conditional": (
+        io.read_conditional_json,
+        lambda path: io.write_conditional_json(path, _conditional_table()),
+        [
+            (lambda d: d.pop("cond"), "cond"),
+            (lambda d: d.update(num_events=5), None),
+            (lambda d: d.update(class_ids=5), None),
+        ],
+    ),
+    "soft_targets": (
+        io.read_soft_targets_json,
+        lambda path: io.write_soft_targets_json(path, _soft_targets()),
+        [
+            (lambda d: d.pop("num_rows"), "num_rows"),
+            (lambda d: d.update(num_concepts=d["num_concepts"] + 1), None),
+            (lambda d: d.update(concept_ids=[[1]]), None),
+        ],
+    ),
+    "selection": (
+        io.read_selection_json,
+        lambda path: io.write_selection_json(path, _selection_result()),
+        [
+            (lambda d: d.pop("indicator"), "indicator"),
+            (lambda d: d.update(indicator=[d["indicator"]]), None),
+            (lambda d: d.update(energy="low"), None),
+        ],
+    ),
+    "checkpoint": (
+        io.read_checkpoint_json,
+        lambda path: io.write_checkpoint_json(path, _checkpoint()),
+        [
+            (lambda d: d.pop("seed"), "seed"),
+            (lambda d: d.update(values=d["values"][:-1]), None),
+            (lambda d: d["config"].update(heads="2"), None),
+        ],
+    ),
+    "report": (
+        io.read_report_json,
+        lambda path: io.write_report_json(path, _records_report(), "checkpoint.json"),
+        [
+            (lambda d: d["records"][1].pop("test_map"), "records[1].test_map"),
+            (lambda d: d.update(records=d["records"][0]), None),
+            (lambda d: d["records"][0].update(train_loss="low"), None),
+        ],
+    ),
+}
+
+
+class TestJsonArtifacts:
+    def test_round_trips(self, tmp_path):
+        for name, (reader, writer, _) in JSON_READERS.items():
+            writer(str(tmp_path / f"{name}.json"))
+            reader(str(tmp_path / f"{name}.json"))
+        records = io.read_report_json(str(tmp_path / "report.json"))
+        assert records == _records_report().records
+
+    @pytest.mark.parametrize("reader", JSON_READERS)
+    @pytest.mark.parametrize(
+        "case", (0, 1, 2), ids=["missing_key", "wrong_dim", "wrong_type"]
+    )
+    def test_malformed_names_file(self, tmp_path, reader, case):
+        read, write, edits = JSON_READERS[reader]
+        edit, missing = edits[case]
+        path = tmp_path / f"{reader}.json"
+        write(str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(io.ParseError) as info:
+            read(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        if missing is not None:
+            assert message == f"{path}: missing key '{missing}'"
+
+
+# reader, file content, the line the error names, and a fragment of it
+_RESP, _LABELS, _DATA = io.read_response_csv, io.read_labels_csv, io.read_dataset_csv
+MALFORMED_CSV = {
+    "resp_empty": (_RESP, "", 1, "expected header"),
+    "resp_no_classes": (_RESP, "image_id\nimg_0\n", 1, "expected header"),
+    "resp_wrong_header": (_RESP, "id,class_0\nimg_0,1.0\n", 1, "expected header"),
+    "resp_no_rows": (_RESP, "image_id,class_0\n", 2, "no data rows"),
+    "resp_negative": (_RESP, "image_id,a,b\nimg_0,-0.5,1.5\n", 2, "unnormalized"),
+    "labels_header": (_LABELS, "image_id,event\nimg_0,0\n", 1, "expected header"),
+    "labels_extra_field": (_LABELS, "image_id,event_index\nimg_0,0,1\n", 2, "fields"),
+    "labels_float": (_LABELS, "image_id,event_index\nimg_0,1.5\n", 2, "not an integer"),
+    "labels_negative": (_LABELS, "image_id,event_index\nimg_0,-1\n", 2, "out of range"),
+    "labels_blank_line": (_LABELS, "image_id,event_index\n\nimg_0,x\n", 3, "not an integer"),
+    "dataset_header": (_DATA, "id,label,x_0\ns_0,0,0.5\n", 1, "expected header"),
+    "dataset_label": (_DATA, "sample_id,label,x_0\ns_0,a,0.5\n", 2, "not an integer"),
+    "dataset_feature": (_DATA, "sample_id,label,x_0\ns_0,0,nope\n", 2, "not a number"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CSV)
+def test_malformed_csv_names_file_and_line(tmp_path, case):
+    read, content, line, fragment = MALFORMED_CSV[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(io.ParseError, match=fragment) as info:
+        read(str(path))
+    assert str(info.value).startswith(f"{path}: line {line}: ")
+
+
+class TestReportTables:
+    def test_top_concepts_and_marginals(self, tmp_path, response_data):
+        objects, _, labels, _ = response_data
+        table = estimate_conditional(objects, labels)
+        path = tmp_path / "top.csv"
+        io.write_top_concepts_csv(str(path), table, top_k=3)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "event,rank,class_id,p_concept_given_event"
+        assert len(lines) == 1 + 3 * table.num_events
+        event, rank, class_id, p = lines[1].split(",")
+        best = int(np.argmax(table.cond[:, 0]))
+        assert (event, rank, class_id) == ("0", "1", table.class_ids[best])
+        assert float(p) == table.cond[best, 0]
+        path = tmp_path / "marginals.csv"
+        marginal = table.cond @ table.prior
+        io.write_marginals_csv(str(path), table.class_ids, marginal)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == table.class_ids
+        assert np.array([float(r[1]) for r in rows]).tobytes() == marginal.tobytes()
+
+    def test_mode_comparison_is_last_record_per_run(self, tmp_path):
+        records = _records_report().records
+        path = tmp_path / "modes.csv"
+        io.write_mode_comparison_csv(str(path), [("data", records), ("init", records[:1])])
+        assert path.read_text().splitlines() == [
+            "mode,final_iter,train_loss,test_loss,test_acc,test_map",
+            "data,8,0.75,1.0,0.75,0.625",
+            "init,0,1.5,1.25,0.5,0.5",
+        ]
 
 
 class TestDatasetCsv:

@@ -7,11 +7,9 @@ from os2e.stats import PosteriorTable
 from os2e.selection import (
     DEFAULT_LAMBDA,
     SelectionProblem,
-    average_correlation,
     energy,
     exhaustive_select,
     greedy_select,
-    pairwise_correlation,
 )
 
 
@@ -32,6 +30,19 @@ def three_class_problem(k=2, lam=DEFAULT_LAMBDA):
     return SelectionProblem.from_posterior(posterior, k=k, lam=lam)
 
 
+def pairwise_correlation(posterior, i, j):
+    """Scalar oracle for psi(i, j): the inner product of two posterior rows."""
+    return float(sum(a * b for a, b in zip(posterior.post[i], posterior.post[j])))
+
+
+def pair_term(posterior, i, j, lam=DEFAULT_LAMBDA):
+    """What ``energy`` adds to the unary costs of the 2-subset {i, j}."""
+    problem = SelectionProblem.from_posterior(posterior, k=2, lam=lam)
+    indicator = np.zeros(problem.num_classes, dtype=np.int8)
+    indicator[[i, j]] = 1
+    return energy(problem, indicator) - problem.phi[i] - problem.phi[j]
+
+
 def random_problem(rng, c=None, k=None):
     c = c or int(rng.integers(3, 13))
     k = k or int(rng.integers(1, min(c, 4) + 1))
@@ -43,17 +54,18 @@ def random_problem(rng, c=None, k=None):
 
 
 class TestPairwiseCorrelation:
+    # energy counts each unordered pair twice: lam * 2 * psi(i, j)
     def test_orthogonal_one_hots(self):
         post = posterior_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        assert pairwise_correlation(post, 0, 1) == 0.0
+        assert pair_term(post, 0, 1) == 0.0
 
     def test_identical_one_hots(self):
         post = posterior_from_rows([[1.0, 0.0], [1.0, 0.0]])
-        assert pairwise_correlation(post, 0, 1) == 1.0
+        assert pair_term(post, 0, 1, lam=0.5) == 1.0
 
     def test_hand_dot_product(self):
         post = posterior_from_rows([[1.0, 0.0], [0.5, 0.5]])
-        assert pairwise_correlation(post, 0, 1) == 0.5
+        assert pair_term(post, 0, 1, lam=0.5) == 0.5
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(2)
@@ -63,11 +75,7 @@ class TestPairwiseCorrelation:
                 v = pairwise_correlation(post, i, j)
                 assert v == pairwise_correlation(post, j, i)
                 assert 0.0 <= v <= 1.0
-
-    def test_self_pair_rejected(self):
-        post = posterior_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="self pair"):
-            pairwise_correlation(post, 1, 1)
+                np.testing.assert_allclose(pair_term(post, i, j, lam=0.5), v, rtol=1e-12)
 
 
 class TestEnergy:
@@ -109,25 +117,29 @@ class TestEnergy:
 
 
 class TestAverageCorrelation:
+    # a greedy step costs phi(o) + lam * S(O, o), S the mean psi against O
     def test_empty_set_zero(self):
-        post = posterior_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        assert average_correlation(post, [], 0) == 0.0
+        problem = three_class_problem(k=1)
+        result = greedy_select(problem)
+        assert result.step_costs[0] == problem.phi[result.selected[0]]
 
     def test_singleton(self):
         post = posterior_from_rows([[1.0, 0.0], [0.5, 0.5]])
-        assert average_correlation(post, [0], 1) == pairwise_correlation(post, 0, 1)
+        problem = SelectionProblem.from_posterior(post, k=2, lam=0.5)
+        result = greedy_select(problem)
+        assert result.selected == [0, 1]
+        psi = pairwise_correlation(post, 0, 1)
+        assert result.step_costs[1] == problem.phi[1] + 0.5 * psi
 
     def test_hand_average(self):
-        # psi(0,2) = 0.2 and psi(1,2) = 0.6 average to 0.4
+        # picks 2 (phi 0), then 0; psi(2,1) = 0.6 and psi(0,1) = 0.12 average to 0.36
         post = posterior_from_rows(
             [[0.2, 0.8, 0.0], [0.6, 0.0, 0.4], [1.0, 0.0, 0.0]]
         )
-        assert average_correlation(post, [0, 1], 2) == pytest.approx(0.4)
-
-    def test_already_selected_rejected(self):
-        post = posterior_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="already selected"):
-            average_correlation(post, [0], 0)
+        problem = SelectionProblem.from_posterior(post, k=3, lam=0.5)
+        result = greedy_select(problem)
+        assert result.selected == [2, 0, 1]
+        assert result.step_costs[2] == pytest.approx(problem.phi[1] + 0.5 * 0.36)
 
 
 class TestGreedySelect:

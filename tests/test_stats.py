@@ -72,6 +72,14 @@ class TestEstimateConditional:
 
 
 class TestMarginalize:
+    def test_one_class_id_per_row_required(self):
+        # the report tables pair class ids with rows; a short list would drop rows
+        with pytest.raises(ValueError, match="one class id per concept row"):
+            ConditionalTable(
+                cond=[[1.0, 0.0], [0.0, 1.0]], prior=[0.5, 0.5], counts=[1, 1],
+                total=2, class_ids=["a"],
+            )
+
     def test_symmetric(self):
         table = ConditionalTable(
             cond=[[1.0, 0.0], [0.0, 1.0]], prior=[0.5, 0.5], counts=[1, 1], total=2
