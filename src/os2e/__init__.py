@@ -6,11 +6,4 @@ multi-ratio/multi-scale crop-and-fuse inference pipeline, with synthetic
 planted-truth benchmarks tying it all together.
 """
 
-from importlib import resources
-
 __version__ = "0.1.0"
-
-
-def fixture_path(name: str) -> str:
-    """Absolute path of a bundled data fixture (e.g. the 3-class table)."""
-    return str(resources.files("os2e").joinpath("fixtures", name))

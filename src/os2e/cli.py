@@ -249,8 +249,8 @@ _TRAIN_DEFAULTS = {
 
 def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _TRAIN_DEFAULTS)
-    train = io.read_dataset_csv(args.train, split="train")
-    test = io.read_dataset_csv(args.test, num_classes=train.num_classes, split="test")
+    train = io.read_dataset_csv(args.train)
+    test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
     config = training.TransferConfig(
         mode=resolved["mode"],
         alpha=float(resolved["alpha"]),
@@ -291,7 +291,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         else:
             if not args.aux:
                 raise ValueError("data mode needs --aux")
-            aux = io.read_dataset_csv(args.aux, split="train", name="aux")
+            aux = io.read_dataset_csv(args.aux)
             report = training.data_transfer_train(source, train, test, aux, config)
 
     out = io.ensure_dir(args.out)
@@ -400,8 +400,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             conditional_path = os.path.join(root, "conditional.json")
         if "report.json" in files:
             resolved_path = os.path.join(root, "resolved_config.json")
-            resolved = io.read_json(resolved_path) if os.path.exists(resolved_path) else {}
-            mode = resolved.get("mode", "unknown")
+            exists = os.path.exists(resolved_path)
+            mode = io.read_run_mode(resolved_path) if exists else "unknown"
             report_path = os.path.join(root, "report.json")
             runs.append((mode, report_path, io.read_report_json(report_path)))
     runs = [(mode, records) for mode, _, records in sorted(runs, key=lambda r: r[:2])]

@@ -240,15 +240,11 @@ def gen_vector_dataset(
         features=features[: config.n_train],
         labels=labels[: config.n_train],
         num_classes=config.num_events,
-        split="train",
-        name="planted-vectors",
     )
     test = Dataset(
         features=features[config.n_train :],
         labels=labels[config.n_train :],
         num_classes=config.num_events,
-        split="test",
-        name="planted-vectors",
     )
     soft = teacher_soft_targets(config, truth, train.features)
     return train, test, soft
@@ -286,8 +282,6 @@ def gen_aux_dataset(
         features=features,
         labels=labels,
         num_classes=len(concepts),
-        split="train",
-        name="planted-aux-concepts",
     )
 
 
@@ -328,62 +322,13 @@ def gen_image_dataset(
         features=images[: config.n_train],
         labels=labels[: config.n_train],
         num_classes=config.num_events,
-        split="train",
-        name="planted-blobs",
     )
     test = Dataset(
         features=images[config.n_train :],
         labels=labels[config.n_train :],
         num_classes=config.num_events,
-        split="test",
-        name="planted-blobs",
     )
     return train, test
-
-
-def _window_max_mean(planes: np.ndarray, window: int) -> np.ndarray:
-    """Per plane of an (n, h, w) stack: max over all window x window means.
-
-    Window sums come from integral images.
-    """
-    n, h, w = planes.shape
-    window = min(window, h, w)
-    integral = np.zeros((n, h + 1, w + 1))
-    integral[:, 1:, 1:] = planes.cumsum(axis=1).cumsum(axis=2)
-    sums = (
-        integral[:, window:, window:]
-        - integral[:, :-window, window:]
-        - integral[:, window:, :-window]
-        + integral[:, :-window, :-window]
-    )
-    return sums.max(axis=(1, 2)) / (window * window)
-
-
-def make_blob_scorer(
-    num_events: int,
-    mean_pixel: float = 0.5,
-    window: int = 4,
-    temperature: float = 0.02,
-):
-    """Toy classifier: nearest blob-intensity level to the crop's hottest window.
-
-    Crops whose hottest window stays below the lowest level (no blob in view)
-    abstain with a uniform score vector.
-    """
-    levels = blob_levels(num_events)
-    floor = levels[0] - (levels[1] - levels[0]) if num_events > 1 else levels[0] * 0.5
-
-    def scorer(crops: np.ndarray) -> np.ndarray:
-        # one (n, M) row per crop of the (n, h, w, c) stack
-        m = _window_max_mean(crops[:, :, :, 0] + mean_pixel, window)
-        z = -np.abs(m[:, None] - levels) / temperature
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        p[m < floor] = 1.0 / num_events
-        return p
-
-    return scorer
 
 
 def make_source_checkpoint(
@@ -447,21 +392,6 @@ def preset_responses(seed: int = 0) -> GeneratorConfig:
         noise_sigma=1.0,
         n_train=96,
         n_test=400,
-        seed=seed,
-    )
-
-
-def preset_high_concentration(seed: int = 0) -> GeneratorConfig:
-    """Strongly peaked responses: selection should recover the planted concepts."""
-    return GeneratorConfig(
-        num_events=4,
-        num_objects=20,
-        num_scenes=12,
-        signature_sparsity=2,
-        concentration=50.0,
-        noise_sigma=0.05,
-        n_train=160,
-        n_test=160,
         seed=seed,
     )
 

@@ -3,11 +3,14 @@
 Every CSV goes through ``_write_csv`` and ``_read_csv``: a header line, then
 one line per row, floats in ``repr`` form (shortest round-trip), so
 write-then-read is bitwise; a malformed line raises ``ParseError`` naming the
-file and the 1-based line.  Every JSON artifact is read through
-``_read_object``: a missing key raises ``ParseError`` ``<file>: missing key
-'<key>'``, a wrongly typed or shaped value one starting with ``<file>: ``.
-``posterior.json`` is written for inspection and read by nothing.  Images are
-float64 HxWxC ``.npy`` arrays and round-trip bitwise.
+file and the 1-based line.  Every JSON artifact is written by
+``_write_json`` and read through ``_read_object``: a file that is not a JSON
+object, or a wrongly typed or shaped value, raises ``ParseError`` starting
+with ``<file>: ``, and a missing key one reading ``<file>: missing key
+'<key>'``.  The public ``read_json``/``write_json`` are for the CLI's
+free-form files only, so each artifact is opened by exactly one public
+function.  ``posterior.json`` is written for inspection and read by nothing.
+Images are float64 HxWxC ``.npy`` arrays and round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -104,18 +107,29 @@ def _label(cell: str, num_classes: int | None) -> int:
     return y
 
 
-def write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
+def _write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=sort_keys)
         fh.write("\n")
 
 
-def read_json(path: str) -> dict:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
+
+
+def write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
+    """A free-form JSON file (manifest, truth, resolved config); the artifact
+    writers below go through ``_write_json`` directly."""
+    _write_json(path, payload, sort_keys)
+
+
+def read_json(path: str):
+    """Any JSON value; a malformed file raises ``ParseError`` naming it."""
+    return _read_json(path)
 
 
 def _key(d: dict, key: str, path: str, prefix: str = "", kind=object):
@@ -134,7 +148,9 @@ def _read_object(path: str, build):
     """``build(d, key)`` of the JSON object ``d`` in ``path``, ``key`` being
     ``_key`` for this file; any other error of a malformed value (``"trunk": 5``,
     a ``cond`` that does not fill its dims) becomes a ``ParseError`` naming it."""
-    d = read_json(path)
+    d = _read_json(path)
+    if not isinstance(d, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(d).__name__}")
 
     def key(name, holder=d, prefix="", kind=object):
         return _key(holder, name, path, prefix, kind)
@@ -203,7 +219,7 @@ def read_labels_csv(
 
 
 def write_conditional_json(path: str, table: ConditionalTable) -> None:
-    write_json(
+    _write_json(
         path,
         {
             "type": "conditional_table",
@@ -233,7 +249,7 @@ def read_conditional_json(path: str) -> ConditionalTable:
 
 
 def write_posterior_json(path: str, table: PosteriorTable) -> None:
-    write_json(
+    _write_json(
         path,
         {
             "type": "posterior_table",
@@ -248,7 +264,7 @@ def write_posterior_json(path: str, table: PosteriorTable) -> None:
 
 
 def write_selection_json(path: str, result: SelectionResult) -> None:
-    write_json(
+    _write_json(
         path,
         {
             "type": "selection_result",
@@ -307,7 +323,7 @@ _RECORD_KEYS = tuple(f.name for f in fields(EvalRecord))
 
 def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
     params = checkpoint.params
-    write_json(
+    _write_json(
         path,
         {
             "type": "checkpoint",
@@ -369,7 +385,7 @@ def _checkpoint_from(d: dict, key) -> Checkpoint:
 
 
 def write_report_json(path: str, report: TrainReport, checkpoint_path: str) -> None:
-    write_json(
+    _write_json(
         path,
         {
             "type": "train_report",
@@ -397,6 +413,16 @@ def read_report_json(path: str) -> list[EvalRecord]:
     return _read_object(path, build)
 
 
+def read_run_mode(path: str) -> str:
+    """The ``mode`` string of a run's ``resolved_config.json``; ``"unknown"``
+    when the run has none (every setting but the mode is ignored)."""
+
+    def build(d, key):
+        return key("mode", kind=str) if "mode" in d else "unknown"
+
+    return _read_object(path, build)
+
+
 def write_report_csv(path: str, records: list[EvalRecord]) -> None:
     header = ["iter", "train_loss", "test_loss", "test_acc", "test_map"]
     _write_csv(path, header, map(astuple, records))
@@ -417,9 +443,7 @@ def write_dataset_csv(path: str, dataset: Dataset) -> None:
     _write_csv(path, header, ([f"s_{i}", y, *row] for i, (y, row) in samples))
 
 
-def read_dataset_csv(
-    path: str, num_classes: int | None = None, split: str = "train", name: str = ""
-) -> Dataset:
+def read_dataset_csv(path: str, num_classes: int | None = None) -> Dataset:
     def parse_row(cells):
         return _label(cells[1], num_classes), _numbers(cells[2:])
 
@@ -431,13 +455,11 @@ def read_dataset_csv(
         features=np.array([x for _, x in rows]).reshape(len(rows), len(header) - 2),
         labels=np.array(labels),
         num_classes=num_classes,
-        split=split,
-        name=name,
     )
 
 
 def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
-    write_json(
+    _write_json(
         path,
         {
             "type": "soft_targets",
@@ -490,7 +512,7 @@ def write_region_specs_json(
         {"height": h, "width": w, "specs": [asdict(s) for s in size_specs]}
         for (h, w), size_specs in specs.items()
     ]
-    write_json(path, {"type": "region_specs", "sizes": sizes})
+    _write_json(path, {"type": "region_specs", "sizes": sizes})
 
 
 def write_scores_csv(path: str, image_ids: list[str], scores: np.ndarray) -> None:

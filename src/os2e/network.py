@@ -6,11 +6,11 @@ first, imitation/auxiliary head second).  All parameters live in a single
 flat float64 vector with a deterministic layout, so checkpoints, SGD updates,
 and finite-difference checks all speak the same representation.
 
-Losses: cross-entropy on hard labels, a soft-target imitation loss in two
-directions, their weighted "knowledge" combination, and a two-dataset
-"data" combination over a shared trunk.  Every loss returns gradients with
-respect to head pre-activations (already weighted and batch-scaled) which
-``backward`` maps to parameter space.
+Losses: cross-entropy on hard labels and a soft-target imitation loss in
+two directions.  Each returns its gradient with respect to one head's
+pre-activations, batch-scaled; ``backward`` maps a dict of such head
+gradients to parameter space.  The transfer modes' weighted sums of these
+losses are composed by the training loop, not here.
 """
 
 from __future__ import annotations
@@ -109,13 +109,6 @@ class ParamStore:
 
     def slice_of(self, name: str) -> slice:
         return self._index[name][0]
-
-    def copy(self) -> "ParamStore":
-        return ParamStore(
-            values=self.values.copy(),
-            layout=list(self.layout),
-            rng_seed=self.rng_seed,
-        )
 
 
 @dataclass
@@ -342,14 +335,13 @@ def soft_target_loss(
     Default direction treats f as the target distribution, -sum f log q,
     which reduces to cross-entropy when f is one-hot.  ``target_in_log``
     evaluates -sum q log f (f clamped below at 1e-12); gradients flow
-    through q only in both directions.
+    through q only in both directions.  Rows of f are taken to be on the
+    simplex: ``training.SoftTargets`` checks that once, when it is built.
     """
     f = np.asarray(targets, dtype=np.float64)
     q = cache.head_prob[head]
     if f.shape != q.shape:
         raise ValueError(f"target shape {f.shape} vs head output {q.shape}")
-    if np.any(f < 0) or np.any(np.abs(f.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("target row off simplex")
     b = cache.batch_size
     if direction == SOFT_TARGET_AS_DISTRIBUTION:
         logq = cache.head_logprob[head]
@@ -364,72 +356,13 @@ def soft_target_loss(
     return loss, grad
 
 
-def knowledge_loss(
-    cache: ForwardCache,
-    labels,
-    targets,
-    alpha: float,
-    direction: str = SOFT_TARGET_AS_DISTRIBUTION,
-) -> tuple[float, dict[int, np.ndarray]]:
-    """Event cross-entropy plus alpha times the imitation loss on head 1.
-
-    With alpha == 0 the soft term is skipped entirely so the result is
-    bitwise the pure event loss.  The alpha weight is folded into the
-    returned head-1 gradient.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    ce, g_event = cross_entropy_loss(cache, labels, head=0)
-    if alpha == 0.0:
-        return ce, {0: g_event}
-    if len(cache.config.heads) < 2:
-        raise ValueError("knowledge loss needs an imitation head")
-    soft, g_soft = soft_target_loss(cache, targets, direction=direction, head=1)
-    return ce + alpha * soft, {0: g_event, 1: alpha * g_soft}
-
-
-def data_loss(
-    event_cache: ForwardCache,
-    event_labels,
-    aux_cache: ForwardCache | None,
-    aux_labels,
-    beta: float,
-) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Event cross-entropy plus beta times auxiliary cross-entropy on head 1.
-
-    The two caches must share trunk parameters (weight sharing); each branch
-    returns gradients for its own head only, with beta folded into the
-    auxiliary gradient.  With beta == 0 the auxiliary branch is skipped and
-    ``aux_cache`` may be None.  Caches built from one params object share
-    the trunk by construction; caches from distinct stores are compared
-    element by element.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    ce_event, g_event = cross_entropy_loss(event_cache, event_labels, head=0)
-    if beta == 0.0 or aux_cache is None:
-        if beta != 0.0:
-            raise ValueError("beta > 0 requires an auxiliary cache")
-        return ce_event, {0: g_event}, {}
-    if len(event_cache.config.heads) < 2:
-        raise ValueError("data loss needs an auxiliary head")
-    if event_cache.params is not aux_cache.params:
-        for name, _, _ in event_cache.params.layout:
-            if name.startswith("trunk") and not np.array_equal(
-                event_cache.params.view(name), aux_cache.params.view(name)
-            ):
-                raise ValueError("heads not sharing trunk")
-    ce_aux, g_aux = cross_entropy_loss(aux_cache, aux_labels, head=1)
-    return ce_event + beta * ce_aux, {0: g_event}, {1: beta * g_aux}
-
-
 def sgd_momentum_step(
     params: ParamStore,
     gradient: np.ndarray,
     velocity: np.ndarray,
     lr: float = DEFAULT_LR,
     momentum: float = DEFAULT_MOMENTUM,
-) -> tuple[ParamStore, np.ndarray]:
+) -> None:
     """Classic momentum update in place: v <- m*v - lr*g; params <- params + v."""
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != params.values.shape or velocity.shape != params.values.shape:
@@ -439,40 +372,3 @@ def sgd_momentum_step(
     velocity *= momentum
     velocity -= lr * gradient
     params.values += velocity
-    return params, velocity
-
-
-def grad_check(
-    config: NetworkConfig,
-    params: ParamStore,
-    loss_fn,
-    epsilon: float = 1e-5,
-    sample_size: int = 200,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error of the analytic gradient vs central differences.
-
-    ``loss_fn(params) -> (loss, flat_grad)`` must be deterministic (run
-    dropout-free or with a fixed mask).  Checks every parameter, or a random
-    subset of ``sample_size`` for larger nets.
-    """
-    loss0, analytic = loss_fn(params)
-    n = params.values.size
-    if n <= sample_size:
-        indices = np.arange(n)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        indices = rng.choice(n, size=sample_size, replace=False)
-    worst = 0.0
-    for i in indices:
-        orig = params.values[i]
-        params.values[i] = orig + epsilon
-        loss_plus, _ = loss_fn(params)
-        params.values[i] = orig - epsilon
-        loss_minus, _ = loss_fn(params)
-        params.values[i] = orig
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        denom = max(1e-8, abs(analytic[i]) + abs(numeric))
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst

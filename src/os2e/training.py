@@ -10,12 +10,17 @@ Three ways to adapt a source network to an event dataset:
   concept-labeled dataset whose loss (weight beta) flows through the shared
   trunk via its own head.
 
-All modes share one loop: seeded with-replacement batch sampling, SGD with
-momentum, and a step learning-rate schedule (decay every ``k_iters``
-iterations, stop at ``2.5 * k_iters``).  Batch sampling, dropout, and head
-initialization each draw from independent seeded streams, so disabling an
-auxiliary term (alpha or beta = 0) reproduces the init-mode event trajectory
-bit for bit.
+All modes share one loop, and it alone composes their losses from the
+network's primitives: event cross-entropy, plus alpha times the imitation
+loss on the second head (``knowledge``), or plus beta times the auxiliary
+cross-entropy of a second forward through the shared trunk (``data``).  The
+loop samples batches with replacement, takes SGD steps with momentum
+``DEFAULT_MOMENTUM``, and follows a step learning-rate schedule (decay by
+``LR_DECAY_DEFAULT`` every ``k_iters`` iterations, stop at ``2.5 *
+k_iters``, evaluate every eighth of the run).  Batch sampling, dropout, and
+head initialization each draw from independent seeded streams, so disabling
+an auxiliary term (alpha or beta = 0) reproduces the init-mode event
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -31,12 +36,11 @@ from .network import (
     ParamStore,
     backward,
     cross_entropy_loss,
-    data_loss,
     forward,
     init_from_source,
     init_params,
-    knowledge_loss,
     sgd_momentum_step,
+    soft_target_loss,
     DEFAULT_DROPOUT,
     DEFAULT_LR,
     DEFAULT_MOMENTUM,
@@ -66,8 +70,6 @@ class Dataset:
     features: np.ndarray | list
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
-    name: str = ""
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -102,20 +104,22 @@ class SoftTargets:
 
 @dataclass
 class TransferConfig:
-    """Knobs shared by all transfer modes; mode picks which weights apply."""
+    """Settings shared by all transfer modes; mode picks which weights apply.
+
+    The loop reads ``alpha`` in knowledge mode and ``beta`` in data mode.
+    The lr decay factor and the momentum are the module constants
+    ``LR_DECAY_DEFAULT`` and ``DEFAULT_MOMENTUM``.
+    """
 
     mode: str = "init"
     alpha: float = ALPHA_OBJECT_DEFAULT
     beta: float = BETA_DEFAULT
     lr: float = DEFAULT_LR
-    lr_decay: float = LR_DECAY_DEFAULT
     k_iters: int = K_ITERS_DEFAULT
     batch_size: int = BATCH_SIZE_DEFAULT
     dropout_rate: float = DEFAULT_DROPOUT
-    momentum: float = DEFAULT_MOMENTUM
     seed: int = 0
     soft_direction: str = SOFT_TARGET_AS_DISTRIBUTION
-    eval_every: int | None = None
     track_params: bool = False
 
     def __post_init__(self):
@@ -131,7 +135,7 @@ class TransferConfig:
         return int(round(SCHEDULE_STOP_MULTIPLE * self.k_iters))
 
     def lr_at(self, iteration: int) -> float:
-        return self.lr * self.lr_decay ** (iteration // self.k_iters)
+        return self.lr * LR_DECAY_DEFAULT ** (iteration // self.k_iters)
 
 
 @dataclass
@@ -235,7 +239,7 @@ def _run_training(
     aux_drop_rng = np.random.default_rng([config.seed, _STREAM_AUX_DROPOUT])
 
     total = config.total_iters
-    eval_every = config.eval_every or max(1, total // 8)
+    eval_every = max(1, total // 8)
     records = [_evaluate_point(net, params, train, test, 0)]
     trajectory = [] if config.track_params else None
 
@@ -251,26 +255,28 @@ def _run_training(
         # raised below; keep the warning noise out of the run
         with np.errstate(over="ignore", invalid="ignore"):
             cache = forward(net, params, xb, mode="train", rng=drop_rng)
+            loss, g_event = cross_entropy_loss(cache, yb)
             if use_soft:
-                loss, head_grads = knowledge_loss(
-                    cache, yb, soft.values[idx], config.alpha, config.soft_direction
+                soft_loss, g_soft = soft_target_loss(
+                    cache, soft.values[idx], config.soft_direction
                 )
-                grad = backward(cache, head_grads)
+                loss += config.alpha * soft_loss
+                grad = backward(cache, {0: g_event, 1: config.alpha * g_soft})
             elif use_aux:
                 aux_idx = aux_batch_rng.integers(0, len(aux), size=config.batch_size)
                 aux_cache = forward(
                     net, params, aux.features[aux_idx], mode="train", rng=aux_drop_rng
                 )
-                loss, event_grads, aux_grads = data_loss(
-                    cache, yb, aux_cache, aux.labels[aux_idx], config.beta
+                aux_loss, g_aux = cross_entropy_loss(aux_cache, aux.labels[aux_idx], head=1)
+                loss += config.beta * aux_loss
+                grad = backward(cache, {0: g_event}) + backward(
+                    aux_cache, {1: config.beta * g_aux}
                 )
-                grad = backward(cache, event_grads) + backward(aux_cache, aux_grads)
             else:
-                loss, g_event = cross_entropy_loss(cache, yb)
                 grad = backward(cache, {0: g_event})
         if not np.isfinite(loss):
             raise ValueError(f"divergence at iteration {t}: loss={loss!r}")
-        sgd_momentum_step(params, grad, velocity, lr=lr_t, momentum=config.momentum)
+        sgd_momentum_step(params, grad, velocity, lr=lr_t, momentum=DEFAULT_MOMENTUM)
         if trajectory is not None:
             trajectory.append(params.values.copy())
         done = t + 1

@@ -7,9 +7,18 @@ Run verbosely with ``pytest tests/test_acceptance.py -v -s``.
 import time
 
 import numpy as np
-from conftest import draw_aux_batch, draw_grad_check_case
+from conftest import (
+    ce_loss_fn,
+    data_loss_fn,
+    draw_aux_batch,
+    draw_grad_check_case,
+    fixture_path,
+    grad_check,
+    knowledge_loss_fn,
+    make_blob_scorer,
+    preset_high_concentration,
+)
 
-from os2e import fixture_path
 from os2e import io
 from os2e.datagen import (
     BENCHMARK_SOURCE_KIND,
@@ -19,10 +28,8 @@ from os2e.datagen import (
     gen_image_dataset,
     gen_response_data,
     gen_vector_dataset,
-    make_blob_scorer,
     make_source_checkpoint,
     make_truth,
-    preset_high_concentration,
     preset_image_benchmark,
     preset_responses,
     preset_vector_benchmark,
@@ -33,12 +40,6 @@ from os2e.network import (
     DEFAULT_MOMENTUM,
     SOFT_TARGET_IN_LOG,
     SOFT_TARGET_AS_DISTRIBUTION,
-    backward,
-    cross_entropy_loss,
-    data_loss,
-    forward,
-    grad_check,
-    knowledge_loss,
 )
 from os2e.pipeline import CropConfig, classify_image, generate_regions
 from os2e.selection import (
@@ -64,6 +65,7 @@ from os2e.training import (
     ALPHA_OBJECT_DEFAULT,
     ALPHA_SCENE_DEFAULT,
     BETA_DEFAULT,
+    LR_DECAY_DEFAULT,
     Dataset,
     TransferConfig,
     data_transfer_train,
@@ -177,33 +179,11 @@ class TestCriterion3Gradients:
         for _ in range(20):
             cfg, params, x, y, f = draw_grad_check_case(rng)
             xa, ya = draw_aux_batch(cfg, params, rng)
-
-            def ce_fn(p):
-                cache = forward(cfg, p, x, mode="eval")
-                loss, g = cross_entropy_loss(cache, y)
-                return loss, backward(cache, {0: g})
-
-            def know_fn(direction):
-                def fn(p):
-                    cache = forward(cfg, p, x, mode="eval")
-                    loss, grads = knowledge_loss(
-                        cache, y, f, alpha=0.25, direction=direction
-                    )
-                    return loss, backward(cache, grads)
-
-                return fn
-
-            def data_fn(p):
-                event_cache = forward(cfg, p, x, mode="eval")
-                aux_cache = forward(cfg, p, xa, mode="eval")
-                loss, ge, ga = data_loss(event_cache, y, aux_cache, ya, beta=0.5)
-                return loss, backward(event_cache, ge) + backward(aux_cache, ga)
-
             for fn in (
-                ce_fn,
-                know_fn(SOFT_TARGET_AS_DISTRIBUTION),
-                know_fn(SOFT_TARGET_IN_LOG),
-                data_fn,
+                ce_loss_fn(cfg, x, y),
+                knowledge_loss_fn(cfg, x, y, f, 0.25, SOFT_TARGET_AS_DISTRIBUTION),
+                knowledge_loss_fn(cfg, x, y, f, 0.25, SOFT_TARGET_IN_LOG),
+                data_loss_fn(cfg, x, y, xa, ya, beta=0.5),
             ):
                 err = grad_check(cfg, params, fn, epsilon=1e-5)
                 worst = max(worst, err)
@@ -266,8 +246,8 @@ class TestCriterion5ShippedConstants:
         assert DEFAULT_LR == 0.01
         tc = TransferConfig()
         assert (tc.alpha, tc.beta) == (0.125, 0.5)
-        assert (tc.dropout_rate, tc.momentum, tc.lr) == (0.7, 0.9, 0.01)
-        assert tc.lr_decay == 0.1
+        assert (tc.dropout_rate, DEFAULT_MOMENTUM, tc.lr) == (0.7, 0.9, 0.01)
+        assert LR_DECAY_DEFAULT == 0.1
         assert (DEFAULT_K_OBJECTS, DEFAULT_K_SCENES) == (300, 150)
         passed(5, "54-region default crop config and lambda/alpha/beta/dropout/"
                   "momentum/lr defaults all match the shipped constants")

@@ -6,8 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from conftest import fixture_path
 
-from os2e import fixture_path
 from os2e.cli import _TRAIN_DEFAULTS, run
 from os2e import io
 from os2e.datagen import gen_image_dataset, make_truth, preset_image_benchmark
@@ -466,6 +466,32 @@ class TestReportCommand:
                     "--out", str(tmp_path / "rep")])
         assert code == 1
         assert str(run_dir / "report.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "resolved, message",
+        [
+            ([1, 2], "expected a JSON object, got list"),
+            ({"mode": 5}, "'mode' must be a str, got 5"),
+        ],
+        ids=["list", "int_mode"],
+    )
+    def test_malformed_resolved_config_names_file(
+        self, tmp_path, capsys, resolved, message
+    ):
+        # the second run's string mode used to be sorted against the int
+        record = {"iteration": 0, "train_loss": 1.0, "test_loss": 1.0,
+                  "test_accuracy": 0.5, "test_map": 0.5}
+        for name, config in (("a", resolved), ("b", {"mode": "init"})):
+            run_dir = tmp_path / "runs" / name
+            run_dir.mkdir(parents=True)
+            (run_dir / "report.json").write_text(json.dumps({"records": [record]}))
+            (run_dir / "resolved_config.json").write_text(json.dumps(config))
+        out = tmp_path / "rep"
+        capsys.readouterr()
+        assert run(["report", "--run-dir", str(tmp_path / "runs"), "--out", str(out)]) == 1
+        bad = tmp_path / "runs" / "a" / "resolved_config.json"
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_dir_warns_exit_zero(self, tmp_path, capsys):
         empty = str(tmp_path / "empty")

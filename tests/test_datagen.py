@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import make_blob_scorer, preset_high_concentration
 from dataclasses import replace
 
 from os2e.datagen import (
@@ -11,10 +12,8 @@ from os2e.datagen import (
     gen_image_dataset,
     gen_response_data,
     gen_vector_dataset,
-    make_blob_scorer,
     make_source_checkpoint,
     make_truth,
-    preset_high_concentration,
     preset_responses,
     preset_vector_benchmark,
     teacher_soft_targets,

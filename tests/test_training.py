@@ -11,7 +11,18 @@ from os2e.datagen import (
     make_truth,
     preset_vector_benchmark,
 )
-from os2e.network import init_from_source
+from os2e import training
+from os2e.network import (
+    DEFAULT_MOMENTUM,
+    SOFT_TARGET_AS_DISTRIBUTION,
+    SOFT_TARGET_IN_LOG,
+    backward,
+    cross_entropy_loss,
+    forward,
+    init_from_source,
+    sgd_momentum_step,
+    soft_target_loss,
+)
 from os2e.training import (
     Dataset,
     SoftTargets,
@@ -184,6 +195,92 @@ class TestDegenerateWeights:
         rep_data = data_transfer_train(source, train, test, aux, tc_data)
         for a, b in zip(_shared_slices(rep_init), _shared_slices(rep_data)):
             np.testing.assert_array_equal(a, b)
+
+
+def _hand_first_step(source, train, soft, aux, tc):
+    """Parameters after the loop's first step, composed from the primitives."""
+    second = soft.values.shape[1] if tc.mode == "knowledge" else aux.num_classes
+    net = training._target_net(source, (train.num_classes, second), tc)
+    params = init_from_source(net, source.params, tc.seed)
+    batch_rng = np.random.default_rng([tc.seed, training._STREAM_BATCH])
+    drop_rng = np.random.default_rng([tc.seed, training._STREAM_DROPOUT])
+    idx = batch_rng.integers(0, len(train), size=tc.batch_size)
+    cache = forward(net, params, train.features[idx], mode="train", rng=drop_rng)
+    _, g_event = cross_entropy_loss(cache, train.labels[idx])
+    if tc.mode == "knowledge":
+        _, g_soft = soft_target_loss(cache, soft.values[idx], tc.soft_direction)
+        grad = backward(cache, {0: g_event, 1: tc.alpha * g_soft})
+    else:
+        aux_rng = np.random.default_rng([tc.seed, training._STREAM_AUX_BATCH])
+        aux_drop_rng = np.random.default_rng([tc.seed, training._STREAM_AUX_DROPOUT])
+        aux_idx = aux_rng.integers(0, len(aux), size=tc.batch_size)
+        aux_cache = forward(
+            net, params, aux.features[aux_idx], mode="train", rng=aux_drop_rng
+        )
+        _, g_aux = cross_entropy_loss(aux_cache, aux.labels[aux_idx], head=1)
+        grad = backward(cache, {0: g_event}) + backward(aux_cache, {1: tc.beta * g_aux})
+    velocity = np.zeros_like(params.values)
+    sgd_momentum_step(params, grad, velocity, lr=tc.lr_at(0), momentum=DEFAULT_MOMENTUM)
+    return params.values
+
+
+def _train(mode, source, train, test, soft, aux, tc):
+    if mode == "knowledge":
+        return knowledge_transfer_train(source, train, test, soft, tc)
+    return data_transfer_train(source, train, test, aux, tc)
+
+
+class TestLossComposition:
+    """The loop alone weights the second term: alpha on the imitation loss,
+    beta on the auxiliary cross-entropy, in both the gradient and the loss."""
+
+    @pytest.mark.parametrize(
+        "mode, direction",
+        [
+            ("knowledge", SOFT_TARGET_AS_DISTRIBUTION),
+            ("knowledge", SOFT_TARGET_IN_LOG),
+            ("data", SOFT_TARGET_AS_DISTRIBUTION),
+        ],
+    )
+    def test_first_step_matches_hand_composition(self, mode, direction):
+        config, truth, train, test, soft, source = benchmark_parts(seed=17)
+        aux = gen_aux_dataset(config, truth)
+        tc = quick_config(
+            mode, seed=17, k_iters=1, alpha=0.3, beta=0.7, dropout_rate=0.5,
+            soft_direction=direction, track_params=True,
+        )
+        report = _train(mode, source, train, test, soft, aux, tc)
+        expected = _hand_first_step(source, train, soft, aux, tc)
+        assert report.trajectory[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["knowledge", "data"])
+    def test_divergence_check_sees_weighted_term(self, monkeypatch, mode):
+        # a second term of 1e308 overflows the loss only once it is weighted
+        # by 4, so the loop raises at iteration 0 only if it applies the weight
+        def huge_soft(*args, **kwargs):
+            return 1e308, soft_target_loss(*args, **kwargs)[1]
+
+        def huge_aux(cache, labels, head=0):
+            loss, grad = cross_entropy_loss(cache, labels, head=head)
+            return (1e308 if head == 1 else loss), grad
+
+        monkeypatch.setattr(training, "soft_target_loss", huge_soft)
+        monkeypatch.setattr(training, "cross_entropy_loss", huge_aux)
+        config, truth, train, test, soft, source = benchmark_parts(seed=18)
+        aux = gen_aux_dataset(config, truth)
+        tc = quick_config(mode, seed=18, k_iters=1, alpha=0.5, beta=0.5)
+        _train(mode, source, train, test, soft, aux, tc)  # 0.5 * 1e308 is finite
+        tc = quick_config(mode, seed=18, k_iters=1, alpha=4.0, beta=4.0)
+        with pytest.raises(ValueError, match="divergence at iteration 0: loss=inf"):
+            _train(mode, source, train, test, soft, aux, tc)
+
+
+class TestSoftTargets:
+    def test_off_simplex_rows_rejected(self):
+        # checked once here, so the per-batch imitation loss need not
+        for rows in ([[0.5, 0.5], [0.9, 0.3]], [[1.2, -0.2]]):
+            with pytest.raises(ValueError, match="on the simplex"):
+                SoftTargets(values=np.array(rows))
 
 
 class TestKnowledgeTransfer:
