@@ -7,11 +7,16 @@ fused twice: a weighted average across streams per region, then a plain mean
 across regions.  With the default config this produces 2 x 3 x 9 = 54 regions
 per image.
 
-Scorer contract: a scorer receives one stack of mean-subtracted crops, shape
-(n, crop, crop, channels), and returns an (n, M) array whose rows are
-probability vectors over the M event classes.  ``score_regions`` calls each
-stream once per resized view with that view's grid x grid crops, so 12 calls
-score the 54 default regions.
+Scorer contract: a scorer receives one C-contiguous float64 stack of
+mean-subtracted crops, shape (n, crop, crop, channels), and returns an (n, M)
+array whose rows are probability vectors over the M event classes.
+``score_regions`` calls each stream once per resized view with that view's
+grid x grid crops, so 12 calls score the 54 default regions.
+
+Pixels are validated where an image enters, as an ``ImageBuffer`` built by
+``io.read_image``, ``datagen`` or the caller.  ``score_regions`` resizes each
+view once as a plain array and writes its crops, mean-subtracted, straight
+into the stack; a view mixes checked pixels, so it is not checked again.
 """
 
 from __future__ import annotations
@@ -122,25 +127,45 @@ def _source_coords(src: int, target: int) -> np.ndarray:
     return np.clip(coords, 0.0, src - 1.0)
 
 
-def resize_bilinear(image: ImageBuffer, target_h: int, target_w: int) -> ImageBuffer:
-    """Bilinear resample to the target size (half-pixel-center convention)."""
-    if target_h < 1 or target_w < 1:
-        raise ValueError("target dims must be >= 1")
-    px = image.pixels
-    h, w, _ = px.shape
+def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
+    """Bilinear resample of HxWxC pixels into a new array, input unchanged.
+
+    Separable: interpolate columns on every source row, then gather rows.
+    Each pass computes ``a * (1 - w) + b * w`` in place on its gathers, and
+    the column pass works on ``(h, w * c)`` rows with per-element indices, so
+    every ufunc runs one long contiguous loop.
+    """
+    h, w, c = px.shape
     if (target_h, target_w) == (h, w):
-        return ImageBuffer(px.copy())
+        return px.copy()
     ys = _source_coords(h, target_h)
     xs = _source_coords(w, target_w)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    # separable: interpolate columns on every source row, then gather rows
-    cols = px[:, x0] * (1.0 - wx) + px[:, x1] * wx
-    return ImageBuffer(cols[y0] * (1.0 - wy) + cols[y1] * wy)
+    rows = px.reshape(h, w * c)
+    channel = np.arange(c)
+    wx = np.repeat(xs - x0, c)
+    cols = np.take(rows, (x0[:, None] * c + channel).ravel(), axis=1)
+    cols *= 1.0 - wx
+    tmp = np.take(rows, (x1[:, None] * c + channel).ravel(), axis=1)
+    tmp *= wx
+    cols += tmp
+    wy = (ys - y0)[:, None]
+    out = np.take(cols, y0, axis=0)
+    out *= 1.0 - wy
+    tmp = np.take(cols, y1, axis=0)
+    tmp *= wy
+    out += tmp
+    return out.reshape(target_h, target_w, c)
+
+
+def resize_bilinear(image: ImageBuffer, target_h: int, target_w: int) -> ImageBuffer:
+    """Bilinear resample to the target size (half-pixel-center convention)."""
+    if target_h < 1 or target_w < 1:
+        raise ValueError("target dims must be >= 1")
+    return ImageBuffer(_resize(image.pixels, target_h, target_w))
 
 
 def resized_dims(
@@ -231,18 +256,21 @@ def score_regions(
     mean = np.asarray(mean_pixel, dtype=np.float64)
     specs = generate_regions(image.height, image.width, config)
     per_view = config.grid**2
+    side = config.crop_side
     scores = {"object": [], "scene": []}
     m = None
     # generate_regions lists each view's crops as one consecutive block
     for first in range(0, len(specs), per_view):
         view_specs = specs[first : first + per_view]
-        view = resize_bilinear(
-            image, view_specs[0].resized_height, view_specs[0].resized_width
-        ).pixels
-        crops = np.stack(
-            [view[s.top : s.top + s.height, s.left : s.left + s.width] for s in view_specs]
+        view = _resize(
+            image.pixels, view_specs[0].resized_height, view_specs[0].resized_width
         )
-        crops -= mean
+        # a fresh stack per view: a scorer may keep the array it is handed
+        crops = np.empty((per_view, side, side, image.channels))
+        for crop, s in zip(crops, view_specs):
+            np.subtract(
+                view[s.top : s.top + s.height, s.left : s.left + s.width], mean, out=crop
+            )
         for stream, rows in scores.items():
             rows.append(_check_scorer_output(scorers[stream](crops), per_view, m))
             m = rows[-1].shape[1]

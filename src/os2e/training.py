@@ -129,6 +129,8 @@ class TransferConfig:
             raise ValueError("alpha and beta must be >= 0")
         if self.k_iters < 0:
             raise ValueError("k_iters must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def total_iters(self) -> int:

@@ -229,6 +229,16 @@ class TestTrainCommand:
         assert str(cfg) in err and "'schedule'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_nonpositive_batch_size_names_setting(self, tmp_path, capsys, batch_size):
+        gen_dir = self.gen_data(tmp_path)
+        out = tmp_path / "c"
+        args = self.common_args(gen_dir, str(out))
+        args[args.index("--batch-size") + 1] = batch_size
+        assert run(args) == 1
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainDefaults:
     def test_defaults_equal_library_constants(self):

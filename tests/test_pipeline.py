@@ -8,6 +8,7 @@ from os2e.pipeline import (
     ImageBuffer,
     RATIO_ASPECT,
     RATIO_SQUARE,
+    _resize,
     classify_image,
     fuse_regions,
     generate_regions,
@@ -18,6 +19,8 @@ from os2e.pipeline import (
 )
 
 DESK = CropConfig(base_side=32, crop_side=16)
+# the three image shapes of the benchmark's paper-scale multicrop pool
+PAPER_SHAPES = [(256, 341), (341, 256), (256, 256)]
 
 
 def image_of(values):
@@ -37,6 +40,22 @@ def recording_scorer(calls, num_classes=2):
         return np.full((len(crops), num_classes), 1.0 / num_classes)
 
     return scorer
+
+
+def four_gather(px, target_h, target_w):
+    """Bilinear oracle: each output pixel from its four source pixels."""
+    h, w, _ = px.shape
+    ys = np.clip((np.arange(target_h) + 0.5) * (h / target_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(target_w) + 0.5) * (w / target_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = px[y0][:, x0] * (1.0 - wx) + px[y0][:, x1] * wx
+    bottom = px[y1][:, x0] * (1.0 - wx) + px[y1][:, x1] * wx
+    return top * (1.0 - wy) + bottom * wy
 
 
 def brightness_scorer(crops):
@@ -90,20 +109,6 @@ class TestResizeBilinear:
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
     def test_bitwise_equal_to_four_gather_formula(self):
-        def four_gather(px, target_h, target_w):
-            h, w, _ = px.shape
-            ys = np.clip((np.arange(target_h) + 0.5) * (h / target_h) - 0.5, 0.0, h - 1.0)
-            xs = np.clip((np.arange(target_w) + 0.5) * (w / target_w) - 0.5, 0.0, w - 1.0)
-            y0 = np.floor(ys).astype(np.int64)
-            x0 = np.floor(xs).astype(np.int64)
-            y1 = np.minimum(y0 + 1, h - 1)
-            x1 = np.minimum(x0 + 1, w - 1)
-            wy = (ys - y0)[:, None, None]
-            wx = (xs - x0)[None, :, None]
-            top = px[y0][:, x0] * (1.0 - wx) + px[y0][:, x1] * wx
-            bottom = px[y1][:, x0] * (1.0 - wx) + px[y1][:, x1] * wx
-            return top * (1.0 - wy) + bottom * wy
-
         rng = np.random.default_rng(15)
         for _ in range(300):
             h, w, th, tw = (int(x) for x in rng.integers(1, 40, size=4))
@@ -112,6 +117,33 @@ class TestResizeBilinear:
                 continue
             out = resize_bilinear(img, th, tw)
             assert out.pixels.tobytes() == four_gather(img.pixels, th, tw).tobytes()
+
+    @pytest.mark.parametrize("shape", PAPER_SHAPES)
+    def test_bitwise_equal_to_four_gather_formula_on_paper_views(self, shape):
+        config = CropConfig()
+        img = ImageBuffer(np.random.default_rng(18).random((*shape, 3)))
+        views = [
+            resized_dims(*shape, mode, scale, config.base_side)
+            for mode in config.ratio_modes
+            for scale in config.scale_factors
+        ]
+        assert len(views) == 6
+        for th, tw in views:
+            out = resize_bilinear(img, th, tw)
+            assert out.pixels.tobytes() == four_gather(img.pixels, th, tw).tobytes()
+
+    @pytest.mark.parametrize("target", [(9, 5), (5, 7)])
+    def test_array_resize_leaves_input_unchanged(self, target):
+        px = np.random.default_rng(19).random((5, 7, 3))
+        before = px.copy()
+        out = _resize(px, *target)
+        np.testing.assert_array_equal(px, before)
+        assert out.shape == (*target, 3) and not np.shares_memory(out, px)
+
+    def test_same_size_result_shares_no_memory(self):
+        img = ImageBuffer(np.random.default_rng(20).random((5, 7, 3)))
+        out = resize_bilinear(img, 5, 7)
+        assert not np.shares_memory(out.pixels, img.pixels)
 
 
 class TestGeometry:
@@ -175,6 +207,29 @@ class TestCropStacks:
         for seen in calls.values():
             assert len(seen) == 2 * 3
             assert all(crops.shape == (9, 16, 16, 1) for crops in seen)
+
+    @pytest.mark.parametrize(
+        "shape, config",
+        [((40, 56), DESK), ((*PAPER_SHAPES[0], 3), CropConfig())],
+        ids=["desk", "paper"],
+    )
+    def test_every_stack_is_contiguous_float64(self, shape, config):
+        # so a scorer's reshape(n, -1) is a view, not a copy
+        img = ImageBuffer(np.random.default_rng(21).random(shape))
+        expected = (config.grid**2, config.crop_side, config.crop_side, img.channels)
+        seen = []
+
+        def checking_scorer(crops):
+            flat = crops.reshape(len(crops), -1)
+            seen.append(
+                (crops.shape, crops.dtype, crops.flags.c_contiguous,
+                 np.shares_memory(flat, crops))
+            )
+            return np.full((len(crops), 2), 0.5)
+
+        score_regions(img, config, {"object": checking_scorer, "scene": checking_scorer})
+        assert len(seen) == 2 * len(config.ratio_modes) * len(config.scale_factors)
+        assert set(seen) == {(expected, np.dtype(np.float64), True, True)}
 
     def test_slices_of_resized_view_minus_mean(self):
         rng = np.random.default_rng(16)

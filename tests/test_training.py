@@ -283,6 +283,13 @@ class TestSoftTargets:
                 SoftTargets(values=np.array(rows))
 
 
+class TestTransferConfig:
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TransferConfig(batch_size=batch_size)
+
+
 class TestKnowledgeTransfer:
     def test_missing_soft_target_row_rejected(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=10)
