@@ -24,8 +24,6 @@ from .network import (
     NetworkConfig,
     forward,
     init_params,
-    DEFAULT_DROPOUT,
-    DEFAULT_LR,
     SOFT_TARGET_AS_DISTRIBUTION,
     SOFT_TARGET_IN_LOG,
 )
@@ -233,16 +231,17 @@ def _cmd_select(args: argparse.Namespace) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+# train setting -> the TransferConfig field it sets: the same name, but for
+# `schedule` (k_iters) and `dropout` (dropout_rate)
+_TRANSFER_FIELDS = {
+    {"k_iters": "schedule", "dropout_rate": "dropout"}.get(f.name, f.name): f.name
+    for f in dataclasses.fields(training.TransferConfig)
+}
+_TRANSFER_DEFAULTS = training.TransferConfig()
+
 _TRAIN_DEFAULTS = {
     "mode": "init",
-    "alpha": training.ALPHA_OBJECT_DEFAULT,
-    "beta": training.BETA_DEFAULT,
-    "lr": DEFAULT_LR,
-    "schedule": training.K_ITERS_DEFAULT,
-    "batch_size": training.BATCH_SIZE_DEFAULT,
-    "dropout": DEFAULT_DROPOUT,
-    "seed": 0,
-    "soft_direction": SOFT_TARGET_AS_DISTRIBUTION,
+    **{key: getattr(_TRANSFER_DEFAULTS, name) for key, name in _TRANSFER_FIELDS.items()},
     "trunk": "64",
 }
 
@@ -251,17 +250,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _TRAIN_DEFAULTS)
     train = io.read_dataset_csv(args.train)
     test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
-    config = training.TransferConfig(
-        mode=resolved["mode"],
-        alpha=float(resolved["alpha"]),
-        beta=float(resolved["beta"]),
-        lr=float(resolved["lr"]),
-        k_iters=int(resolved["schedule"]),
-        batch_size=int(resolved["batch_size"]),
-        dropout_rate=float(resolved["dropout"]),
-        seed=int(resolved["seed"]),
-        soft_direction=resolved["soft_direction"],
-    )
+    # each value takes the type of its field's default: a config file's
+    # int 0 sets dropout_rate to 0.0
+    config = training.TransferConfig(**{
+        name: type(getattr(_TRANSFER_DEFAULTS, name))(resolved[key])
+        for key, name in _TRANSFER_FIELDS.items()
+    })
     trunk = tuple(int(w) for w in str(resolved["trunk"]).split(",") if w)
 
     if resolved["mode"] == "probe":

@@ -18,7 +18,7 @@ import numpy as np
 from .network import Checkpoint, NetworkConfig, init_params
 from .pipeline import ImageBuffer
 from .stats import EventLabels, ResponseMatrix, default_class_ids
-from .training import Dataset, SoftTargets, TransferConfig
+from .training import TRANSFER_MODES, Dataset, SoftTargets, TransferConfig
 
 # rng streams per generator so adding one draw never shifts the others
 _STREAM_SIGNATURES = 0
@@ -417,15 +417,12 @@ BENCHMARK_SOURCE_KIND = "vocabulary"
 
 
 def benchmark_transfer_config(mode: str, seed: int, **overrides) -> TransferConfig:
-    """Desk-scale schedule shared by the mode-comparison benchmark runs."""
-    base = TransferConfig(
-        mode=mode,
-        k_iters=300,
-        batch_size=32,
-        dropout_rate=0.5,
-        seed=seed,
-    )
-    return replace(base, **overrides)
+    """Settings shared by the mode-comparison benchmark runs: the
+    ``TransferConfig`` defaults with dropout 0.5.  ``mode`` names the trainer
+    the caller runs and must be one of ``TRANSFER_MODES``."""
+    if mode not in TRANSFER_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return replace(TransferConfig(dropout_rate=0.5, seed=seed), **overrides)
 
 
 def preset_image_benchmark(seed: int = 0) -> GeneratorConfig:

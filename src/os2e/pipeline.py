@@ -15,8 +15,9 @@ grid x grid crops, so 12 calls score the 54 default regions.
 
 Pixels are validated where an image enters, as an ``ImageBuffer`` built by
 ``io.read_image``, ``datagen`` or the caller.  ``score_regions`` resizes each
-view once as a plain array and writes its crops, mean-subtracted, straight
-into the stack; a view mixes checked pixels, so it is not checked again.
+view once as a plain array (a view at the image's own size is the image's
+pixels, only read) and writes its crops, mean-subtracted, straight into the
+stack; a view mixes checked pixels, so it is not checked again.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def _source_coords(src: int, target: int) -> np.ndarray:
 
 
 def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Bilinear resample of HxWxC pixels into a new array, input unchanged.
+    """Bilinear resample of HxWxC pixels, input unchanged: a new array, or
+    ``px`` itself when the target size is its own.
 
     Separable: interpolate columns on every source row, then gather rows.
     Each pass computes ``a * (1 - w) + b * w`` in place on its gathers, and
@@ -137,7 +139,7 @@ def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     """
     h, w, c = px.shape
     if (target_h, target_w) == (h, w):
-        return px.copy()
+        return px
     ys = _source_coords(h, target_h)
     xs = _source_coords(w, target_w)
     y0 = np.floor(ys).astype(np.int64)
@@ -165,7 +167,8 @@ def resize_bilinear(image: ImageBuffer, target_h: int, target_w: int) -> ImageBu
     """Bilinear resample to the target size (half-pixel-center convention)."""
     if target_h < 1 or target_w < 1:
         raise ValueError("target dims must be >= 1")
-    return ImageBuffer(_resize(image.pixels, target_h, target_w))
+    pixels = _resize(image.pixels, target_h, target_w)
+    return ImageBuffer(pixels.copy() if pixels is image.pixels else pixels)
 
 
 def resized_dims(

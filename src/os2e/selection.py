@@ -20,6 +20,7 @@ is for reporting and oracle comparison only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,27 +149,23 @@ def greedy_select(problem: SelectionProblem) -> SelectionResult:
 def exhaustive_select(problem: SelectionProblem) -> tuple[np.ndarray, float]:
     """Enumerate every K-subset and return the exact energy minimizer.
 
-    Guarded to small instances; ties break toward the lexicographically
-    smallest index tuple (which enumeration order supplies for free).
+    Guarded to small instances.  Subset energies sum one Gram matrix pair by
+    pair; ``energy`` reports the winner's.  Ties break toward the
+    lexicographically smallest index tuple (enumeration order).
     """
     c, k = problem.num_classes, problem.k
     if c > EXHAUSTIVE_MAX_CLASSES:
         raise ValueError(f"instance too large for oracle: C={c}")
-    n_subsets = 1
-    for i in range(k):
-        n_subsets = n_subsets * (c - i) // (i + 1)
+    n_subsets = math.comb(c, k)
     if n_subsets > EXHAUSTIVE_MAX_SUBSETS:
         raise ValueError(f"instance too large for oracle: {n_subsets} subsets")
-    best_subset = None
-    best_energy = np.inf
-    indicator = np.zeros(c, dtype=np.int8)
-    for subset in itertools.combinations(range(c), k):
-        indicator[:] = 0
-        indicator[list(subset)] = 1
-        e = energy(problem, indicator)
-        if e < best_energy:
-            best_energy = e
-            best_subset = subset
+    subsets = np.array(list(itertools.combinations(range(c), k)), dtype=np.intp)
+    post = problem.posterior.post
+    gram = post @ post.T
+    pair = np.zeros(n_subsets)
+    for a, b in itertools.combinations(range(k), 2):
+        pair += gram[subsets[:, a], subsets[:, b]]
+    energies = problem.phi[subsets].sum(axis=1) + problem.lam * (2.0 * pair)
     best = np.zeros(c, dtype=np.int8)
-    best[list(best_subset)] = 1
-    return best, float(best_energy)
+    best[subsets[np.argmin(energies)]] = 1
+    return best, energy(problem, best)

@@ -10,6 +10,9 @@ Three ways to adapt a source network to an event dataset:
   concept-labeled dataset whose loss (weight beta) flows through the shared
   trunk via its own head.
 
+Each of ``TRANSFER_MODES`` has its own entry point (``probe`` is
+``linear_probe_train``), so the call picks the mode.
+
 All modes share one loop, and it alone composes their losses from the
 network's primitives: event cross-entropy, plus alpha times the imitation
 loss on the second head (``knowledge``), or plus beta times the auxiliary
@@ -104,14 +107,14 @@ class SoftTargets:
 
 @dataclass
 class TransferConfig:
-    """Settings shared by all transfer modes; mode picks which weights apply.
+    """Every training setting and its default, shared by all transfer modes.
 
-    The loop reads ``alpha`` in knowledge mode and ``beta`` in data mode.
-    The lr decay factor and the momentum are the module constants
-    ``LR_DECAY_DEFAULT`` and ``DEFAULT_MOMENTUM``.
+    The entry point picks the mode: ``knowledge_transfer_train`` reads
+    ``alpha`` and ``soft_direction``, ``data_transfer_train`` reads ``beta``,
+    and the others read neither.  The lr decay factor and the momentum are
+    the module constants ``LR_DECAY_DEFAULT`` and ``DEFAULT_MOMENTUM``.
     """
 
-    mode: str = "init"
     alpha: float = ALPHA_OBJECT_DEFAULT
     beta: float = BETA_DEFAULT
     lr: float = DEFAULT_LR
@@ -120,11 +123,10 @@ class TransferConfig:
     dropout_rate: float = DEFAULT_DROPOUT
     seed: int = 0
     soft_direction: str = SOFT_TARGET_AS_DISTRIBUTION
-    track_params: bool = False
 
     def __post_init__(self):
-        if self.mode not in TRANSFER_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.k_iters < 0:
@@ -156,7 +158,6 @@ class TrainReport:
     records: list[EvalRecord]
     checkpoint: Checkpoint
     wall_clock_s: float
-    trajectory: list[np.ndarray] | None = None
 
     @property
     def final(self) -> EvalRecord:
@@ -243,7 +244,6 @@ def _run_training(
     total = config.total_iters
     eval_every = max(1, total // 8)
     records = [_evaluate_point(net, params, train, test, 0)]
-    trajectory = [] if config.track_params else None
 
     use_soft = soft is not None and config.alpha != 0.0
     use_aux = aux is not None and config.beta != 0.0
@@ -279,8 +279,6 @@ def _run_training(
         if not np.isfinite(loss):
             raise ValueError(f"divergence at iteration {t}: loss={loss!r}")
         sgd_momentum_step(params, grad, velocity, lr=lr_t, momentum=DEFAULT_MOMENTUM)
-        if trajectory is not None:
-            trajectory.append(params.values.copy())
         done = t + 1
         if done % eval_every == 0 and done != total:
             records.append(_evaluate_point(net, params, train, test, done))
@@ -291,7 +289,6 @@ def _run_training(
         records=records,
         checkpoint=Checkpoint(config=net, params=params),
         wall_clock_s=time.perf_counter() - t_start,
-        trajectory=trajectory,
     )
 
 

@@ -1,11 +1,12 @@
 """Shared test helpers: data fixtures, the finite-difference gradient
-checker, kink-free gradient-check cases, and planted-data helpers that only
-tests use."""
+checker, kink-free gradient-check cases, the per-step parameter recorder of
+the training loop, and planted-data helpers that only tests use."""
 
 import os
 
 import numpy as np
 
+from os2e import training
 from os2e.datagen import GeneratorConfig, blob_levels
 from os2e.network import (
     SOFT_TARGET_AS_DISTRIBUTION,
@@ -14,6 +15,7 @@ from os2e.network import (
     cross_entropy_loss,
     forward,
     init_params,
+    sgd_momentum_step,
     soft_target_loss,
 )
 
@@ -24,6 +26,21 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 def fixture_path(name: str) -> str:
     """Absolute path of a data fixture under ``tests/fixtures`` (e.g. the 3-class table)."""
     return os.path.join(FIXTURE_DIR, name)
+
+
+def param_steps(monkeypatch, train_fn, *args):
+    """Run ``train_fn(*args)``; return its report and a copy of the flat
+    parameter vector after each SGD step the training loop takes."""
+    steps = []
+
+    def step(params, *step_args, **step_kwargs):
+        sgd_momentum_step(params, *step_args, **step_kwargs)
+        steps.append(params.values.copy())
+
+    monkeypatch.setattr(training, "sgd_momentum_step", step)
+    report = train_fn(*args)
+    assert len(steps) == report.final.iteration, "an SGD step went unrecorded"
+    return report, steps
 
 
 def grad_check(

@@ -16,6 +16,7 @@ from conftest import (
     grad_check,
     knowledge_loss_fn,
     make_blob_scorer,
+    param_steps,
     preset_high_concentration,
 )
 
@@ -196,34 +197,31 @@ class TestCriterion3Gradients:
 
 class TestCriterion4DegenerateWeights:
     @staticmethod
-    def shared_trajectory(report):
+    def shared_trajectory(report, steps):
         params = report.checkpoint.params
         names = [n for n, _, _ in params.layout if n.startswith(("trunk", "head0"))]
         slices = [params.slice_of(n) for n in names]
-        return [
-            np.concatenate([step[s] for s in slices]) for step in report.trajectory
-        ]
+        return [np.concatenate([step[s] for s in slices]) for step in steps]
 
-    def test_degenerate_weight_equivalence(self):
+    def test_degenerate_weight_equivalence(self, monkeypatch):
         config = preset_vector_benchmark(0)
         truth = make_truth(config)
         train, test, soft = gen_vector_dataset(config, truth)
         aux = gen_aux_dataset(config, truth)
         source = make_source_checkpoint(config, truth, BENCHMARK_TRUNK, "vocabulary", 0)
 
-        def tc(mode, **kw):
-            return TransferConfig(
-                mode=mode, k_iters=40, batch_size=16, dropout_rate=0.5,
-                seed=11, track_params=True, **kw,
-            )
+        def tc(**kw):
+            return TransferConfig(k_iters=40, batch_size=16, dropout_rate=0.5, seed=11, **kw)
 
-        rep_init = init_transfer_train(source, train, test, tc("init"))
-        rep_know = knowledge_transfer_train(
-            source, train, test, soft, tc("knowledge", alpha=0.0)
+        rep_init = param_steps(monkeypatch, init_transfer_train, source, train, test, tc())
+        rep_know = param_steps(
+            monkeypatch, knowledge_transfer_train, source, train, test, soft, tc(alpha=0.0)
         )
-        rep_data = data_transfer_train(source, train, test, aux, tc("data", beta=0.0))
-        base = self.shared_trajectory(rep_init)
-        for other in (self.shared_trajectory(rep_know), self.shared_trajectory(rep_data)):
+        rep_data = param_steps(
+            monkeypatch, data_transfer_train, source, train, test, aux, tc(beta=0.0)
+        )
+        base = self.shared_trajectory(*rep_init)
+        for other in (self.shared_trajectory(*rep_know), self.shared_trajectory(*rep_data)):
             assert len(base) == len(other)
             for a, b in zip(base, other):
                 assert a.tobytes() == b.tobytes()
@@ -311,9 +309,7 @@ class TestCriterion8ProbeCombination:
     def probe_map(features, labels, n_train, seed):
         train = Dataset(features[:n_train], labels[:n_train], 4)
         test = Dataset(features[n_train:], labels[n_train:], 4)
-        tc = TransferConfig(
-            mode="probe", k_iters=120, batch_size=32, dropout_rate=0.0, seed=seed
-        )
+        tc = TransferConfig(k_iters=120, batch_size=32, dropout_rate=0.0, seed=seed)
         return linear_probe_train(train, test, tc).final.test_map
 
     def test_probe_combination(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import fixture_path
 
-from os2e.cli import _TRAIN_DEFAULTS, run
+from os2e.cli import run
 from os2e import io
 from os2e.datagen import gen_image_dataset, make_truth, preset_image_benchmark
 from os2e.network import (
@@ -16,9 +16,6 @@ from os2e.network import (
     NetworkConfig,
     forward,
     init_params,
-    DEFAULT_DROPOUT,
-    DEFAULT_LR,
-    SOFT_TARGET_AS_DISTRIBUTION,
 )
 from os2e.pipeline import (
     CropConfig,
@@ -27,7 +24,6 @@ from os2e.pipeline import (
     classify_image,
     generate_regions,
 )
-from os2e.training import TransferConfig
 
 
 def read_json(path):
@@ -239,24 +235,27 @@ class TestTrainCommand:
         assert "batch_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["0", "-1"])
+    def test_nonpositive_lr_names_setting(self, tmp_path, capsys, lr):
+        gen_dir = self.gen_data(tmp_path)
+        out = tmp_path / "c"
+        assert run(self.common_args(gen_dir, str(out), ["--lr", lr])) == 1
+        assert "lr must be > 0, got" in capsys.readouterr().err
+        assert not out.exists()
 
-class TestTrainDefaults:
-    def test_defaults_equal_library_constants(self):
-        lib = TransferConfig()
-        expected = {
-            "mode": lib.mode,
-            "alpha": lib.alpha,
-            "beta": lib.beta,
-            "lr": DEFAULT_LR,
-            "schedule": lib.k_iters,
-            "batch_size": lib.batch_size,
-            "dropout": DEFAULT_DROPOUT,
-            "seed": lib.seed,
-            "soft_direction": SOFT_TARGET_AS_DISTRIBUTION,
-        }
-        assert lib.lr == DEFAULT_LR and lib.dropout_rate == DEFAULT_DROPOUT
-        for key, value in expected.items():
-            assert _TRAIN_DEFAULTS[key] == value, key
+    def test_int_config_value_sets_float_setting(self, tmp_path):
+        # the run's resolved_config.json keeps the file's 0; the checkpoint
+        # holds the float dropout rate the network ran with
+        gen_dir = self.gen_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dropout": 0}))
+        out = str(tmp_path / "c")
+        args = self.common_args(gen_dir, out, ["--config", str(cfg)])
+        del args[args.index("--dropout") : args.index("--dropout") + 2]
+        assert run(args) == 0
+        assert read_json(os.path.join(out, "resolved_config.json"))["dropout"] == 0
+        with open(os.path.join(out, "checkpoint.json"), encoding="utf-8") as fh:
+            assert '"dropout_rate": 0.0' in fh.read()
 
 
 class TestInferCommand:

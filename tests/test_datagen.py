@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from os2e.datagen import (
     GeneratorConfig,
+    benchmark_transfer_config,
     blob_levels,
     gen_aux_dataset,
     gen_image_dataset,
@@ -20,6 +21,7 @@ from os2e.datagen import (
 )
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import bayes_posterior, estimate_conditional
+from os2e.training import TransferConfig
 
 
 def recovery_rate(config):
@@ -200,3 +202,13 @@ class TestGeneratorConfig:
     def test_counts_guard(self):
         with pytest.raises(ValueError, match="counts"):
             GeneratorConfig(num_events=0)
+
+
+class TestBenchmarkTransferConfig:
+    def test_library_defaults_with_half_dropout(self):
+        config = benchmark_transfer_config("data", seed=3, beta=0.25)
+        assert config == replace(TransferConfig(), dropout_rate=0.5, seed=3, beta=0.25)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            benchmark_transfer_config("bogus", seed=0)

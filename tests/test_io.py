@@ -146,7 +146,7 @@ class TestCheckpointJson:
         truth = make_truth(config)
         train, test, _ = gen_vector_dataset(config, truth)
         source = make_source_checkpoint(config, truth, (16,), "vocabulary", 3)
-        tc = TransferConfig(mode="init", k_iters=10, batch_size=8, dropout_rate=0.0, seed=3)
+        tc = TransferConfig(k_iters=10, batch_size=8, dropout_rate=0.0, seed=3)
         report = init_transfer_train(source, train, test, tc)
         path = str(tmp_path / "trained.json")
         io.write_checkpoint_json(path, report.checkpoint)
@@ -276,7 +276,7 @@ class TestReportFiles:
         truth = make_truth(config)
         train, test, _ = gen_vector_dataset(config, truth)
         source = make_source_checkpoint(config, truth, (16,), "vocabulary", 4)
-        tc = TransferConfig(mode="init", k_iters=8, batch_size=8, dropout_rate=0.0, seed=4)
+        tc = TransferConfig(k_iters=8, batch_size=8, dropout_rate=0.0, seed=4)
         report = init_transfer_train(source, train, test, tc)
         json_path = str(tmp_path / "report.json")
         io.write_report_json(json_path, report, "checkpoint.json")

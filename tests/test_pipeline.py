@@ -138,7 +138,10 @@ class TestResizeBilinear:
         before = px.copy()
         out = _resize(px, *target)
         np.testing.assert_array_equal(px, before)
-        assert out.shape == (*target, 3) and not np.shares_memory(out, px)
+        assert out.shape == (*target, 3)
+        # a view at the image's own size is the image; any other is new memory
+        assert (out is px) == (target == px.shape[:2])
+        assert np.shares_memory(out, px) == (out is px)
 
     def test_same_size_result_shares_no_memory(self):
         img = ImageBuffer(np.random.default_rng(20).random((5, 7, 3)))
@@ -451,6 +454,21 @@ class TestFusion:
         )
         np.testing.assert_allclose(scores, v, atol=1e-15)
         assert fused.shape == (54, 2)
+
+    @pytest.mark.parametrize("shape", [(32, 48), (32, 32, 3)])
+    def test_classify_image_leaves_pixels_unchanged(self, shape):
+        # views at the image's own size are the image's pixels; a scorer
+        # that writes into its crops must still not reach them
+        img = image_of(np.random.default_rng(21).random(shape))
+        before = img.pixels.copy()
+
+        def scribbling_scorer(crops):
+            rows = brightness_scorer(crops)
+            crops[...] = 1.0
+            return rows
+
+        classify_image(img, DESK, {"object": scribbling_scorer, "scene": brightness_scorer})
+        assert img.pixels.tobytes() == before.tobytes()
 
     def test_classify_image_is_mean_of_fused_regions(self):
         img = image_of(np.random.default_rng(17).random((40, 56)))

@@ -1,5 +1,7 @@
 """Selection: greedy vs exhaustive oracle, energy accounting, tie-breaks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,33 @@ def pair_term(posterior, i, j, lam=DEFAULT_LAMBDA):
     indicator = np.zeros(problem.num_classes, dtype=np.int8)
     indicator[[i, j]] = 1
     return energy(problem, indicator) - problem.phi[i] - problem.phi[j]
+
+
+def brute_force_select(problem):
+    """Scalar oracle for ``exhaustive_select``: ``energy`` on every K-subset
+    in enumeration order, keeping the first minimum."""
+    best, best_energy = None, np.inf
+    for subset in itertools.combinations(range(problem.num_classes), problem.k):
+        indicator = np.zeros(problem.num_classes, dtype=np.int8)
+        indicator[list(subset)] = 1
+        e = energy(problem, indicator)
+        if e < best_energy:
+            best, best_energy = indicator, e
+    return best, best_energy
+
+
+def criterion_two_problems():
+    """The 100 instances of acceptance criterion 2, drawn in its order: each
+    one is followed by the 50 random subsets that criterion draws for it."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        c = int(rng.integers(3, 13))
+        k = int(rng.integers(1, min(c, 4) + 1))
+        m = int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(m), size=c)
+        yield SelectionProblem.from_posterior(posterior_from_rows(rows), k=k, lam=0.5)
+        for _ in range(50):
+            rng.choice(c, size=k, replace=False)
 
 
 def random_problem(rng, c=None, k=None):
@@ -225,6 +254,13 @@ class TestExhaustiveSelect:
         best, _ = exhaustive_select(problem)
         expected = np.argsort(problem.phi, kind="stable")[:3]
         assert sorted(np.where(best)[0]) == sorted(expected)
+
+    def test_matches_energy_loop_on_criterion_two_instances(self):
+        for problem in criterion_two_problems():
+            best, best_energy = exhaustive_select(problem)
+            expected, expected_energy = brute_force_select(problem)
+            assert best.tolist() == expected.tolist()
+            assert best_energy == expected_energy
 
     def test_guard_on_large_instance(self):
         rng = np.random.default_rng(18)

@@ -3,6 +3,7 @@ schedules, determinism, and the probe."""
 
 import numpy as np
 import pytest
+from conftest import param_steps
 
 from os2e.datagen import (
     gen_aux_dataset,
@@ -50,10 +51,10 @@ def benchmark_parts(seed=0, n_train=None):
     return config, truth, train, test, soft, source
 
 
-def quick_config(mode="init", seed=0, **kw):
+def quick_config(seed=0, **kw):
     defaults = dict(k_iters=40, batch_size=16, dropout_rate=0.0, seed=seed)
     defaults.update(kw)
-    return TransferConfig(mode=mode, **defaults)
+    return TransferConfig(**defaults)
 
 
 class TestEvaluate:
@@ -106,9 +107,7 @@ class TestEvaluate:
 class TestInitTransfer:
     def test_overfit_sanity_small_train_set(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=3, n_train=32)
-        tc = TransferConfig(
-            mode="init", k_iters=200, batch_size=32, dropout_rate=0.0, lr=0.05, seed=3
-        )
+        tc = TransferConfig(k_iters=200, batch_size=32, dropout_rate=0.0, lr=0.05, seed=3)
         report = init_transfer_train(source, train, test, tc)
         assert report.final.iteration == 500
         assert report.final.train_loss < 0.01
@@ -156,7 +155,7 @@ class TestInitTransfer:
             init_transfer_train(source, train, test, tc)
 
     def test_lr_schedule_steps(self):
-        tc = TransferConfig(mode="init", k_iters=100, lr=0.01)
+        tc = TransferConfig(k_iters=100, lr=0.01)
         assert tc.total_iters == 250
         assert tc.lr_at(0) == 0.01
         assert tc.lr_at(99) == 0.01
@@ -164,7 +163,7 @@ class TestInitTransfer:
         assert tc.lr_at(249) == pytest.approx(0.0001)
 
 
-def _shared_slices(report):
+def _shared_slices(report, steps):
     """Trunk and event-head parameter values, concatenated, per iteration."""
     params = report.checkpoint.params
     names = [n for n, _, _ in params.layout if n.startswith(("trunk", "head0"))]
@@ -173,33 +172,37 @@ def _shared_slices(report):
     def extract(flat):
         return np.concatenate([flat[s] for s in slices])
 
-    return [extract(step) for step in report.trajectory]
+    return [extract(step) for step in steps]
 
 
 class TestDegenerateWeights:
-    def test_alpha_zero_matches_init_bitwise(self):
+    def test_alpha_zero_matches_init_bitwise(self, monkeypatch):
         config, truth, train, test, soft, source = benchmark_parts(seed=8)
-        tc_init = quick_config("init", seed=8, track_params=True)
-        tc_know = quick_config("knowledge", seed=8, alpha=0.0, track_params=True)
-        rep_init = init_transfer_train(source, train, test, tc_init)
-        rep_know = knowledge_transfer_train(source, train, test, soft, tc_know)
-        for a, b in zip(_shared_slices(rep_init), _shared_slices(rep_know)):
+        tc_init = quick_config(seed=8)
+        tc_know = quick_config(seed=8, alpha=0.0)
+        rep_init = param_steps(monkeypatch, init_transfer_train, source, train, test, tc_init)
+        rep_know = param_steps(
+            monkeypatch, knowledge_transfer_train, source, train, test, soft, tc_know
+        )
+        for a, b in zip(_shared_slices(*rep_init), _shared_slices(*rep_know)):
             np.testing.assert_array_equal(a, b)
 
-    def test_beta_zero_matches_init_bitwise(self):
+    def test_beta_zero_matches_init_bitwise(self, monkeypatch):
         config, truth, train, test, soft, source = benchmark_parts(seed=9)
         aux = gen_aux_dataset(config, truth)
-        tc_init = quick_config("init", seed=9, track_params=True)
-        tc_data = quick_config("data", seed=9, beta=0.0, track_params=True)
-        rep_init = init_transfer_train(source, train, test, tc_init)
-        rep_data = data_transfer_train(source, train, test, aux, tc_data)
-        for a, b in zip(_shared_slices(rep_init), _shared_slices(rep_data)):
+        tc_init = quick_config(seed=9)
+        tc_data = quick_config(seed=9, beta=0.0)
+        rep_init = param_steps(monkeypatch, init_transfer_train, source, train, test, tc_init)
+        rep_data = param_steps(
+            monkeypatch, data_transfer_train, source, train, test, aux, tc_data
+        )
+        for a, b in zip(_shared_slices(*rep_init), _shared_slices(*rep_data)):
             np.testing.assert_array_equal(a, b)
 
 
-def _hand_first_step(source, train, soft, aux, tc):
+def _hand_first_step(mode, source, train, soft, aux, tc):
     """Parameters after the loop's first step, composed from the primitives."""
-    second = soft.values.shape[1] if tc.mode == "knowledge" else aux.num_classes
+    second = soft.values.shape[1] if mode == "knowledge" else aux.num_classes
     net = training._target_net(source, (train.num_classes, second), tc)
     params = init_from_source(net, source.params, tc.seed)
     batch_rng = np.random.default_rng([tc.seed, training._STREAM_BATCH])
@@ -207,7 +210,7 @@ def _hand_first_step(source, train, soft, aux, tc):
     idx = batch_rng.integers(0, len(train), size=tc.batch_size)
     cache = forward(net, params, train.features[idx], mode="train", rng=drop_rng)
     _, g_event = cross_entropy_loss(cache, train.labels[idx])
-    if tc.mode == "knowledge":
+    if mode == "knowledge":
         _, g_soft = soft_target_loss(cache, soft.values[idx], tc.soft_direction)
         grad = backward(cache, {0: g_event, 1: tc.alpha * g_soft})
     else:
@@ -242,16 +245,16 @@ class TestLossComposition:
             ("data", SOFT_TARGET_AS_DISTRIBUTION),
         ],
     )
-    def test_first_step_matches_hand_composition(self, mode, direction):
+    def test_first_step_matches_hand_composition(self, monkeypatch, mode, direction):
         config, truth, train, test, soft, source = benchmark_parts(seed=17)
         aux = gen_aux_dataset(config, truth)
         tc = quick_config(
-            mode, seed=17, k_iters=1, alpha=0.3, beta=0.7, dropout_rate=0.5,
-            soft_direction=direction, track_params=True,
+            seed=17, k_iters=1, alpha=0.3, beta=0.7, dropout_rate=0.5,
+            soft_direction=direction,
         )
-        report = _train(mode, source, train, test, soft, aux, tc)
-        expected = _hand_first_step(source, train, soft, aux, tc)
-        assert report.trajectory[0].tobytes() == expected.tobytes()
+        _, steps = param_steps(monkeypatch, _train, mode, source, train, test, soft, aux, tc)
+        expected = _hand_first_step(mode, source, train, soft, aux, tc)
+        assert steps[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", ["knowledge", "data"])
     def test_divergence_check_sees_weighted_term(self, monkeypatch, mode):
@@ -268,9 +271,9 @@ class TestLossComposition:
         monkeypatch.setattr(training, "cross_entropy_loss", huge_aux)
         config, truth, train, test, soft, source = benchmark_parts(seed=18)
         aux = gen_aux_dataset(config, truth)
-        tc = quick_config(mode, seed=18, k_iters=1, alpha=0.5, beta=0.5)
+        tc = quick_config(seed=18, k_iters=1, alpha=0.5, beta=0.5)
         _train(mode, source, train, test, soft, aux, tc)  # 0.5 * 1e308 is finite
-        tc = quick_config(mode, seed=18, k_iters=1, alpha=4.0, beta=4.0)
+        tc = quick_config(seed=18, k_iters=1, alpha=4.0, beta=4.0)
         with pytest.raises(ValueError, match="divergence at iteration 0: loss=inf"):
             _train(mode, source, train, test, soft, aux, tc)
 
@@ -289,13 +292,18 @@ class TestTransferConfig:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             TransferConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be > 0, got"):
+            TransferConfig(lr=lr)
+
 
 class TestKnowledgeTransfer:
     def test_missing_soft_target_row_rejected(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=10)
         short = SoftTargets(values=soft.values[:-1], concept_ids=soft.concept_ids)
         with pytest.raises(ValueError, match="missing soft target row"):
-            knowledge_transfer_train(source, train, test, short, quick_config("knowledge"))
+            knowledge_transfer_train(source, train, test, short, quick_config())
 
     def test_one_hot_soft_targets_act_as_labels(self):
         # teacher rows that are exact one-hots make the imitation loss a
@@ -306,7 +314,7 @@ class TestKnowledgeTransfer:
         report = knowledge_transfer_train(
             source, train, test,
             SoftTargets(values=onehot, concept_ids=soft.concept_ids),
-            quick_config("knowledge", seed=11, alpha=0.25),
+            quick_config(seed=11, alpha=0.25),
         )
         assert report.final.train_loss <= report.records[0].train_loss
 
@@ -316,13 +324,13 @@ class TestDataTransfer:
         config, truth, train, test, soft, source = benchmark_parts(seed=12)
         empty = Dataset(np.zeros((0, config.feature_dim)), np.zeros(0, dtype=int), 4)
         with pytest.raises(ValueError, match="empty aux dataset"):
-            data_transfer_train(source, train, test, empty, quick_config("data"))
+            data_transfer_train(source, train, test, empty, quick_config())
 
     def test_runs_and_improves(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=13)
         aux = gen_aux_dataset(config, truth)
         report = data_transfer_train(
-            source, train, test, aux, quick_config("data", seed=13)
+            source, train, test, aux, quick_config(seed=13)
         )
         assert report.final.train_loss <= report.records[0].train_loss
         assert report.checkpoint.config.heads == (4, aux.num_classes)
@@ -336,7 +344,7 @@ class TestLinearProbe:
         features = probe_features(protos[labels])
         train = Dataset(features[:60], labels[:60], 2)
         test = Dataset(features[60:], labels[60:], 2)
-        report = linear_probe_train(train, test, quick_config("probe", k_iters=80))
+        report = linear_probe_train(train, test, quick_config(k_iters=80))
         assert report.final.test_accuracy == 1.0
 
     def test_shuffled_labels_give_chance_accuracy(self):
@@ -347,14 +355,14 @@ class TestLinearProbe:
         probe_train = Dataset(probe_features(train.features), shuffled, 4)
         probe_test = Dataset(probe_features(test.features), test.labels, 4)
         report = linear_probe_train(
-            probe_train, probe_test, quick_config("probe", seed=15, k_iters=150)
+            probe_train, probe_test, quick_config(seed=15, k_iters=150)
         )
         assert abs(report.final.test_accuracy - 0.25) <= 0.1
 
     def test_rejects_unnormalized_rows(self):
         train = Dataset(np.full((4, 3), 2.0), [0, 1, 0, 1], 2)
         with pytest.raises(ValueError, match="l2-normalized"):
-            linear_probe_train(train, train, quick_config("probe"))
+            linear_probe_train(train, train, quick_config())
 
 
 class TestProbeFeatures:
