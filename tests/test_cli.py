@@ -332,6 +332,31 @@ class TestInferCommand:
             expected = generate_regions(size["height"], size["width"], config)
             assert [RegionSpec(**spec) for spec in size["specs"]] == expected
 
+    def test_region_specs_match_golden_file(self, tmp_path):
+        # three sizes in first-seen order, both ratio modes, and int scale
+        # factors, which the file keeps as ints
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(19)
+        for name, shape in (("a", (64, 64)), ("b", (48, 80)), ("c", (80, 40))):
+            np.save(img_dir / f"{name}.npy", rng.random((*shape, 1)))
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        crop_cfg = tmp_path / "crop.json"
+        crop_cfg.write_text(json.dumps(
+            {"base_side": 32, "crop_side": 16, "scale_factors": [1, 2],
+             "ratio_modes": ["aspect_preserving", "square"], "grid": 2}
+        ))
+        out = tmp_path / "infer"
+        assert run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--crop-config", str(crop_cfg),
+             "--out", str(out)]
+        ) == 0
+        with open(fixture_path("region_specs_mixed_sizes.json"), "rb") as fh:
+            golden = fh.read()
+        assert (out / "region_specs.json").read_bytes() == golden
+
     def test_unknown_crop_config_key_fails_before_any_output(self, tmp_path, capsys):
         img_dir = str(tmp_path / "imgs")
         run(["gen", "--preset", "images", "--seed", "6", "--n-train", "1",
