@@ -162,9 +162,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         for split, ds in (("train", train), ("test", test)):
             split_dir = io.ensure_dir(os.path.join(out, split))
             ids = []
-            for i, image in enumerate(ds.features):
+            for i, pixels in enumerate(ds.features):
                 name = f"img_{i:04d}.npy"
-                io.write_image(os.path.join(split_dir, name), image)
+                io.write_image(os.path.join(split_dir, name), pixels)
                 ids.append(f"img_{i:04d}")
             io.write_labels_csv(
                 os.path.join(split_dir, "labels.csv"),
@@ -349,19 +349,18 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         "scene": _checkpoint_scorer(args.checkpoint_s),
     }
     ids, rows = [], []
-    specs = {}  # (height, width) -> region specs, one entry per distinct size
+    sizes = []  # the distinct (height, width), in first-seen order
     for name in names:
         image = io.read_image(os.path.join(args.image_dir, name))
-        size = (image.height, image.width)
-        if size not in specs:
-            specs[size] = pipeline.generate_regions(*size, config)
+        if (image.height, image.width) not in sizes:
+            sizes.append((image.height, image.width))
         scores, _ = pipeline.classify_image(
             image, config, scorers, mean_pixel=args.mean_pixel
         )
         ids.append(name[: -len(".npy")])
         rows.append(scores)
     out = io.ensure_dir(args.out)
-    io.write_region_specs_json(os.path.join(out, "region_specs.json"), specs)
+    io.write_region_specs_json(os.path.join(out, "region_specs.json"), sizes, config)
     io.write_scores_csv(os.path.join(out, "scores.csv"), ids, np.array(rows))
     _write_resolved_config(
         out,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .network import Checkpoint, NetworkConfig, init_params
-from .pipeline import ImageBuffer
 from .stats import EventLabels, ResponseMatrix, default_class_ids
 from .training import TRANSFER_MODES, Dataset, SoftTargets, TransferConfig
 
@@ -296,7 +295,8 @@ def gen_image_dataset(
     """Images with one class-intensity-coded square blob at a random spot.
 
     Background pixels are uniform noise in [0, noise_sigma]; the blob is a
-    constant intensity unique to the event class.
+    constant intensity unique to the event class.  Each split's features are
+    one (N, side, side, 1) float64 stack of pixels in [0, 1].
     """
     rng = np.random.default_rng([config.seed, _STREAM_IMAGES])
     levels = blob_levels(config.num_events)
@@ -309,15 +309,13 @@ def gen_image_dataset(
         ]
     )
     side, blob = config.image_side, config.blob_side
-    images = []
-    for i in range(n):
-        px = rng.uniform(0.0, bg, size=(side, side, 1)) if bg > 0 else np.zeros(
-            (side, side, 1)
-        )
+    images = np.zeros((n, side, side, 1))
+    for px, label in zip(images, labels):
+        if bg > 0:
+            px[...] = rng.uniform(0.0, bg, size=(side, side, 1))
         top = int(rng.integers(0, side - blob + 1))
         left = int(rng.integers(0, side - blob + 1))
-        px[top : top + blob, left : left + blob, 0] = levels[labels[i]]
-        images.append(ImageBuffer(px))
+        px[top : top + blob, left : left + blob] = levels[label]
     train = Dataset(
         features=images[: config.n_train],
         labels=labels[: config.n_train],

@@ -10,7 +10,8 @@ with ``<file>: ``, and a missing key one reading ``<file>: missing key
 '<key>'``.  The public ``read_json``/``write_json`` are for the CLI's
 free-form files only, so each artifact is opened by exactly one public
 function.  ``posterior.json`` is written for inspection and read by nothing.
-Images are float64 HxWxC ``.npy`` arrays and round-trip bitwise.
+Images are float64 HxWxC ``.npy`` arrays, checked on read, and round-trip
+bitwise.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .network import Checkpoint, NetworkConfig, ParamStore, build_layout
-from .pipeline import ImageBuffer, RegionSpec
+from .pipeline import CropConfig, ImageBuffer, generate_regions
 from .selection import SelectionProblem, SelectionResult
 from .stats import (
     ConditionalTable,
@@ -435,8 +436,8 @@ def write_mode_comparison_csv(path: str, runs: list[tuple[str, list]]) -> None:
 
 
 def write_dataset_csv(path: str, dataset: Dataset) -> None:
-    if not isinstance(dataset.features, np.ndarray):
-        raise ValueError("only feature-matrix datasets serialize to CSV")
+    if dataset.features.ndim != 2:
+        raise ValueError(f"only (N, D) features go to CSV, got {dataset.features.shape}")
     d = dataset.features.shape[1]
     header = ["sample_id", "label", *(f"x_{j}" for j in range(d))]
     samples = enumerate(zip(dataset.labels.tolist(), dataset.features.tolist()))
@@ -486,9 +487,10 @@ def read_soft_targets_json(path: str) -> SoftTargets:
 # ---------------------------------------------------------------------------
 
 
-def write_image(path: str, image: ImageBuffer) -> None:
+def write_image(path: str, pixels: np.ndarray) -> None:
+    """HxWxC pixels as a ``.npy`` file, written as given; ``read_image`` checks them."""
     with open(path, "wb") as fh:
-        np.save(fh, image.pixels, allow_pickle=False)
+        np.save(fh, pixels, allow_pickle=False)
 
 
 def read_image(path: str) -> ImageBuffer:
@@ -505,14 +507,25 @@ def read_image(path: str) -> ImageBuffer:
 
 
 def write_region_specs_json(
-    path: str, specs: dict[tuple[int, int], list[RegionSpec]]
+    path: str, sizes: list[tuple[int, int]], config: CropConfig
 ) -> None:
-    """One entry per image size, in the mapping's order: height, width, specs."""
-    sizes = [
-        {"height": h, "width": w, "specs": [asdict(s) for s in size_specs]}
-        for (h, w), size_specs in specs.items()
-    ]
-    _write_json(path, {"type": "region_specs", "sizes": sizes})
+    """One entry per image size, in the given order: height, width, and the
+    spec of each of its crops in ``generate_regions`` order."""
+    per_view, side = config.grid**2, config.crop_side
+    entries = []
+    for h, w in sizes:
+        views, offsets = generate_regions(h, w, config)
+        specs = []
+        for r, (top, left) in enumerate(offsets.tolist()):
+            mode, scale, rh, rw = views[r // per_view]
+            row, col = divmod(r % per_view, config.grid)
+            specs.append({
+                "ratio_mode": mode, "scale_factor": scale, "grid_row": row,
+                "grid_col": col, "top": top, "left": left, "height": side,
+                "width": side, "resized_height": rh, "resized_width": rw,
+            })
+        entries.append({"height": h, "width": w, "specs": specs})
+    _write_json(path, {"type": "region_specs", "sizes": entries})
 
 
 def write_scores_csv(path: str, image_ids: list[str], scores: np.ndarray) -> None:

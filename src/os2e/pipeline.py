@@ -13,15 +13,18 @@ array whose rows are probability vectors over the M event classes.
 ``score_regions`` calls each stream once per resized view with that view's
 grid x grid crops, so 12 calls score the 54 default regions.
 
-Pixels are validated where an image enters, as an ``ImageBuffer`` built by
-``io.read_image``, ``datagen`` or the caller.  ``score_regions`` resizes each
-view once as a plain array (a view at the image's own size is the image's
-pixels, only read) and writes its crops, mean-subtracted, straight into the
-stack; a view mixes checked pixels, so it is not checked again.
+The region layout is plain data: ``generate_regions`` returns the list of
+views and one (R, 2) int array of crop offsets.  Pixels are validated where
+an image enters, as an ``ImageBuffer`` built by ``io.read_image`` or the
+caller.  ``score_regions`` resizes each view once as a plain array (a view at
+the image's own size is the image's pixels, only read) and writes its crops,
+mean-subtracted, straight into the stack; a view mixes checked pixels, so it
+is not checked again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +87,10 @@ class CropConfig:
             raise ValueError("crop_side must be >= 1")
         if not self.scale_factors or not self.ratio_modes:
             raise ValueError("need at least one scale factor and one ratio mode")
-        if any(s < 1.0 for s in self.scale_factors):
-            raise ValueError("scale factors must be >= 1")
+        if not all(1.0 <= s < math.inf for s in self.scale_factors):
+            raise ValueError(
+                f"scale_factors must be finite and >= 1, got {self.scale_factors!r}"
+            )
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
         for mode in self.ratio_modes:
@@ -95,31 +100,6 @@ class CropConfig:
     @property
     def region_count(self) -> int:
         return len(self.ratio_modes) * len(self.scale_factors) * self.grid**2
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """One crop: where it lives in which resized view of the image."""
-
-    ratio_mode: str
-    scale_factor: float
-    grid_row: int
-    grid_col: int
-    top: int
-    left: int
-    height: int
-    width: int
-    resized_height: int
-    resized_width: int
-
-    def __post_init__(self):
-        if self.top < 0 or self.left < 0:
-            raise ValueError("rect must start inside the image")
-        if (
-            self.top + self.height > self.resized_height
-            or self.left + self.width > self.resized_width
-        ):
-            raise ValueError("rect extends past the resized image")
 
 
 def _source_coords(src: int, target: int) -> np.ndarray:
@@ -163,14 +143,6 @@ def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     return out.reshape(target_h, target_w, c)
 
 
-def resize_bilinear(image: ImageBuffer, target_h: int, target_w: int) -> ImageBuffer:
-    """Bilinear resample to the target size (half-pixel-center convention)."""
-    if target_h < 1 or target_w < 1:
-        raise ValueError("target dims must be >= 1")
-    pixels = _resize(image.pixels, target_h, target_w)
-    return ImageBuffer(pixels.copy() if pixels is image.pixels else pixels)
-
-
 def resized_dims(
     height: int, width: int, ratio_mode: str, scale: float, base_side: int
 ) -> tuple[int, int]:
@@ -194,11 +166,17 @@ def grid_offsets(length: int, crop: int, grid: int) -> list[int]:
 
 def generate_regions(
     height: int, width: int, config: CropConfig
-) -> list[RegionSpec]:
-    """All crop rects for an image: ratio modes x scales x grid cells."""
+) -> tuple[list[tuple[str, float, int, int]], np.ndarray]:
+    """An image's resized views and its crops: ratio modes x scales x grid cells.
+
+    Returns ``views``, one ``(ratio_mode, scale, resized_h, resized_w)`` per
+    view, ratio mode major, and the (R, 2) int64 array of crop ``(top,
+    left)`` offsets.  Crop ``r`` lies in view ``r // grid**2``, at grid cell
+    ``divmod(r % grid**2, grid)``, and is ``crop_side`` square.
+    """
     if height < 1 or width < 1:
         raise ValueError("image dims must be >= 1")
-    specs = []
+    views, offsets = [], []
     for mode in config.ratio_modes:
         for scale in config.scale_factors:
             rh, rw = resized_dims(height, width, mode, scale, config.base_side)
@@ -207,25 +185,11 @@ def generate_regions(
                     f"image too small after resize: {rh}x{rw} for crop "
                     f"{config.crop_side}"
                 )
+            views.append((mode, scale, rh, rw))
             rows = grid_offsets(rh, config.crop_side, config.grid)
             cols = grid_offsets(rw, config.crop_side, config.grid)
-            for gi, top in enumerate(rows):
-                for gj, left in enumerate(cols):
-                    specs.append(
-                        RegionSpec(
-                            ratio_mode=mode,
-                            scale_factor=scale,
-                            grid_row=gi,
-                            grid_col=gj,
-                            top=top,
-                            left=left,
-                            height=config.crop_side,
-                            width=config.crop_side,
-                            resized_height=rh,
-                            resized_width=rw,
-                        )
-                    )
-    return specs
+            offsets += [(top, left) for top in rows for left in cols]
+    return views, np.array(offsets, dtype=np.int64)
 
 
 def _check_scorer_output(rows, n: int, num_classes: int | None) -> np.ndarray:
@@ -257,23 +221,20 @@ def score_regions(
     if set(scorers) != {"object", "scene"}:
         raise ValueError("scorers must map exactly the 'object' and 'scene' streams")
     mean = np.asarray(mean_pixel, dtype=np.float64)
-    specs = generate_regions(image.height, image.width, config)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError(f"mean_pixel must be finite, got {mean_pixel!r}")
+    views, offsets = generate_regions(image.height, image.width, config)
     per_view = config.grid**2
     side = config.crop_side
     scores = {"object": [], "scene": []}
     m = None
-    # generate_regions lists each view's crops as one consecutive block
-    for first in range(0, len(specs), per_view):
-        view_specs = specs[first : first + per_view]
-        view = _resize(
-            image.pixels, view_specs[0].resized_height, view_specs[0].resized_width
-        )
+    for v, (_, _, rh, rw) in enumerate(views):
+        view = _resize(image.pixels, rh, rw)
         # a fresh stack per view: a scorer may keep the array it is handed
         crops = np.empty((per_view, side, side, image.channels))
-        for crop, s in zip(crops, view_specs):
-            np.subtract(
-                view[s.top : s.top + s.height, s.left : s.left + s.width], mean, out=crop
-            )
+        view_offsets = offsets[v * per_view : (v + 1) * per_view].tolist()
+        for crop, (top, left) in zip(crops, view_offsets):
+            np.subtract(view[top : top + side, left : left + side], mean, out=crop)
         for stream, rows in scores.items():
             rows.append(_check_scorer_output(scorers[stream](crops), per_view, m))
             m = rows[-1].shape[1]

@@ -28,6 +28,7 @@ trajectory bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -68,18 +69,18 @@ _STREAM_AUX_DROPOUT = 4
 
 @dataclass
 class Dataset:
-    """Feature rows with integer labels; features may also be a list of images."""
+    """Integer-labelled samples in one float64 array, a row per label:
+    feature vectors (N, D) or images (N, H, W, C)."""
 
-    features: np.ndarray | list
+    features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if isinstance(self.features, np.ndarray):
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.shape[0] != self.labels.size:
-                raise ValueError("one label per feature row required")
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.shape[0] != self.labels.size:
+            raise ValueError("one label per feature row required")
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() >= self.num_classes
         ):
@@ -127,8 +128,11 @@ class TransferConfig:
     def __post_init__(self):
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        for name, weight in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 <= weight < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {weight!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k_iters < 0:
             raise ValueError("k_iters must be >= 0")
         if self.batch_size < 1:

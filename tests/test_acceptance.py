@@ -42,7 +42,7 @@ from os2e.network import (
     SOFT_TARGET_IN_LOG,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
-from os2e.pipeline import CropConfig, classify_image, generate_regions
+from os2e.pipeline import CropConfig, ImageBuffer, classify_image, generate_regions
 from os2e.selection import (
     DEFAULT_K_OBJECTS,
     DEFAULT_K_SCENES,
@@ -283,16 +283,16 @@ class TestCriterion7MultiCrop:
         crop_cfg = CropConfig(base_side=32, crop_side=16)
         scorers = {"object": scorer, "scene": scorer}
         fused_hits = center_hits = 0
-        for image, label in zip(test.features, test.labels):
-            scores, fused = classify_image(image, crop_cfg, scorers)
+        for pixels, label in zip(test.features, test.labels):
+            scores, fused = classify_image(ImageBuffer(pixels), crop_cfg, scorers)
             fused_hits += scores.argmax() == label
-            center = next(
-                i for i, spec in enumerate(
-                    generate_regions(image.height, image.width, crop_cfg)
-                )
-                if spec.ratio_mode == "square" and spec.scale_factor == 1.0
-                and (spec.grid_row, spec.grid_col) == (1, 1)
+            # the square, scale-1.0 view's crop at grid cell (1, 1)
+            views, _ = generate_regions(*pixels.shape[:2], crop_cfg)
+            square = next(
+                v for v, (mode, scale, _, _) in enumerate(views)
+                if mode == "square" and scale == 1.0
             )
+            center = square * crop_cfg.grid**2 + 1 * crop_cfg.grid + 1
             center_hits += fused[center].argmax() == label
         n = len(test.labels)
         assert n == 200

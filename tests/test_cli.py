@@ -17,13 +17,7 @@ from os2e.network import (
     forward,
     init_params,
 )
-from os2e.pipeline import (
-    CropConfig,
-    ImageBuffer,
-    RegionSpec,
-    classify_image,
-    generate_regions,
-)
+from os2e.pipeline import CropConfig, ImageBuffer, classify_image, generate_regions
 
 
 def read_json(path):
@@ -243,6 +237,23 @@ class TestTrainCommand:
         assert "lr must be > 0, got" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--mode", "knowledge", "--alpha", "nan"], "alpha must be finite and >= 0"),
+            (["--mode", "init", "--alpha", "nan"], "alpha must be finite and >= 0"),
+            (["--mode", "data", "--beta", "inf"], "beta must be finite and >= 0"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=["knowledge_alpha_nan", "init_alpha_nan", "data_beta_inf", "seed_negative"],
+    )
+    def test_bad_setting_named_before_any_output(self, tmp_path, capsys, extra, message):
+        gen_dir = self.gen_data(tmp_path)
+        out = tmp_path / "c"
+        assert run(self.common_args(gen_dir, str(out), extra)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_config_value_sets_float_setting(self, tmp_path):
         # the run's resolved_config.json keeps the file's 0; the checkpoint
         # holds the float dropout rate the network ran with
@@ -315,7 +326,7 @@ class TestInferCommand:
         img_dir.mkdir()
         rng = np.random.default_rng(18)
         for name, shape in (("a", (64, 64)), ("b", (48, 80)), ("c", (64, 64))):
-            io.write_image(str(img_dir / f"{name}.npy"), ImageBuffer(rng.random(shape)))
+            io.write_image(str(img_dir / f"{name}.npy"), rng.random((*shape, 1)))
         ckpt = str(tmp_path / "o.json")
         self.make_checkpoint(ckpt)
         out = str(tmp_path / "infer")
@@ -329,8 +340,13 @@ class TestInferCommand:
         assert [(s["height"], s["width"]) for s in sizes] == [(64, 64), (48, 80)]
         config = CropConfig(base_side=32, crop_side=16)
         for size in sizes:
-            expected = generate_regions(size["height"], size["width"], config)
-            assert [RegionSpec(**spec) for spec in size["specs"]] == expected
+            views, offsets = generate_regions(size["height"], size["width"], config)
+            specs = size["specs"]
+            assert [[s["top"], s["left"]] for s in specs] == offsets.tolist()
+            assert [
+                (s["ratio_mode"], s["scale_factor"], s["resized_height"], s["resized_width"])
+                for s in specs
+            ] == [view for view in views for _ in range(config.grid**2)]
 
     def test_region_specs_match_golden_file(self, tmp_path):
         # three sizes in first-seen order, both ratio modes, and int scale
@@ -397,6 +413,39 @@ class TestInferCommand:
             assert str(crop_cfg) in err and repr(key) in err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scales", "1,inf"], "scale_factors must be finite"),
+            (["--scales", "nan"], "scale_factors must be finite"),
+            (["--crop-config", "Infinity"], "scale_factors must be finite"),
+            (["--mean-pixel", "nan"], "mean_pixel must be finite"),
+        ],
+        ids=["scales_inf", "scales_nan", "crop_config_infinity", "mean_pixel_nan"],
+    )
+    def test_non_finite_setting_named_before_any_output(
+        self, tmp_path, capsys, flags, message
+    ):
+        img_dir = str(tmp_path / "imgs")
+        run(["gen", "--preset", "images", "--seed", "6", "--n-train", "1",
+             "--n-test", "1", "--out", img_dir])
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        if flags[0] == "--crop-config":
+            # json accepts the non-standard Infinity literal
+            crop_cfg = tmp_path / "crop.json"
+            crop_cfg.write_text('{"scale_factors": [1.0, Infinity]}')
+            flags = ["--crop-config", str(crop_cfg)]
+        out = tmp_path / "infer"
+        code = run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", os.path.join(img_dir, "test"), "--base-side", "32",
+             "--crop-side", "16", *flags, "--out", str(out)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dir_without_npy_images_names_dir_and_suffix(self, tmp_path, capsys):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
@@ -420,7 +469,7 @@ class TestInferCommand:
         config = dataclasses.replace(preset_image_benchmark(5), n_train=2, n_test=4)
         train, test = gen_image_dataset(config, make_truth(config))
         loaded = io.read_image(str(gen_dir / "train" / "img_0000.npy"))
-        assert loaded.pixels.tobytes() == train.features[0].pixels.tobytes()
+        assert loaded.pixels.tobytes() == train.features[0].tobytes()
 
         ckpts = {}
         for stream, seed in (("o", 1), ("s", 2)):
@@ -442,8 +491,8 @@ class TestInferCommand:
         crop = CropConfig(base_side=32, crop_side=16)
         lines = (out / "scores.csv").read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in lines] == [f"img_{i:04d}" for i in range(4)]
-        for line, image in zip(lines, test.features):
-            expected, _ = classify_image(image, crop, scorers)
+        for line, pixels in zip(lines, test.features):
+            expected, _ = classify_image(ImageBuffer(pixels), crop, scorers)
             got = np.array([float(x) for x in line.split(",")[1:]])
             assert got.tobytes() == expected.tobytes()
 

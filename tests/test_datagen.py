@@ -15,6 +15,7 @@ from os2e.datagen import (
     gen_vector_dataset,
     make_source_checkpoint,
     make_truth,
+    preset_image_benchmark,
     preset_responses,
     preset_vector_benchmark,
     teacher_soft_targets,
@@ -128,23 +129,31 @@ class TestImageGenerator:
         truth = make_truth(config)
         train, test = gen_image_dataset(config, truth)
         levels = blob_levels(config.num_events)
-        for img, label in zip(train.features, train.labels):
-            assert img.pixels.max() == levels[label]
+        for px, label in zip(train.features, train.labels):
+            assert px.max() == levels[label]
 
     def test_blob_side_respected(self):
         config = replace(preset_vector_benchmark(9), noise_sigma=0.0, n_train=2, n_test=2)
         truth = make_truth(config)
         train, _ = gen_image_dataset(config, truth)
-        img = train.features[0]
-        assert (img.pixels > 0).sum() == config.blob_side**2
+        assert (train.features[0] > 0).sum() == config.blob_side**2
 
     def test_seeded_determinism(self):
         config = preset_vector_benchmark(10)
         truth = make_truth(config)
         a, _ = gen_image_dataset(config, truth)
         b, _ = gen_image_dataset(config, truth)
-        np.testing.assert_array_equal(a.features[0].pixels, b.features[0].pixels)
+        np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_each_split_is_one_pixel_stack(self):
+        config = replace(preset_image_benchmark(12), n_train=3, n_test=5)
+        train, test = gen_image_dataset(config, make_truth(config))
+        side = config.image_side
+        for ds, n in ((train, 3), (test, 5)):
+            assert ds.features.shape == (n, side, side, 1)
+            assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+            assert 0.0 <= ds.features.min() and ds.features.max() <= 1.0
 
 
 class TestBlobScorer:
@@ -155,8 +164,8 @@ class TestBlobScorer:
         truth = make_truth(config)
         train, _ = gen_image_dataset(config, truth)
         scorer = make_blob_scorer(config.num_events)
-        for img, label in zip(train.features, train.labels):
-            scores = scorer((img.pixels - 0.5)[None])[0]
+        for px, label in zip(train.features, train.labels):
+            scores = scorer((px - 0.5)[None])[0]
             assert scores.argmax() == label
 
     def test_abstains_on_empty_crop(self):

@@ -17,7 +17,7 @@ from os2e.datagen import (
     preset_vector_benchmark,
 )
 from os2e.network import NetworkConfig, Checkpoint, init_params
-from os2e.pipeline import ImageBuffer, generate_regions, CropConfig
+from os2e.pipeline import CropConfig
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import EventLabels, bayes_posterior, estimate_conditional
 from os2e.training import (
@@ -390,8 +390,8 @@ class TestJsonArtifacts:
             reader(str(tmp_path / f"{name}.json"))
         posterior = bayes_posterior(_conditional_table())
         io.write_posterior_json(str(tmp_path / "posterior.json"), posterior)
-        specs = {(8, 8): generate_regions(8, 8, CropConfig(base_side=8, crop_side=4))}
-        io.write_region_specs_json(str(tmp_path / "specs.json"), specs)
+        config = CropConfig(base_side=8, crop_side=4)
+        io.write_region_specs_json(str(tmp_path / "specs.json"), [(8, 8)], config)
         (tmp_path / "resolved.json").write_text('{"mode": "data"}')
         assert io.read_run_mode(str(tmp_path / "resolved.json")) == "data"
 
@@ -490,6 +490,14 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
 
+    def test_image_dataset_rejected_before_writing(self, tmp_path):
+        # a row per image would hold nested lists the reader cannot parse
+        ds = Dataset(np.zeros((2, 4, 4, 1)), [0, 1], 2)
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError, match=r"\(2, 4, 4, 1\)"):
+            io.write_dataset_csv(str(path), ds)
+        assert not path.exists()
+
     def test_wrong_width_names_line(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("sample_id,label,x_0,x_1\ns_0,0,0.1,0.2\ns_1,1,0.3\n")
@@ -543,12 +551,11 @@ def _with_pixel(value):
 
 class TestImageContainer:
     def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(7)
-        img = ImageBuffer(rng.random((5, 4, 3)))
+        px = np.random.default_rng(7).random((5, 4, 3))
         path = str(tmp_path / "img.npy")
-        io.write_image(path, img)
+        io.write_image(path, px)
         loaded = io.read_image(path)
-        assert loaded.pixels.tobytes() == img.pixels.tobytes()
+        assert loaded.pixels.tobytes() == px.tobytes()
 
     @pytest.mark.parametrize(
         "content, message",
@@ -584,10 +591,14 @@ class TestRegionSpecsJson:
     def test_dump_covers_all_specs(self, tmp_path):
         import json
 
-        specs = generate_regions(64, 64, CropConfig(base_side=32, crop_side=16))
         path = tmp_path / "specs.json"
-        io.write_region_specs_json(str(path), {(64, 64): specs})
+        config = CropConfig(base_side=32, crop_side=16)
+        io.write_region_specs_json(str(path), [(64, 64)], config)
         payload = json.loads(path.read_text())
         (size,) = payload["sizes"]
-        assert len(size["specs"]) == 54
+        assert (size["height"], size["width"], len(size["specs"])) == (64, 64, 54)
+        assert list(size["specs"][0]) == [
+            "ratio_mode", "scale_factor", "grid_row", "grid_col", "top", "left",
+            "height", "width", "resized_height", "resized_width",
+        ]
         assert size["specs"][0]["height"] == 16

@@ -13,7 +13,6 @@ from os2e.pipeline import (
     fuse_regions,
     generate_regions,
     grid_offsets,
-    resize_bilinear,
     resized_dims,
     score_regions,
 )
@@ -80,43 +79,37 @@ class TestImageBuffer:
 
 class TestResizeBilinear:
     def test_identity_when_same_dims(self):
-        rng = np.random.default_rng(0)
-        img = image_of(rng.random((5, 7)))
-        out = resize_bilinear(img, 5, 7)
-        np.testing.assert_array_equal(out.pixels, img.pixels)
+        px = np.random.default_rng(0).random((5, 7, 1))
+        np.testing.assert_array_equal(_resize(px, 5, 7), px)
 
     def test_constant_image_stays_constant(self):
-        img = image_of(np.full((3, 4), 0.37))
-        out = resize_bilinear(img, 9, 5)
-        np.testing.assert_allclose(out.pixels, 0.37, atol=1e-15)
+        out = _resize(np.full((3, 4, 1), 0.37), 9, 5)
+        np.testing.assert_allclose(out, 0.37, atol=1e-15)
 
     def test_hand_evaluated_upsample(self):
         # 2x2 [[0,1],[0,1]] widened to 2x4 under half-pixel centers
-        img = image_of([[0.0, 1.0], [0.0, 1.0]])
-        out = resize_bilinear(img, 2, 4)
-        np.testing.assert_allclose(out.pixels[0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
-        np.testing.assert_allclose(out.pixels[1, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
+        px = np.array([[0.0, 1.0], [0.0, 1.0]])[:, :, None]
+        out = _resize(px, 2, 4)
+        np.testing.assert_allclose(out[0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
+        np.testing.assert_allclose(out[1, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
 
     def test_preserves_channels(self):
-        rng = np.random.default_rng(1)
-        img = ImageBuffer(rng.random((6, 6, 3)))
-        assert resize_bilinear(img, 4, 8).channels == 3
+        px = np.random.default_rng(1).random((6, 6, 3))
+        assert _resize(px, 4, 8).shape == (4, 8, 3)
 
     def test_range_preserved(self):
-        rng = np.random.default_rng(2)
-        img = image_of(rng.random((10, 13)))
-        out = resize_bilinear(img, 27, 5)
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        px = np.random.default_rng(2).random((10, 13, 1))
+        out = _resize(px, 27, 5)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_bitwise_equal_to_four_gather_formula(self):
         rng = np.random.default_rng(15)
         for _ in range(300):
             h, w, th, tw = (int(x) for x in rng.integers(1, 40, size=4))
-            img = ImageBuffer(rng.random((h, w, int(rng.choice([1, 3])))))
+            px = rng.random((h, w, int(rng.choice([1, 3]))))
             if (th, tw) == (h, w):
                 continue
-            out = resize_bilinear(img, th, tw)
-            assert out.pixels.tobytes() == four_gather(img.pixels, th, tw).tobytes()
+            assert _resize(px, th, tw).tobytes() == four_gather(px, th, tw).tobytes()
 
     @pytest.mark.parametrize("shape", PAPER_SHAPES)
     def test_bitwise_equal_to_four_gather_formula_on_paper_views(self, shape):
@@ -129,8 +122,8 @@ class TestResizeBilinear:
         ]
         assert len(views) == 6
         for th, tw in views:
-            out = resize_bilinear(img, th, tw)
-            assert out.pixels.tobytes() == four_gather(img.pixels, th, tw).tobytes()
+            out = _resize(img.pixels, th, tw)
+            assert out.tobytes() == four_gather(img.pixels, th, tw).tobytes()
 
     @pytest.mark.parametrize("target", [(9, 5), (5, 7)])
     def test_array_resize_leaves_input_unchanged(self, target):
@@ -143,17 +136,31 @@ class TestResizeBilinear:
         assert (out is px) == (target == px.shape[:2])
         assert np.shares_memory(out, px) == (out is px)
 
-    def test_same_size_result_shares_no_memory(self):
-        img = ImageBuffer(np.random.default_rng(20).random((5, 7, 3)))
-        out = resize_bilinear(img, 5, 7)
-        assert not np.shares_memory(out.pixels, img.pixels)
-
 
 class TestGeometry:
     def test_default_config_54_regions(self):
         assert CropConfig().region_count == 54
-        specs = generate_regions(300, 400, CropConfig())
-        assert len(specs) == 54
+        views, offsets = generate_regions(300, 400, CropConfig())
+        assert len(views) == 6
+        assert offsets.shape == (54, 2) and offsets.dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(40, 56), (56, 40), (33, 33)])
+    def test_views_and_offsets_layout(self, shape):
+        # views ratio-mode major; crop r in view r // grid**2, at grid cell
+        # divmod(r % grid**2, grid) of that view's offsets
+        config = CropConfig(base_side=32, crop_side=16, scale_factors=(1, 1.25), grid=4)
+        views, offsets = generate_regions(*shape, config)
+        assert [(mode, scale) for mode, scale, _, _ in views] == [
+            (mode, scale) for mode in config.ratio_modes for scale in config.scale_factors
+        ]
+        per_view = config.grid**2
+        assert len(offsets) == len(views) * per_view == config.region_count
+        for r, (top, left) in enumerate(offsets.tolist()):
+            mode, scale, rh, rw = views[r // per_view]
+            assert (rh, rw) == resized_dims(*shape, mode, scale, config.base_side)
+            row, col = divmod(r % per_view, config.grid)
+            assert top == grid_offsets(rh, config.crop_side, config.grid)[row]
+            assert left == grid_offsets(rw, config.crop_side, config.grid)[col]
 
     def test_square_offsets_hand_case(self):
         assert grid_offsets(256, 224, 3) == [0, 16, 32]
@@ -174,9 +181,9 @@ class TestGeometry:
         for _ in range(1000):
             h = int(rng.integers(16, 400))
             w = int(rng.integers(16, 400))
-            for spec in generate_regions(h, w, DESK):
-                assert 0 <= spec.top <= spec.resized_height - spec.height
-                assert 0 <= spec.left <= spec.resized_width - spec.width
+            views, offsets = generate_regions(h, w, DESK)
+            sizes = np.repeat([(rh, rw) for _, _, rh, rw in views], DESK.grid**2, axis=0)
+            assert np.all((0 <= offsets) & (offsets <= sizes - DESK.crop_side))
 
     def test_region_count_formula(self):
         config = CropConfig(
@@ -186,7 +193,8 @@ class TestGeometry:
             ratio_modes=(RATIO_SQUARE,),
             grid=2,
         )
-        assert len(generate_regions(50, 70, config)) == 1 * 2 * 4
+        views, offsets = generate_regions(50, 70, config)
+        assert (len(views), len(offsets)) == (1 * 2, 1 * 2 * 4)
 
     def test_crop_larger_than_base_rejected(self):
         with pytest.raises(ValueError, match="crop_side"):
@@ -196,6 +204,11 @@ class TestGeometry:
     def test_no_views_rejected(self, field):
         with pytest.raises(ValueError, match="at least one"):
             CropConfig(**{field: ()})
+
+    @pytest.mark.parametrize("scale", [0.5, float("inf"), float("nan")])
+    def test_small_or_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale_factors must be finite and >= 1"):
+            CropConfig(scale_factors=(1.0, scale))
 
 
 class TestCropStacks:
@@ -246,13 +259,12 @@ class TestCropStacks:
             mean_pixel=mean,
         )
         crops = np.concatenate(calls)
-        specs = generate_regions(40, 56, DESK)
-        assert len(crops) == len(specs)
-        for crop, spec in zip(crops, specs):
-            view = resize_bilinear(img, spec.resized_height, spec.resized_width)
-            rect = view.pixels[
-                spec.top : spec.top + spec.height, spec.left : spec.left + spec.width
-            ]
+        views, offsets = generate_regions(40, 56, DESK)
+        side = DESK.crop_side
+        assert len(crops) == len(offsets)
+        for r, (crop, (top, left)) in enumerate(zip(crops, offsets)):
+            _, _, rh, rw = views[r // DESK.grid**2]
+            rect = _resize(img.pixels, rh, rw)[top : top + side, left : left + side]
             np.testing.assert_array_equal(crop, rect - mean)
 
     def test_whole_image_identity(self):
@@ -315,11 +327,11 @@ class TestScoreRegions:
         object_scores, _ = score_regions(
             img, DESK, {"object": brightness_scorer, "scene": brightness_scorer}
         )
-        for row, spec in zip(object_scores, generate_regions(40, 48, DESK)):
-            view = resize_bilinear(img, spec.resized_height, spec.resized_width)
-            rect = view.pixels[
-                spec.top : spec.top + spec.height, spec.left : spec.left + spec.width
-            ]
+        views, offsets = generate_regions(40, 48, DESK)
+        side = DESK.crop_side
+        for r, (row, (top, left)) in enumerate(zip(object_scores, offsets)):
+            _, _, rh, rw = views[r // DESK.grid**2]
+            rect = _resize(img.pixels, rh, rw)[top : top + side, left : left + side]
             np.testing.assert_allclose(row, brightness_scorer(rect[None] - 0.5)[0])
 
     def test_off_simplex_scorer_rejected(self):
@@ -372,6 +384,15 @@ class TestScoreRegions:
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
                 image_of(np.zeros((32, 32))), DESK, {"object": growing, "scene": growing}
+            )
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), [0.5, np.nan, 0.5]])
+    def test_non_finite_mean_pixel_rejected(self, mean):
+        ok = constant_scorer([1.0, 0.0])
+        with pytest.raises(ValueError, match="mean_pixel must be finite"):
+            score_regions(
+                ImageBuffer(np.zeros((32, 32, 3))), DESK, {"object": ok, "scene": ok},
+                mean_pixel=mean,
             )
 
     def test_mean_subtraction_applied(self):

@@ -297,6 +297,16 @@ class TestTransferConfig:
         with pytest.raises(ValueError, match="lr must be > 0, got"):
             TransferConfig(lr=lr)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got"):
+            TransferConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TransferConfig(seed=-1)
+
 
 class TestKnowledgeTransfer:
     def test_missing_soft_target_row_rejected(self):
