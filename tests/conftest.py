@@ -1,6 +1,7 @@
 """Shared test helpers: data fixtures, the finite-difference gradient
 checker, kink-free gradient-check cases, the per-step parameter recorder of
-the training loop, and planted-data helpers that only tests use."""
+the training loop, a plain reference training loop, and planted-data helpers
+that only tests use."""
 
 import os
 
@@ -9,7 +10,9 @@ import numpy as np
 from os2e import training
 from os2e.datagen import GeneratorConfig, blob_levels
 from os2e.network import (
+    DEFAULT_MOMENTUM,
     SOFT_TARGET_AS_DISTRIBUTION,
+    SOFT_TARGET_IN_LOG,
     NetworkConfig,
     backward,
     cross_entropy_loss,
@@ -116,6 +119,98 @@ def data_loss_fn(cfg, x, y, xa, ya, beta):
         return ce + beta * ce_aux, grad
 
     return fn
+
+
+def _reference_step_grad(net, params, x, rng, losses):
+    """One dropout forward and the flat gradient of ``losses``, written with
+    the textbook formulas: affine+rectifier trunk, one softmax per head, a
+    one-hot cross-entropy gradient, and a fresh zero vector per backward.
+
+    ``losses`` maps a head to ``(kind, target, weight)`` with kind ``"ce"``
+    (integer labels) or a soft-target direction (teacher rows).
+    """
+    h = x
+    trunk_pre, trunk_out = [], []
+    for i in range(len(net.trunk)):
+        pre = h @ params.view(f"trunk{i}.W") + params.view(f"trunk{i}.b")
+        h = np.maximum(pre, 0.0)
+        trunk_pre.append(pre)
+        trunk_out.append(h)
+    mask = None
+    if net.dropout_rate > 0.0:
+        mask = (rng.random(h.shape) >= net.dropout_rate) / (1.0 - net.dropout_rate)
+        h = h * mask
+    b = x.shape[0]
+    head_grads = {}
+    for hd in range(len(net.heads)):
+        z = h @ params.view(f"head{hd}.W") + params.view(f"head{hd}.b")
+        shifted = z - z.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        p = np.exp(logp)
+        if hd not in losses:
+            continue
+        kind, target, weight = losses[hd]
+        if kind == "ce":
+            onehot = np.zeros((b, net.heads[hd]))
+            onehot[np.arange(b), target] = 1.0
+            g = (p - onehot) / b
+        elif kind == SOFT_TARGET_AS_DISTRIBUTION:
+            g = (p - target) / b
+        elif kind == SOFT_TARGET_IN_LOG:
+            logf = np.log(np.maximum(target, 1e-12))
+            g = p * ((p * logf).sum(axis=1, keepdims=True) - logf) / b
+        else:
+            raise ValueError(f"unknown loss kind {kind!r}")
+        head_grads[hd] = weight * g
+
+    grad = np.zeros_like(params.values)
+    d_h = np.zeros_like(h)
+    for hd, g in head_grads.items():
+        grad[params.slice_of(f"head{hd}.W")] = (h.T @ g).ravel()
+        grad[params.slice_of(f"head{hd}.b")] = g.sum(axis=0)
+        d_h += g @ params.view(f"head{hd}.W").T
+    if mask is not None:
+        d_h = d_h * mask
+    for i in reversed(range(len(net.trunk))):
+        d_pre = d_h * (trunk_pre[i] > 0.0)
+        layer_in = trunk_out[i - 1] if i > 0 else x
+        grad[params.slice_of(f"trunk{i}.W")] = (layer_in.T @ d_pre).ravel()
+        grad[params.slice_of(f"trunk{i}.b")] = d_pre.sum(axis=0)
+        if i > 0:
+            d_h = d_pre @ params.view(f"trunk{i}.W").T
+    return grad
+
+
+def reference_training(net, params, train, config, soft=None, aux=None):
+    """The training loop's parameters after every SGD step, recomputed in
+    place on ``params`` by a plain loop over ``_reference_step_grad``.
+
+    It draws batches and dropout masks from the loop's seeded streams, in
+    the loop's order, and applies the same lr schedule and momentum step;
+    evaluation points are skipped, as they change no parameter.
+    """
+    stream = lambda k: np.random.default_rng([config.seed, k])  # noqa: E731
+    batch_rng, drop_rng = stream(training._STREAM_BATCH), stream(training._STREAM_DROPOUT)
+    aux_batch_rng = stream(training._STREAM_AUX_BATCH)
+    aux_drop_rng = stream(training._STREAM_AUX_DROPOUT)
+    velocity = np.zeros_like(params.values)
+    for t in range(config.total_iters):
+        idx = batch_rng.integers(0, len(train), size=config.batch_size)
+        x = train.features[idx]
+        losses = {0: ("ce", train.labels[idx], 1.0)}
+        if soft is not None:
+            losses[1] = (config.soft_direction, soft.values[idx], config.alpha)
+        grad = _reference_step_grad(net, params, x, drop_rng, losses)
+        if aux is not None:
+            aux_idx = aux_batch_rng.integers(0, len(aux), size=config.batch_size)
+            aux_losses = {1: ("ce", aux.labels[aux_idx], config.beta)}
+            grad = grad + _reference_step_grad(
+                net, params, aux.features[aux_idx], aux_drop_rng, aux_losses
+            )
+        velocity *= DEFAULT_MOMENTUM
+        velocity -= config.lr_at(t) * grad
+        params.values += velocity
+    return params.values
 
 
 def draw_grad_check_case(rng, batch=5, margin=RELU_KINK_MARGIN, max_tries=60):

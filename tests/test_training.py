@@ -3,7 +3,7 @@ schedules, determinism, and the probe."""
 
 import numpy as np
 import pytest
-from conftest import param_steps
+from conftest import param_steps, reference_training
 
 from os2e.datagen import (
     gen_aux_dataset,
@@ -276,6 +276,52 @@ class TestLossComposition:
         tc = quick_config(seed=18, k_iters=1, alpha=4.0, beta=4.0)
         with pytest.raises(ValueError, match="divergence at iteration 0: loss=inf"):
             _train(mode, source, train, test, soft, aux, tc)
+
+
+class TestReferenceLoop:
+    """Twenty seeded steps of each mode leave the same parameter bytes as the
+    plain reference loop of ``conftest``; compared to each other on the same
+    machine, so no stored digest depends on the BLAS kernels."""
+
+    @pytest.mark.parametrize(
+        "mode, direction",
+        [
+            ("init", SOFT_TARGET_AS_DISTRIBUTION),
+            ("knowledge", SOFT_TARGET_AS_DISTRIBUTION),
+            ("knowledge", SOFT_TARGET_IN_LOG),
+            ("data", SOFT_TARGET_AS_DISTRIBUTION),
+            ("probe", SOFT_TARGET_AS_DISTRIBUTION),
+        ],
+    )
+    def test_params_bitwise_equal_reference(self, mode, direction):
+        config, truth, train, test, soft, source = benchmark_parts(seed=21)
+        aux = gen_aux_dataset(config, truth)
+        tc = quick_config(
+            seed=21, k_iters=8, batch_size=12, alpha=0.3, beta=0.7, dropout_rate=0.5,
+            soft_direction=direction,
+        )
+        assert tc.total_iters == 20
+        if mode == "probe":
+            train = Dataset(probe_features(train.features), train.labels, train.num_classes)
+            test = Dataset(probe_features(test.features), test.labels, test.num_classes)
+            report = linear_probe_train(train, test, tc)
+            net = report.checkpoint.config
+            start = training.init_params(net, tc.seed)
+        else:
+            report = {
+                "init": lambda: init_transfer_train(source, train, test, tc),
+                "knowledge": lambda: knowledge_transfer_train(source, train, test, soft, tc),
+                "data": lambda: data_transfer_train(source, train, test, aux, tc),
+            }[mode]()
+            net = report.checkpoint.config
+            start = init_from_source(net, source.params, tc.seed)
+        expected = reference_training(
+            net, start, train, tc,
+            soft=soft if mode == "knowledge" else None,
+            aux=aux if mode == "data" else None,
+        )
+        assert report.final.iteration == 20
+        assert report.checkpoint.params.values.tobytes() == expected.tobytes()
 
 
 class TestSoftTargets:
