@@ -312,12 +312,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_scorer(checkpoint_path: str):
-    ckpt = io.read_checkpoint_json(checkpoint_path)
+def _check_fits_crops(path: str, ckpt: Checkpoint, crop_side: int, channels: int) -> None:
+    """A checkpoint must take one flattened crop of ``crop_side`` squared
+    pixels with ``channels`` channels."""
+    want = crop_side * crop_side * channels
+    if ckpt.config.input_dim != want:
+        raise ValueError(
+            f"{path}: checkpoint input_dim {ckpt.config.input_dim} does not fit "
+            f"crops of crop_side {crop_side} with {channels} channel(s), which "
+            f"have {crop_side}*{crop_side}*{channels} = {want} values"
+        )
 
+
+def _checkpoint_scorer(ckpt: Checkpoint):
     def scorer(crops: np.ndarray) -> np.ndarray:
         flat = np.asarray(crops, dtype=np.float64).reshape(len(crops), -1)
-        return forward(ckpt.config, ckpt.params, flat, mode="eval").head_prob[0]
+        return forward(ckpt.config, ckpt.params, flat, mode="eval", heads=(0,)).head_prob[0]
 
     return scorer
 
@@ -344,14 +354,20 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     names = sorted(f for f in os.listdir(args.image_dir) if f.endswith(".npy"))
     if not names:
         raise ValueError(f"{args.image_dir}: no .npy images found")
-    scorers = {
-        "object": _checkpoint_scorer(args.checkpoint_o),
-        "scene": _checkpoint_scorer(args.checkpoint_s),
+    checkpoints = {
+        "object": (args.checkpoint_o, io.read_checkpoint_json(args.checkpoint_o)),
+        "scene": (args.checkpoint_s, io.read_checkpoint_json(args.checkpoint_s)),
     }
+    scorers = {stream: _checkpoint_scorer(ckpt) for stream, (_, ckpt) in checkpoints.items()}
     ids, rows = [], []
     sizes = []  # the distinct (height, width), in first-seen order
+    fitted = set()  # channel counts both checkpoints are known to fit
     for name in names:
         image = io.read_image(os.path.join(args.image_dir, name))
+        if image.channels not in fitted:
+            for path, ckpt in checkpoints.values():
+                _check_fits_crops(path, ckpt, config.crop_side, image.channels)
+            fitted.add(image.channels)
         if (image.height, image.width) not in sizes:
             sizes.append((image.height, image.width))
         scores, _ = pipeline.classify_image(

@@ -6,11 +6,18 @@ first, imitation/auxiliary head second).  All parameters live in a single
 flat float64 vector with a deterministic layout, so checkpoints, SGD updates,
 and finite-difference checks all speak the same representation.
 
+``ParamStore`` binds each layer's weight and bias views once, when it is
+built; ``forward`` and ``backward`` walk those bound pairs.  ``forward``
+computes every head by default, or only the heads named in ``heads``; the
+others stay ``None`` in the cache.
+
 Losses: cross-entropy on hard labels and a soft-target imitation loss in
 two directions.  Each returns its gradient with respect to one head's
 pre-activations, batch-scaled; ``backward`` maps a dict of such head
-gradients to parameter space.  The transfer modes' weighted sums of these
-losses are composed by the training loop, not here.
+gradients to parameter space and adds them into a caller-owned gradient
+store laid out like the parameters (``ParamStore.zeros_like``), so two
+backward passes can share one store.  The transfer modes' weighted sums of
+these losses are composed by the training loop, not here.
 """
 
 from __future__ import annotations
@@ -71,19 +78,24 @@ class ParamStore:
 
     ``layout`` maps each weight/bias to its (offset, shape) slice of
     ``values``; the entries must tile ``values`` contiguously from offset 0.
-    ``rng_seed`` records the seed used at initialization.  The name index
-    behind ``view`` and ``slice_of`` is built once, at construction.
+    ``rng_seed`` records the seed used at initialization.  Each entry's view
+    of ``values`` is bound once, at construction, and ``layers`` holds the
+    ``(W, b)`` view pair of each layer in layout order (trunk, then heads).
+    The views stay valid because ``values`` is only ever updated in place.
     """
 
     values: np.ndarray
     layout: list[tuple[str, int, tuple[int, ...]]]
     rng_seed: int
-    _index: dict[str, tuple[slice, tuple[int, ...]]] = field(
+    _index: dict[str, tuple[slice, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        self._index = {}
+        spans = {}
         end = 0
         for name, offset, shape in self.layout:
             if offset != end:
@@ -97,18 +109,28 @@ class ParamStore:
                     f"layout entry {name!r} (offset {offset}, shape "
                     f"{tuple(shape)}) runs past the end of {self.values.size} values"
                 )
-            self._index[name] = (slice(offset, end), tuple(shape))
+            spans[name] = (slice(offset, end), tuple(shape))
         if self.values.shape != (end,):
             raise ValueError(
                 f"layout covers {end} values, got values of shape {self.values.shape}"
             )
+        self._index = {
+            name: (span, self.values[span].reshape(shape))
+            for name, (span, shape) in spans.items()
+        }
+        names = dict.fromkeys(name.rpartition(".")[0] for name, _, _ in self.layout)
+        self.layers = [(self.view(f"{n}.W"), self.view(f"{n}.b")) for n in names]
 
     def view(self, name: str) -> np.ndarray:
-        span, shape = self._index[name]
-        return self.values[span].reshape(shape)
+        return self._index[name][1]
 
     def slice_of(self, name: str) -> slice:
         return self._index[name][0]
+
+    def zeros_like(self) -> ParamStore:
+        """An all-zero store with this layout: the gradient store ``backward``
+        adds into."""
+        return ParamStore(np.zeros_like(self.values), self.layout, self.rng_seed)
 
 
 @dataclass
@@ -184,7 +206,7 @@ def init_from_source(
 @dataclass
 class ForwardCache:
     """Everything backward needs: the net and params it ran with, activations,
-    masks, and head outputs."""
+    masks, and head outputs (``None`` for a head the forward did not compute)."""
 
     config: NetworkConfig
     params: ParamStore
@@ -193,9 +215,9 @@ class ForwardCache:
     trunk_out: list[np.ndarray]
     dropout_mask: np.ndarray | None
     head_input: np.ndarray
-    head_pre: list[np.ndarray]
-    head_prob: list[np.ndarray]
-    head_logprob: list[np.ndarray]
+    head_pre: list[np.ndarray | None]
+    head_prob: list[np.ndarray | None]
+    head_logprob: list[np.ndarray | None]
 
     @property
     def batch_size(self) -> int:
@@ -203,10 +225,16 @@ class ForwardCache:
 
 
 def _softmax_with_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    shifted = z - z.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logsum
+    logp = z - z.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     return np.exp(logp), logp
+
+
+def _computed(outputs: list[np.ndarray | None], head: int) -> np.ndarray:
+    out = outputs[head]
+    if out is None:
+        raise ValueError(f"head {head} was not computed by the forward pass")
+    return out
 
 
 def forward(
@@ -215,10 +243,13 @@ def forward(
     x,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    heads: tuple[int, ...] | None = None,
 ) -> ForwardCache:
     """Run the network on a batch; in train mode dropout needs an rng.
 
-    Dropout uses inverted scaling so eval outputs need no rescale.
+    Dropout uses inverted scaling so eval outputs need no rescale.  ``heads``
+    names the heads to compute (default: all); the others are left ``None``
+    in the cache, and their outputs do not depend on which heads ran.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
@@ -228,10 +259,16 @@ def forward(
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
+    n_heads = len(config.heads)
+    if heads is None:
+        heads = range(n_heads)
+
+    n_trunk = len(config.trunk)
     h = x
     trunk_pre, trunk_out = [], []
-    for i in range(len(config.trunk)):
-        pre = h @ params.view(f"trunk{i}.W") + params.view(f"trunk{i}.b")
+    for w, b in params.layers[:n_trunk]:
+        pre = h @ w
+        pre += b
         h = np.maximum(pre, 0.0)
         trunk_pre.append(pre)
         trunk_out.append(h)
@@ -244,13 +281,17 @@ def forward(
         dropout_mask = (rng.random(h.shape) >= config.dropout_rate) / keep
         h = h * dropout_mask
 
-    head_pre, head_prob, head_logprob = [], [], []
-    for hd in range(len(config.heads)):
-        z = h @ params.view(f"head{hd}.W") + params.view(f"head{hd}.b")
-        p, logp = _softmax_with_log(z)
-        head_pre.append(z)
-        head_prob.append(p)
-        head_logprob.append(logp)
+    head_pre = [None] * n_heads
+    head_prob = [None] * n_heads
+    head_logprob = [None] * n_heads
+    for hd in heads:
+        if not 0 <= hd < n_heads:
+            raise ValueError(f"heads {tuple(heads)} out of range for {n_heads} heads")
+        w, b = params.layers[n_trunk + hd]
+        z = h @ w
+        z += b
+        head_pre[hd] = z
+        head_prob[hd], head_logprob[hd] = _softmax_with_log(z)
 
     return ForwardCache(
         config=config,
@@ -266,41 +307,50 @@ def forward(
     )
 
 
-def backward(cache: ForwardCache, head_grads: dict[int, np.ndarray]) -> np.ndarray:
-    """Map head pre-activation gradients to a flat parameter gradient.
+def backward(
+    cache: ForwardCache, head_grads: dict[int, np.ndarray], grad: ParamStore
+) -> None:
+    """Add the parameter gradient of head pre-activation gradients into ``grad``.
 
-    Heads absent from ``head_grads`` contribute nothing (their parameter
-    gradients are zero).  The gradient is laid out like ``cache.params``.
+    ``grad`` is laid out like ``cache.params`` (``ParamStore.zeros_like``);
+    the caller zeroes it.  Heads absent from ``head_grads`` add nothing, so
+    two backward passes into one store sum their gradients.
     """
     params = cache.params
-    grad = np.zeros_like(params.values)
-    d_head_in = np.zeros_like(cache.head_input)
+    if grad.values.shape != params.values.shape:
+        raise ValueError(
+            f"gradient store of shape {grad.values.shape} for parameters of "
+            f"shape {params.values.shape}"
+        )
+    n_trunk = len(cache.config.trunk)
+    d_h = None
     for hd, g in head_grads.items():
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != cache.head_pre[hd].shape:
+        if g.shape != _computed(cache.head_pre, hd).shape:
             raise ValueError(f"head {hd} gradient shape mismatch")
-        grad[params.slice_of(f"head{hd}.W")] = (cache.head_input.T @ g).ravel()
-        grad[params.slice_of(f"head{hd}.b")] = g.sum(axis=0)
-        d_head_in += g @ params.view(f"head{hd}.W").T
+        g_w, g_b = grad.layers[n_trunk + hd]
+        g_w += cache.head_input.T @ g
+        g_b += g.sum(axis=0)
+        if n_trunk:
+            d_in = g @ params.layers[n_trunk + hd][0].T
+            if d_h is None:
+                d_h = d_in
+            else:
+                d_h += d_in
+    if d_h is None:  # no trunk, or no head gradient
+        return
 
-    d_h = d_head_in
     if cache.dropout_mask is not None:
-        d_h = d_h * cache.dropout_mask
+        d_h *= cache.dropout_mask
 
-    for i in reversed(range(len(cache.config.trunk))):
-        d_pre = d_h * (cache.trunk_pre[i] > 0.0)
+    for i in reversed(range(n_trunk)):
+        d_h *= cache.trunk_pre[i] > 0.0  # now the pre-activation gradient
         layer_in = cache.trunk_out[i - 1] if i > 0 else cache.x
-        grad[params.slice_of(f"trunk{i}.W")] = (layer_in.T @ d_pre).ravel()
-        grad[params.slice_of(f"trunk{i}.b")] = d_pre.sum(axis=0)
+        g_w, g_b = grad.layers[i]
+        g_w += layer_in.T @ d_h
+        g_b += d_h.sum(axis=0)
         if i > 0:
-            d_h = d_pre @ params.view(f"trunk{i}.W").T
-    return grad
-
-
-def _one_hot(labels: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros((labels.size, dim))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+            d_h = d_h @ params.layers[i][0].T
 
 
 def cross_entropy_loss(
@@ -318,9 +368,11 @@ def cross_entropy_loss(
     b = cache.batch_size
     if labels.size != b:
         raise ValueError("one label per batch row required")
-    logp = cache.head_logprob[head]
-    loss = -float(logp[np.arange(b), labels].mean())
-    grad = (cache.head_prob[head] - _one_hot(labels, dim)) / b
+    rows = np.arange(b)
+    loss = -float(_computed(cache.head_logprob, head)[rows, labels].sum() / b)
+    grad = cache.head_prob[head].copy()
+    grad[rows, labels] -= 1.0
+    grad /= b
     return loss, grad
 
 
@@ -339,17 +391,17 @@ def soft_target_loss(
     simplex: ``training.SoftTargets`` checks that once, when it is built.
     """
     f = np.asarray(targets, dtype=np.float64)
-    q = cache.head_prob[head]
+    q = _computed(cache.head_prob, head)
     if f.shape != q.shape:
         raise ValueError(f"target shape {f.shape} vs head output {q.shape}")
     b = cache.batch_size
     if direction == SOFT_TARGET_AS_DISTRIBUTION:
         logq = cache.head_logprob[head]
-        loss = -float((f * logq).sum(axis=1).mean())
+        loss = -float((f * logq).sum(axis=1).sum() / b)
         grad = (q - f) / b
     elif direction == SOFT_TARGET_IN_LOG:
         logf = np.log(np.maximum(f, 1e-12))
-        loss = -float((q * logf).sum(axis=1).mean())
+        loss = -float((q * logf).sum(axis=1).sum() / b)
         grad = q * ((q * logf).sum(axis=1, keepdims=True) - logf) / b
     else:
         raise ValueError(f"unknown soft loss direction {direction!r}")
@@ -367,7 +419,7 @@ def sgd_momentum_step(
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != params.values.shape or velocity.shape != params.values.shape:
         raise ValueError("gradient/velocity shape mismatch")
-    if not np.all(np.isfinite(gradient)):
+    if not np.isfinite(gradient).all():
         raise ValueError("divergence: non-finite gradient")
     velocity *= momentum
     velocity -= lr * gradient

@@ -16,8 +16,10 @@ Each of ``TRANSFER_MODES`` has its own entry point (``probe`` is
 All modes share one loop, and it alone composes their losses from the
 network's primitives: event cross-entropy, plus alpha times the imitation
 loss on the second head (``knowledge``), or plus beta times the auxiliary
-cross-entropy of a second forward through the shared trunk (``data``).  The
-loop samples batches with replacement, takes SGD steps with momentum
+cross-entropy of a second forward through the shared trunk (``data``).
+Each forward computes only the heads its losses read, and every backward of
+a step adds into one gradient store that the loop owns and zeroes per step.
+The loop samples batches with replacement, takes SGD steps with momentum
 ``DEFAULT_MOMENTUM``, and follows a step learning-rate schedule (decay by
 ``LR_DECAY_DEFAULT`` every ``k_iters`` iterations, stop at ``2.5 *
 k_iters``, evaluate every eighth of the run).  Batch sampling, dropout, and
@@ -215,9 +217,9 @@ def _evaluate_point(
     test: Dataset,
     iteration: int,
 ) -> EvalRecord:
-    train_cache = forward(net, params, train.features, mode="eval")
+    train_cache = forward(net, params, train.features, mode="eval", heads=(0,))
     train_loss, _ = cross_entropy_loss(train_cache, train.labels)
-    test_cache = forward(net, params, test.features, mode="eval")
+    test_cache = forward(net, params, test.features, mode="eval", heads=(0,))
     test_loss, _ = cross_entropy_loss(test_cache, test.labels)
     result = evaluate(test_cache.head_prob[0], test.labels)
     return EvalRecord(
@@ -240,6 +242,7 @@ def _run_training(
 ) -> TrainReport:
     t_start = time.perf_counter()
     velocity = np.zeros_like(params.values)
+    grad = params.zeros_like()
     batch_rng = np.random.default_rng([config.seed, _STREAM_BATCH])
     drop_rng = np.random.default_rng([config.seed, _STREAM_DROPOUT])
     aux_batch_rng = np.random.default_rng([config.seed, _STREAM_AUX_BATCH])
@@ -251,38 +254,42 @@ def _run_training(
 
     use_soft = soft is not None and config.alpha != 0.0
     use_aux = aux is not None and config.beta != 0.0
+    event_heads = (0, 1) if use_soft else (0,)
 
     for t in range(total):
         lr_t = config.lr_at(t)
         idx = batch_rng.integers(0, len(train), size=config.batch_size)
         xb = train.features[idx]
         yb = train.labels[idx]
+        grad.values.fill(0.0)
         # overflow after a blow-up surfaces as a non-finite loss and is
         # raised below; keep the warning noise out of the run
         with np.errstate(over="ignore", invalid="ignore"):
-            cache = forward(net, params, xb, mode="train", rng=drop_rng)
+            cache = forward(
+                net, params, xb, mode="train", rng=drop_rng, heads=event_heads
+            )
             loss, g_event = cross_entropy_loss(cache, yb)
             if use_soft:
                 soft_loss, g_soft = soft_target_loss(
                     cache, soft.values[idx], config.soft_direction
                 )
                 loss += config.alpha * soft_loss
-                grad = backward(cache, {0: g_event, 1: config.alpha * g_soft})
+                backward(cache, {0: g_event, 1: config.alpha * g_soft}, grad)
             elif use_aux:
                 aux_idx = aux_batch_rng.integers(0, len(aux), size=config.batch_size)
                 aux_cache = forward(
-                    net, params, aux.features[aux_idx], mode="train", rng=aux_drop_rng
+                    net, params, aux.features[aux_idx], mode="train",
+                    rng=aux_drop_rng, heads=(1,),
                 )
                 aux_loss, g_aux = cross_entropy_loss(aux_cache, aux.labels[aux_idx], head=1)
                 loss += config.beta * aux_loss
-                grad = backward(cache, {0: g_event}) + backward(
-                    aux_cache, {1: config.beta * g_aux}
-                )
+                backward(cache, {0: g_event}, grad)
+                backward(aux_cache, {1: config.beta * g_aux}, grad)
             else:
-                grad = backward(cache, {0: g_event})
-        if not np.isfinite(loss):
+                backward(cache, {0: g_event}, grad)
+        if not math.isfinite(loss):
             raise ValueError(f"divergence at iteration {t}: loss={loss!r}")
-        sgd_momentum_step(params, grad, velocity, lr=lr_t, momentum=DEFAULT_MOMENTUM)
+        sgd_momentum_step(params, grad.values, velocity, lr=lr_t, momentum=DEFAULT_MOMENTUM)
         done = t + 1
         if done % eval_every == 0 and done != total:
             records.append(_evaluate_point(net, params, train, test, done))

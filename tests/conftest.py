@@ -82,13 +82,20 @@ def grad_check(
     return worst
 
 
+def flat_grad(cache, head_grads):
+    """``backward`` into a fresh zeroed store; its flat gradient vector."""
+    grad = cache.params.zeros_like()
+    backward(cache, head_grads, grad)
+    return grad.values
+
+
 def ce_loss_fn(cfg, x, y):
     """Event cross-entropy: ``params -> (loss, flat_grad)`` for ``grad_check``."""
 
     def fn(params):
         cache = forward(cfg, params, x, mode="eval")
         loss, g = cross_entropy_loss(cache, y)
-        return loss, backward(cache, {0: g})
+        return loss, flat_grad(cache, {0: g})
 
     return fn
 
@@ -100,7 +107,7 @@ def knowledge_loss_fn(cfg, x, y, f, alpha, direction=SOFT_TARGET_AS_DISTRIBUTION
         cache = forward(cfg, params, x, mode="eval")
         ce, g_event = cross_entropy_loss(cache, y)
         soft, g_soft = soft_target_loss(cache, f, direction=direction)
-        return ce + alpha * soft, backward(cache, {0: g_event, 1: alpha * g_soft})
+        return ce + alpha * soft, flat_grad(cache, {0: g_event, 1: alpha * g_soft})
 
     return fn
 
@@ -113,10 +120,10 @@ def data_loss_fn(cfg, x, y, xa, ya, beta):
         aux_cache = forward(cfg, params, xa, mode="eval")
         ce, g_event = cross_entropy_loss(event_cache, y)
         ce_aux, g_aux = cross_entropy_loss(aux_cache, ya, head=1)
-        grad = backward(event_cache, {0: g_event}) + backward(
-            aux_cache, {1: beta * g_aux}
-        )
-        return ce + beta * ce_aux, grad
+        grad = event_cache.params.zeros_like()
+        backward(event_cache, {0: g_event}, grad)
+        backward(aux_cache, {1: beta * g_aux}, grad)
+        return ce + beta * ce_aux, grad.values
 
     return fn
 

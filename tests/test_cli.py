@@ -446,6 +446,39 @@ class TestInferCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "channels, crop_side, bad",
+        [(3, 16, "object"), (1, 8, "object"), (1, 8, "scene"), (3, 16, "scene")],
+        ids=["rgb_object", "small_crop_object", "small_crop_scene", "rgb_scene"],
+    )
+    def test_checkpoint_not_fitting_crops_named_before_any_output(
+        self, tmp_path, capsys, channels, crop_side, bad
+    ):
+        # a 256-input checkpoint fits 16x16 one-channel crops only
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        io.write_image(str(img_dir / "a.npy"), np.random.default_rng(20).random((64, 64, channels)))
+        good = tmp_path / "good.json"
+        cfg = NetworkConfig(
+            input_dim=crop_side**2 * channels, trunk=(), heads=(4,), dropout_rate=0.0
+        )
+        io.write_checkpoint_json(str(good), Checkpoint(cfg, init_params(cfg, seed=5)))
+        wrong = tmp_path / "wrong.json"
+        self.make_checkpoint(str(wrong))
+        ckpt = {"object": good, "scene": good}
+        ckpt[bad] = wrong
+        out = tmp_path / "infer"
+        code = run(
+            ["infer", "--checkpoint-o", str(ckpt["object"]),
+             "--checkpoint-s", str(ckpt["scene"]), "--image-dir", str(img_dir),
+             "--base-side", "32", "--crop-side", str(crop_side), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(wrong) in err and "input_dim 256" in err
+        assert f"crop_side {crop_side}" in err and f"{channels} channel" in err
+        assert not out.exists()
+
     def test_dir_without_npy_images_names_dir_and_suffix(self, tmp_path, capsys):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()

@@ -7,6 +7,7 @@ from conftest import (
     ce_loss_fn,
     data_loss_fn,
     draw_grad_check_case,
+    flat_grad,
     grad_check,
     knowledge_loss_fn,
 )
@@ -164,8 +165,8 @@ class TestKnowledgeLoss:
         cache = forward(cfg, params, x)
         _, g_event = cross_entropy_loss(cache, y)
         _, g_soft = soft_target_loss(cache, f)
-        joint = backward(cache, {0: g_event, 1: 0.5 * g_soft})
-        apart = backward(cache, {0: g_event}) + backward(cache, {1: 0.5 * g_soft})
+        joint = flat_grad(cache, {0: g_event, 1: 0.5 * g_soft})
+        apart = flat_grad(cache, {0: g_event}) + flat_grad(cache, {1: 0.5 * g_soft})
         np.testing.assert_allclose(joint, apart, rtol=1e-12, atol=1e-15)
         head1 = params.slice_of("head1.W")
         np.testing.assert_array_equal(joint[head1], apart[head1])
@@ -186,8 +187,8 @@ class TestDataLoss:
         aux_cache = forward(cfg, params, x)
         _, g_event = cross_entropy_loss(event_cache, y)
         _, g_aux = cross_entropy_loss(aux_cache, y, head=1)
-        single = backward(event_cache, {0: g_event})
-        full = single + backward(aux_cache, {1: 1.0 * g_aux})
+        single = flat_grad(event_cache, {0: g_event})
+        full = single + flat_grad(aux_cache, {1: 1.0 * g_aux})
         trunk = params.slice_of("trunk0.W")
         np.testing.assert_allclose(full[trunk], 2.0 * single[trunk], rtol=1e-12)
 
@@ -199,7 +200,7 @@ class TestBackward:
         x = np.random.default_rng(28).normal(size=(5, 5))
         cache = forward(cfg, params, x)
         _, g = cross_entropy_loss(cache, [0, 1, 2, 3, 0])
-        grad = backward(cache, {0: g})
+        grad = flat_grad(cache, {0: g})
         assert np.all(grad[params.slice_of("head1.W")] == 0.0)
         assert np.all(grad[params.slice_of("head1.b")] == 0.0)
 
@@ -210,7 +211,7 @@ class TestBackward:
         x = np.array([[0.5, -1.0, 2.0, 0.25]])
         cache = forward(cfg, params, x)
         _, g = cross_entropy_loss(cache, [2])
-        grad = backward(cache, {0: g})
+        grad = flat_grad(cache, {0: g})
         p = cache.head_prob[0][0]
         residual = p - np.array([0.0, 0.0, 1.0])
         np.testing.assert_allclose(
@@ -218,6 +219,89 @@ class TestBackward:
             np.outer(x[0], residual),
             atol=1e-15,
         )
+
+
+class TestGradientStore:
+    """``backward`` adds into a caller-owned store laid out like the params."""
+
+    def _two_passes(self):
+        cfg = small_net(heads=(4, 3), trunk=(8, 6), dropout=0.5)
+        params = init_params(cfg, seed=50)
+        rng = np.random.default_rng(51)
+        drop = np.random.default_rng(52)
+        event = forward(cfg, params, rng.normal(size=(7, 5)), mode="train", rng=drop)
+        aux = forward(cfg, params, rng.normal(size=(7, 5)), mode="train", rng=drop)
+        _, g_event = cross_entropy_loss(event, rng.integers(0, 4, size=7))
+        _, g_soft = soft_target_loss(event, rng.dirichlet(np.ones(3), size=7))
+        _, g_aux = cross_entropy_loss(aux, rng.integers(0, 3, size=7), head=1)
+        return params, (event, {0: g_event, 1: 0.25 * g_soft}), (aux, {1: 0.5 * g_aux})
+
+    def test_two_passes_into_one_store_equal_sum_of_separate_stores(self):
+        params, first, second = self._two_passes()
+        shared = params.zeros_like()
+        backward(*first, shared)
+        backward(*second, shared)
+        apart = flat_grad(*first) + flat_grad(*second)
+        assert shared.values.tobytes() == apart.tobytes()
+
+    def test_backward_adds_to_what_the_store_holds(self):
+        params, first, _ = self._two_passes()
+        grad = params.zeros_like()
+        grad.values[:] = 1.5
+        backward(*first, grad)
+        assert grad.values.tobytes() == (1.5 + flat_grad(*first)).tobytes()
+
+    def test_store_of_another_layout_rejected(self):
+        params, first, _ = self._two_passes()
+        other = init_params(small_net(heads=(4,)), seed=53).zeros_like()
+        with pytest.raises(ValueError, match="gradient store of shape"):
+            backward(*first, other)
+
+    def test_views_are_bound_once_and_follow_in_place_updates(self):
+        cfg = small_net(heads=(4, 3))
+        params = init_params(cfg, seed=54)
+        w = params.view("trunk1.W")
+        assert params.view("trunk1.W") is w
+        assert params.layers[1][0] is w and params.layers[1][1] is params.view("trunk1.b")
+        assert [pair[0].shape for pair in params.layers] == [(5, 8), (8, 6), (6, 4), (6, 3)]
+        velocity = np.zeros_like(params.values)
+        sgd_momentum_step(params, np.ones_like(params.values), velocity, 0.5, 0.0)
+        np.testing.assert_array_equal(w.ravel(), params.values[params.slice_of("trunk1.W")])
+
+
+class TestHeadSelection:
+    """``forward(..., heads=...)`` computes only the named heads."""
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_named_head_bitwise_equal_full_forward(self, mode, head):
+        cfg = small_net(heads=(4, 3), dropout=0.5)
+        params = init_params(cfg, seed=55)
+        x = np.random.default_rng(56).normal(size=(9, 5))
+        full = forward(cfg, params, x, mode, rng=np.random.default_rng(57))
+        one = forward(cfg, params, x, mode, rng=np.random.default_rng(57), heads=(head,))
+        for outputs in ("head_pre", "head_prob", "head_logprob"):
+            got, want = getattr(one, outputs), getattr(full, outputs)
+            assert got[head].tobytes() == want[head].tobytes()
+            assert got[1 - head] is None
+        assert one.head_input.tobytes() == full.head_input.tobytes()
+
+    def test_losses_and_backward_refuse_an_uncomputed_head(self):
+        cfg = small_net(heads=(4, 3))
+        params = init_params(cfg, seed=58)
+        cache = forward(cfg, params, np.zeros((2, 5)), heads=(0,))
+        with pytest.raises(ValueError, match="head 1 was not computed"):
+            cross_entropy_loss(cache, [0, 1], head=1)
+        with pytest.raises(ValueError, match="head 1 was not computed"):
+            soft_target_loss(cache, np.full((2, 3), 1 / 3))
+        with pytest.raises(ValueError, match="head 1 was not computed"):
+            backward(cache, {1: np.zeros((2, 3))}, params.zeros_like())
+
+    def test_out_of_range_head_rejected(self):
+        cfg = small_net(heads=(4,))
+        params = init_params(cfg, seed=59)
+        with pytest.raises(ValueError, match=r"heads \(1,\) out of range for 1 heads"):
+            forward(cfg, params, np.zeros((2, 5)), heads=(1,))
 
 
 class TestGradCheck:

@@ -210,9 +210,10 @@ def _hand_first_step(mode, source, train, soft, aux, tc):
     idx = batch_rng.integers(0, len(train), size=tc.batch_size)
     cache = forward(net, params, train.features[idx], mode="train", rng=drop_rng)
     _, g_event = cross_entropy_loss(cache, train.labels[idx])
+    grad = params.zeros_like()
     if mode == "knowledge":
         _, g_soft = soft_target_loss(cache, soft.values[idx], tc.soft_direction)
-        grad = backward(cache, {0: g_event, 1: tc.alpha * g_soft})
+        backward(cache, {0: g_event, 1: tc.alpha * g_soft}, grad)
     else:
         aux_rng = np.random.default_rng([tc.seed, training._STREAM_AUX_BATCH])
         aux_drop_rng = np.random.default_rng([tc.seed, training._STREAM_AUX_DROPOUT])
@@ -221,9 +222,10 @@ def _hand_first_step(mode, source, train, soft, aux, tc):
             net, params, aux.features[aux_idx], mode="train", rng=aux_drop_rng
         )
         _, g_aux = cross_entropy_loss(aux_cache, aux.labels[aux_idx], head=1)
-        grad = backward(cache, {0: g_event}) + backward(aux_cache, {1: tc.beta * g_aux})
+        backward(cache, {0: g_event}, grad)
+        backward(aux_cache, {1: tc.beta * g_aux}, grad)
     velocity = np.zeros_like(params.values)
-    sgd_momentum_step(params, grad, velocity, lr=tc.lr_at(0), momentum=DEFAULT_MOMENTUM)
+    sgd_momentum_step(params, grad.values, velocity, lr=tc.lr_at(0), momentum=DEFAULT_MOMENTUM)
     return params.values
 
 
