@@ -363,7 +363,7 @@ def cross_entropy_loss(
     """
     labels = np.asarray(labels, dtype=np.int64)
     dim = cache.config.heads[head]
-    if labels.min() < 0 or labels.max() >= dim:
+    if labels.view(np.uint64).max() >= dim:  # a negative label reads as >= 2**63
         raise ValueError(f"label out of range for head {head} with {dim} classes")
     b = cache.batch_size
     if labels.size != b:

@@ -120,6 +120,13 @@ class TestCrossEntropy:
         loss, _ = cross_entropy_loss(cache, [0])
         assert loss < 1e-12
 
+    @pytest.mark.parametrize("labels", [[0, -1], [3, 0], [np.iinfo(np.int64).min, 1]])
+    def test_label_out_of_range_rejected(self, labels):
+        cfg = small_net(heads=(3,), trunk=(), input_dim=2)
+        cache = forward(cfg, init_params(cfg, seed=16), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="label out of range for head 0 with 3 classes"):
+            cross_entropy_loss(cache, labels)
+
 
 class TestSoftTargetLoss:
     def setup_method(self):
