@@ -361,13 +361,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     scorers = {stream: _checkpoint_scorer(ckpt) for stream, (_, ckpt) in checkpoints.items()}
     ids, rows = [], []
     sizes = []  # the distinct (height, width), in first-seen order
-    fitted = set()  # channel counts both checkpoints are known to fit
     for name in names:
         image = io.read_image(os.path.join(args.image_dir, name))
-        if image.channels not in fitted:
-            for path, ckpt in checkpoints.values():
-                _check_fits_crops(path, ckpt, config.crop_side, image.channels)
-            fitted.add(image.channels)
+        for path, ckpt in checkpoints.values():
+            _check_fits_crops(path, ckpt, config.crop_side, image.channels)
         if (image.height, image.width) not in sizes:
             sizes.append((image.height, image.width))
         scores, _ = pipeline.classify_image(
