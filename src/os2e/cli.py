@@ -401,7 +401,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     conditional_path = None
     runs = []  # (mode, report.json path, eval records)
-    for root, _, files in os.walk(args.run_dir):
+    for root, dirs, files in os.walk(args.run_dir):
+        dirs.sort()  # the first conditional.json in name order, on any file system
         if "conditional.json" in files and conditional_path is None:
             conditional_path = os.path.join(root, "conditional.json")
         if "report.json" in files:

@@ -60,7 +60,7 @@ class GeneratorConfig:
             raise ValueError("blob_side must fit in image_side")
 
 
-@dataclass
+@dataclass(eq=False)
 class PlantedTruth:
     """The generator's hidden event-concept signatures and teacher weights."""
 

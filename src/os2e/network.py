@@ -9,7 +9,10 @@ and finite-difference checks all speak the same representation.
 ``ParamStore`` binds each layer's weight and bias views once, when it is
 built; ``forward`` and ``backward`` walk those bound pairs.  ``forward``
 computes every head by default, or only the heads named in ``heads``; the
-others stay ``None`` in the cache.
+others stay ``None`` in the cache.  The cache keeps only what ``backward``
+and the losses read: each trunk layer's rectified output, rectified in
+place (``backward`` masks with ``out > 0``, true exactly where the
+pre-activation is positive), and each head's softmax and log-softmax.
 
 Losses: cross-entropy on hard labels and a soft-target imitation loss in
 two directions.  Each returns its gradient with respect to one head's
@@ -72,7 +75,7 @@ class NetworkConfig:
         return dims
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamStore:
     """All learnable weights in one flat vector.
 
@@ -87,12 +90,8 @@ class ParamStore:
     values: np.ndarray
     layout: list[tuple[str, int, tuple[int, ...]]]
     rng_seed: int
-    _index: dict[str, tuple[slice, np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
-    layers: list[tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
+    _index: dict[str, tuple[slice, np.ndarray]] = field(init=False, repr=False)
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
         spans = {}
@@ -133,7 +132,7 @@ class ParamStore:
         return ParamStore(np.zeros_like(self.values), self.layout, self.rng_seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     """A network config with its trained (or initial) parameter store."""
 
@@ -158,6 +157,30 @@ def param_count(config: NetworkConfig) -> int:
     return offset + int(np.prod(shape))
 
 
+def _init_store(
+    config: NetworkConfig, seed: int, source: ParamStore | None
+) -> ParamStore:
+    """Zero biases and seeded uniform weights in +-1/sqrt(fan_in), drawn in
+    layout order; with a ``source``, its trunk layers are copied instead of
+    drawn."""
+    store = ParamStore(np.zeros(param_count(config)), build_layout(config), seed)
+    rng = np.random.default_rng([seed, _INIT_STREAM])
+    for name, fan_in, fan_out in config.layer_dims():
+        if source is not None and name.startswith("trunk"):
+            src = source.view(f"{name}.W")
+            if src.shape != (fan_in, fan_out):
+                raise ValueError(
+                    f"source {name}.W has shape {src.shape}, config wants "
+                    f"{(fan_in, fan_out)}"
+                )
+            store.view(f"{name}.W")[:] = src
+            store.view(f"{name}.b")[:] = source.view(f"{name}.b")
+        else:
+            limit = 1.0 / np.sqrt(fan_in)
+            store.view(f"{name}.W")[:] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return store
+
+
 def init_params(config: NetworkConfig, seed: int) -> ParamStore:
     """Seeded uniform init: weights in +-1/sqrt(fan_in), biases zero.
 
@@ -165,57 +188,34 @@ def init_params(config: NetworkConfig, seed: int) -> ParamStore:
     event head's initial values do not depend on whether a second head
     exists.
     """
-    layout = build_layout(config)
-    values = np.zeros(param_count(config))
-    store = ParamStore(values=values, layout=layout, rng_seed=seed)
-    rng = np.random.default_rng([seed, _INIT_STREAM])
-    for name, fan_in, fan_out in config.layer_dims():
-        limit = 1.0 / np.sqrt(fan_in)
-        store.view(f"{name}.W")[:] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-    return store
+    return _init_store(config, seed, None)
 
 
 def init_from_source(
     config: NetworkConfig, source: ParamStore, seed: int
 ) -> ParamStore:
-    """Copy trunk weights from a source store; re-init heads.
+    """Copy trunk weights from a source store; init heads.
 
-    The source must have a trunk of the same shape; its heads are ignored.
+    The heads are the first draws of the ``[seed, 0]`` stream, as no trunk
+    weight is drawn.  The source must have a trunk of the same shape; its
+    heads are ignored.
     """
-    params = init_params(config, seed)
-    rng = np.random.default_rng([seed, _INIT_STREAM])
-    for name, fan_in, fan_out in config.layer_dims():
-        if name.startswith("trunk"):
-            src = source.view(f"{name}.W")
-            if src.shape != (fan_in, fan_out):
-                raise ValueError(
-                    f"source {name}.W has shape {src.shape}, config wants "
-                    f"{(fan_in, fan_out)}"
-                )
-            params.view(f"{name}.W")[:] = src
-            params.view(f"{name}.b")[:] = source.view(f"{name}.b")
-        else:
-            limit = 1.0 / np.sqrt(fan_in)
-            params.view(f"{name}.W")[:] = rng.uniform(
-                -limit, limit, size=(fan_in, fan_out)
-            )
-            params.view(f"{name}.b")[:] = 0.0
-    return params
+    return _init_store(config, seed, source)
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardCache:
-    """Everything backward needs: the net and params it ran with, activations,
-    masks, and head outputs (``None`` for a head the forward did not compute)."""
+    """What backward and the losses read: the net and params it ran with, the
+    input, each trunk layer's rectified output (positive exactly where its
+    pre-activation is), the dropout mask, the heads' input, and each head's
+    softmax and log-softmax (``None`` for a head the forward did not compute)."""
 
     config: NetworkConfig
     params: ParamStore
     x: np.ndarray
-    trunk_pre: list[np.ndarray]
     trunk_out: list[np.ndarray]
     dropout_mask: np.ndarray | None
     head_input: np.ndarray
-    head_pre: list[np.ndarray | None]
     head_prob: list[np.ndarray | None]
     head_logprob: list[np.ndarray | None]
 
@@ -265,12 +265,11 @@ def forward(
 
     n_trunk = len(config.trunk)
     h = x
-    trunk_pre, trunk_out = [], []
+    trunk_out = []
     for w, b in params.layers[:n_trunk]:
-        pre = h @ w
-        pre += b
-        h = np.maximum(pre, 0.0)
-        trunk_pre.append(pre)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         trunk_out.append(h)
 
     dropout_mask = None
@@ -281,7 +280,6 @@ def forward(
         dropout_mask = (rng.random(h.shape) >= config.dropout_rate) / keep
         h = h * dropout_mask
 
-    head_pre = [None] * n_heads
     head_prob = [None] * n_heads
     head_logprob = [None] * n_heads
     for hd in heads:
@@ -290,18 +288,15 @@ def forward(
         w, b = params.layers[n_trunk + hd]
         z = h @ w
         z += b
-        head_pre[hd] = z
         head_prob[hd], head_logprob[hd] = _softmax_with_log(z)
 
     return ForwardCache(
         config=config,
         params=params,
         x=x,
-        trunk_pre=trunk_pre,
         trunk_out=trunk_out,
         dropout_mask=dropout_mask,
         head_input=h,
-        head_pre=head_pre,
         head_prob=head_prob,
         head_logprob=head_logprob,
     )
@@ -326,7 +321,7 @@ def backward(
     d_h = None
     for hd, g in head_grads.items():
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != _computed(cache.head_pre, hd).shape:
+        if g.shape != _computed(cache.head_prob, hd).shape:
             raise ValueError(f"head {hd} gradient shape mismatch")
         g_w, g_b = grad.layers[n_trunk + hd]
         g_w += cache.head_input.T @ g
@@ -344,7 +339,7 @@ def backward(
         d_h *= cache.dropout_mask
 
     for i in reversed(range(n_trunk)):
-        d_h *= cache.trunk_pre[i] > 0.0  # now the pre-activation gradient
+        d_h *= cache.trunk_out[i] > 0.0  # now the pre-activation gradient
         layer_in = cache.trunk_out[i - 1] if i > 0 else cache.x
         g_w, g_b = grad.layers[i]
         g_w += layer_in.T @ d_h

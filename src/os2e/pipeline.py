@@ -3,7 +3,7 @@
 An image is resized under two aspect-ratio modes (smaller-side-preserving and
 square) at several scales, densely cropped on a grid, and the crops are scored
 by per-stream scorer callables (object stream and scene stream).  Scores are
-fused twice: a weighted average across streams per region, then a plain mean
+fused twice: the two streams with equal weights per region, then a plain mean
 across regions.  With the default config this produces 2 x 3 x 9 = 54 regions
 per image.
 
@@ -36,7 +36,7 @@ RATIO_MODES = (RATIO_ASPECT, RATIO_SQUARE)
 DEFAULT_MEAN_PIXEL = 0.5
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageBuffer:
     """Row-major float image with pixels in [0, 1], 1 or 3 channels."""
 
@@ -241,39 +241,21 @@ def score_regions(
     return np.concatenate(scores["object"]), np.concatenate(scores["scene"])
 
 
-def fuse_regions(
-    object_scores, scene_scores, alpha_o: float = 0.5, alpha_s: float = 0.5
-) -> np.ndarray:
-    """Per-region fused scores: weighted sum of the (R, M) stream score arrays."""
-    if alpha_o < 0 or alpha_s < 0:
-        raise ValueError("fusion weights must be >= 0")
-    object_scores = np.asarray(object_scores, dtype=np.float64)
-    scene_scores = np.asarray(scene_scores, dtype=np.float64)
-    if object_scores.shape != scene_scores.shape:
-        raise ValueError("stream score shapes differ")
-    if object_scores.ndim != 2 or object_scores.shape[0] < 1:
-        raise ValueError(
-            f"no regions to fuse in (R, M) scores of shape {object_scores.shape}"
-        )
-    return alpha_o * object_scores + alpha_s * scene_scores
-
-
 def classify_image(
     image: ImageBuffer,
     config: CropConfig,
     scorers: dict[str, object],
-    alpha_o: float = 0.5,
-    alpha_s: float = 0.5,
     mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline: crop, score, fuse; returns ``(image_scores, fused)``.
 
     ``fused`` holds the (R, M) fused region scores in ``generate_regions``
-    order and ``image_scores`` is their mean, which keeps scores normalized
-    and ranks classes identically to the sum.
+    order, the two streams weighted equally, and ``image_scores`` is their
+    mean, which keeps scores normalized and ranks classes identically to
+    the sum.
     """
     object_scores, scene_scores = score_regions(
         image, config, scorers, mean_pixel=mean_pixel
     )
-    fused = fuse_regions(object_scores, scene_scores, alpha_o, alpha_s)
+    fused = 0.5 * object_scores + 0.5 * scene_scores
     return fused.mean(axis=0), fused

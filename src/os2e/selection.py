@@ -35,12 +35,12 @@ EXHAUSTIVE_MAX_CLASSES = 20
 EXHAUSTIVE_MAX_SUBSETS = 200_000
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionProblem:
     """A posterior table plus the selection knobs (weight, K).
 
     ``phi``, the unary cost of each concept class, is the conditional entropy
-    of its posterior row, derived once at construction.
+    of its posterior row, derived for the whole table once, at construction.
     """
 
     posterior: PosteriorTable
@@ -54,9 +54,7 @@ class SelectionProblem:
             raise ValueError(f"k must be in [1, {c}], got {self.k}")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
-        self.phi = np.array(
-            [conditional_entropy(self.posterior.post[i]) for i in range(c)]
-        )
+        self.phi = conditional_entropy(self.posterior.post)
 
     @classmethod
     def from_posterior(
@@ -69,7 +67,7 @@ class SelectionProblem:
         return self.posterior.num_classes
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionResult:
     """Selected class indices in pick order, per-step costs, and total energy."""
 

@@ -41,7 +41,7 @@ def _check_simplex_rows(rows: np.ndarray, tol: float, what: str) -> None:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ResponseMatrix:
     """Per-image concept-response distributions, one simplex row per image.
 
@@ -79,7 +79,7 @@ def default_class_ids(num_classes: int) -> list[str]:
     return [f"class_{j}" for j in range(num_classes)]
 
 
-@dataclass
+@dataclass(eq=False)
 class EventLabels:
     """Event index per image; indices live in [0, num_events)."""
 
@@ -104,7 +104,7 @@ class EventLabels:
         return np.bincount(self.labels, minlength=self.num_events)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConditionalTable:
     """p(concept|event) columns plus the event prior p(e) and counts.
 
@@ -147,7 +147,7 @@ class ConditionalTable:
         return self.cond.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class PosteriorTable:
     """p(event|concept) rows with the concept marginal and a zero-marginal mask.
 
@@ -243,17 +243,21 @@ def bayes_posterior(table: ConditionalTable) -> PosteriorTable:
     )
 
 
-def conditional_entropy(posterior_row) -> float:
-    """Entropy in bits of an event distribution, with 0*log2(0) taken as 0.
+def conditional_entropy(posterior) -> float | np.ndarray:
+    """Entropy in bits of event distributions along the last axis, with
+    0*log2(0) taken as 0: a float for one row, the C row entropies of a
+    (C, M) table.
 
     Low entropy means the concept fires for few events, i.e. it is
     discriminative.
     """
-    p = np.asarray(posterior_row, dtype=np.float64)
+    p = np.asarray(posterior, dtype=np.float64)
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("invalid distribution")
-    if abs(p.sum() - 1.0) > INGEST_TOL:
-        raise ValueError(f"invalid distribution: sums to {p.sum()!r}")
-    nz = p > 0
-    h = -float(np.sum(p[nz] * np.log2(p[nz])))
-    return h if h > 0.0 else 0.0
+    sums = p.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > INGEST_TOL)
+    if bad.size:
+        raise ValueError(f"invalid distribution: sums to {sums.flat[bad[0]]!r}")
+    h = -np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0), axis=-1)
+    h = np.where(h > 0.0, h, 0.0)
+    return float(h) if p.ndim == 1 else h

@@ -69,7 +69,7 @@ _STREAM_DROPOUT = 3
 _STREAM_AUX_DROPOUT = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Integer-labelled samples in one float64 array, a row per label:
     feature vectors (N, D) or images (N, H, W, C)."""
@@ -92,7 +92,7 @@ class Dataset:
         return self.labels.size
 
 
-@dataclass
+@dataclass(eq=False)
 class SoftTargets:
     """Per-sample teacher distributions over the selected concept classes."""
 
@@ -104,8 +104,9 @@ class SoftTargets:
         if self.values.ndim != 2:
             raise ValueError("soft targets must be a 2-D matrix")
         sums = self.values.sum(axis=1)
-        if np.any(self.values < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("soft target rows must be on the simplex")
+        # a NaN or +inf entry makes its row sum fail the comparison
+        if np.any(self.values < 0) or not np.all(np.abs(sums - 1.0) <= 1e-6):
+            raise ValueError("soft target rows must be finite and on the simplex")
 
 
 @dataclass
@@ -170,7 +171,7 @@ class TrainReport:
         return self.records[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalResult:
     accuracy: float
     average_precision: np.ndarray

@@ -220,6 +220,16 @@ def reference_training(net, params, train, config, soft=None, aux=None):
     return params.values
 
 
+def _trunk_pre(cfg, params, x):
+    """Each trunk layer's pre-activation on ``x`` (the forward cache keeps
+    only the rectified outputs)."""
+    pre, h = [], x
+    for i in range(len(cfg.trunk)):
+        pre.append(h @ params.view(f"trunk{i}.W") + params.view(f"trunk{i}.b"))
+        h = np.maximum(pre[-1], 0.0)
+    return pre
+
+
 def draw_grad_check_case(rng, batch=5, margin=RELU_KINK_MARGIN, max_tries=60):
     """Random two-head net + batch at a differentiable point.
 
@@ -238,8 +248,7 @@ def draw_grad_check_case(rng, batch=5, margin=RELU_KINK_MARGIN, max_tries=60):
         )
         params = init_params(cfg, seed=int(rng.integers(0, 10_000)))
         x = rng.normal(size=(batch, cfg.input_dim))
-        cache = forward(cfg, params, x, mode="eval")
-        if all(np.abs(pre).min() > margin for pre in cache.trunk_pre):
+        if all(np.abs(pre).min() > margin for pre in _trunk_pre(cfg, params, x)):
             y = rng.integers(0, cfg.heads[0], size=batch)
             f = rng.dirichlet(np.ones(cfg.heads[1]), size=batch)
             return cfg, params, x, y, f
@@ -250,8 +259,7 @@ def draw_aux_batch(cfg, params, rng, batch=5, margin=RELU_KINK_MARGIN, max_tries
     """Second-batch draw for the shared-trunk loss, same kink-margin rule."""
     for _ in range(max_tries):
         xa = rng.normal(size=(batch, cfg.input_dim))
-        cache = forward(cfg, params, xa, mode="eval")
-        if all(np.abs(pre).min() > margin for pre in cache.trunk_pre):
+        if all(np.abs(pre).min() > margin for pre in _trunk_pre(cfg, params, xa)):
             ya = rng.integers(0, cfg.heads[1], size=batch)
             return xa, ya
     raise RuntimeError("could not draw an aux batch clear of rectifier kinks")

@@ -712,3 +712,19 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, bad_input):
     assert run([*args, "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_reads_first_conditional_table_in_name_order(tmp_path):
+    # two stats dirs whose tables differ: the one named first is read,
+    # whatever order the file system lists them in
+    with open(fixture_path("three_class_conditional.json")) as fh:
+        three = json.load(fh)
+    two = dict(three, num_classes=2, cond=[1.0, 0.0, 0.0, 1.0], class_ids=["c0", "c1"])
+    for name, table in (("beta", two), ("alpha", three)):
+        stats_dir = tmp_path / "runs" / name
+        stats_dir.mkdir(parents=True)
+        (stats_dir / "conditional.json").write_text(json.dumps(table))
+    out = tmp_path / "report"
+    assert run(["report", "--run-dir", str(tmp_path / "runs"), "--out", str(out)]) == 0
+    rows = (out / "marginals.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == three["class_ids"]

@@ -526,6 +526,18 @@ class TestSoftTargetsJson:
             io.read_soft_targets_json(str(path))
         assert str(info.value).startswith(f"{path}: ")
 
+    def test_nan_row_names_file(self, tmp_path):
+        path = tmp_path / "soft.json"
+        io.write_soft_targets_json(str(path), _soft_targets())
+        payload = json.loads(path.read_text())
+        width = payload["num_concepts"]
+        payload["values"][:width] = [float("nan")] * width  # row 0 all NaN
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+        with pytest.raises(io.ParseError, match="finite and on the simplex") as info:
+            io.read_soft_targets_json(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
 
 def _npy_bytes(array, allow_pickle=False):
     buf = BytesIO()

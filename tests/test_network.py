@@ -287,7 +287,7 @@ class TestHeadSelection:
         x = np.random.default_rng(56).normal(size=(9, 5))
         full = forward(cfg, params, x, mode, rng=np.random.default_rng(57))
         one = forward(cfg, params, x, mode, rng=np.random.default_rng(57), heads=(head,))
-        for outputs in ("head_pre", "head_prob", "head_logprob"):
+        for outputs in ("head_prob", "head_logprob"):
             got, want = getattr(one, outputs), getattr(full, outputs)
             assert got[head].tobytes() == want[head].tobytes()
             assert got[1 - head] is None

@@ -10,7 +10,6 @@ from os2e.pipeline import (
     RATIO_SQUARE,
     _resize,
     classify_image,
-    fuse_regions,
     generate_regions,
     grid_offsets,
     resized_dims,
@@ -405,41 +404,54 @@ class TestScoreRegions:
             np.testing.assert_allclose(crops, 0.0, atol=1e-12)
 
 
+def dirichlet_scorer(seed, num_classes=3):
+    """Random probability rows, one per crop, from a seeded stream."""
+    rng = np.random.default_rng(seed)
+    return lambda crops: rng.dirichlet(np.ones(num_classes), size=len(crops))
+
+
 class TestFusion:
-    @staticmethod
-    def rows(*vectors):
-        return np.array(vectors, dtype=np.float64)
+    """``classify_image`` weights the two streams equally per region."""
 
     def test_equal_streams_identity(self):
-        fused = fuse_regions(self.rows([0.3, 0.7]), self.rows([0.3, 0.7]))
-        np.testing.assert_allclose(fused, [[0.3, 0.7]], atol=1e-15)
-
-    def test_single_stream(self):
-        fused = fuse_regions(
-            self.rows([0.9, 0.1]), self.rows([0.2, 0.8]), alpha_o=0.6, alpha_s=0.0
+        img = image_of(np.random.default_rng(5).random((32, 32)))
+        v = [0.3, 0.7]
+        _, fused = classify_image(
+            img, DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
         )
-        np.testing.assert_allclose(fused, [[0.54, 0.06]])
+        np.testing.assert_allclose(fused, np.tile(v, (54, 1)), atol=1e-15)
 
     def test_symmetric_mix(self):
-        fused = fuse_regions(self.rows([1.0, 0.0]), self.rows([0.0, 1.0]))
-        np.testing.assert_array_equal(fused, [[0.5, 0.5]])
+        img = image_of(np.random.default_rng(6).random((32, 32)))
+        scorers = {"object": constant_scorer([1.0, 0.0]), "scene": constant_scorer([0.0, 1.0])}
+        scores, fused = classify_image(img, DESK, scorers)
+        np.testing.assert_array_equal(fused, np.full((54, 2), 0.5))
+        np.testing.assert_array_equal(scores, [0.5, 0.5])
 
     def test_fuse_regions_identity(self):
-        scores = np.tile([0.2, 0.8], (5, 1))
-        fused = fuse_regions(scores, scores)
-        np.testing.assert_allclose(fused.mean(axis=0), [0.2, 0.8], atol=1e-15)
+        # one scorer on both streams leaves every region's scores as they are
+        img = image_of(np.random.default_rng(7).random((40, 56)))
+        scorers = {"object": brightness_scorer, "scene": brightness_scorer}
+        object_scores, _ = score_regions(img, DESK, scorers)
+        _, fused = classify_image(img, DESK, scorers)
+        assert fused.tobytes() == object_scores.tobytes()
 
     def test_fuse_regions_symmetric(self):
-        scores = self.rows([1.0, 0.0], [0.0, 1.0])
-        np.testing.assert_array_equal(fuse_regions(scores, scores).mean(axis=0), [0.5, 0.5])
+        img = image_of(np.random.default_rng(8).random((40, 56)))
+        _, a = classify_image(
+            img, DESK, {"object": brightness_scorer, "scene": dirichlet_scorer(1, 2)}
+        )
+        _, b = classify_image(
+            img, DESK, {"object": dirichlet_scorer(1, 2), "scene": brightness_scorer}
+        )
+        assert a.tobytes() == b.tobytes()
 
     def test_fuse_regions_order_invariant(self):
-        rng = np.random.default_rng(8)
-        s_o = rng.dirichlet(np.ones(3), size=10)
-        s_s = rng.dirichlet(np.ones(3), size=10)
-        a = fuse_regions(s_o, s_s).mean(axis=0)
-        b = fuse_regions(s_o[::-1], s_s[::-1]).mean(axis=0)
-        np.testing.assert_allclose(a, b, atol=1e-15)
+        img = image_of(np.random.default_rng(9).random((32, 48)))
+        scores, fused = classify_image(
+            img, DESK, {"object": dirichlet_scorer(2), "scene": dirichlet_scorer(3)}
+        )
+        np.testing.assert_allclose(scores, fused[::-1].mean(axis=0), atol=1e-15)
 
     def test_mean_vs_sum_same_argmax(self):
         rng = np.random.default_rng(9)
@@ -448,24 +460,18 @@ class TestFusion:
             assert scores.mean(axis=0).argmax() == scores.sum(axis=0).argmax()
 
     def test_simplex_preserved_when_weights_sum_to_one(self):
-        rng = np.random.default_rng(10)
-        s_o = rng.dirichlet(np.ones(4), size=8)
-        s_s = rng.dirichlet(np.ones(4), size=8)
-        fused = fuse_regions(s_o, s_s, alpha_o=0.3, alpha_s=0.7)
+        img = image_of(np.random.default_rng(10).random((32, 32, 3)))
+        scores, fused = classify_image(
+            img, DESK, {"object": dirichlet_scorer(4, 4), "scene": dirichlet_scorer(5, 4)}
+        )
         assert np.all(np.abs(fused.sum(axis=1) - 1.0) <= 1e-9)
-        assert abs(fused.mean(axis=0).sum() - 1.0) <= 1e-9
+        assert abs(scores.sum() - 1.0) <= 1e-9
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no regions"):
-            fuse_regions(np.zeros((0, 2)), np.zeros((0, 2)))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            fuse_regions(self.rows([1.0, 0.0]), self.rows([1.0, 0.0]), alpha_o=-0.1)
-
-    def test_stream_shapes_differ_rejected(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            fuse_regions(self.rows([1.0, 0.0]), self.rows([1.0, 0.0], [0.0, 1.0]))
+        # no config yields zero regions to fuse
+        for bad in (dict(scale_factors=()), dict(ratio_modes=()), dict(grid=0)):
+            with pytest.raises(ValueError, match="at least one|grid must be >= 1"):
+                CropConfig(base_side=32, crop_side=16, **bad)
 
     def test_classify_image_fills_fused(self):
         img = image_of(np.random.default_rng(11).random((32, 48)))
@@ -494,8 +500,7 @@ class TestFusion:
     def test_classify_image_is_mean_of_fused_regions(self):
         img = image_of(np.random.default_rng(17).random((40, 56)))
         scorers = {"object": brightness_scorer, "scene": constant_scorer([0.1, 0.9])}
-        scores, fused = classify_image(img, DESK, scorers, alpha_o=0.3, alpha_s=0.7)
-        np.testing.assert_array_equal(
-            fused, fuse_regions(*score_regions(img, DESK, scorers), 0.3, 0.7)
-        )
-        np.testing.assert_array_equal(scores, fused.mean(axis=0))
+        scores, fused = classify_image(img, DESK, scorers)
+        object_scores, scene_scores = score_regions(img, DESK, scorers)
+        assert fused.tobytes() == (0.5 * object_scores + 0.5 * scene_scores).tobytes()
+        assert scores.tobytes() == fused.mean(axis=0).tobytes()

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from os2e.stats import PosteriorTable
+from os2e.datagen import GeneratorConfig, gen_response_data, preset_responses
+from os2e.stats import PosteriorTable, bayes_posterior, conditional_entropy, estimate_conditional
 from os2e.selection import (
     DEFAULT_LAMBDA,
     SelectionProblem,
@@ -296,3 +297,59 @@ class TestExhaustiveSelect:
                 indicator[pick] = 1
                 randoms.append(energy(problem, indicator))
             assert greedy_energy <= np.mean(randoms) + 1e-9
+
+
+class TestPhiPinnedToRowLoop:
+    """``phi`` comes from one ``conditional_entropy`` call on the whole table;
+    on strictly positive tables it equals a per-row loop byte for byte."""
+
+    @staticmethod
+    def row_loop(post):
+        """The reference: one row at a time, zero entries skipped, the rest
+        summed, the result clamped at 0."""
+        phi = []
+        for row in post:
+            p = row[row > 0]
+            h = -float(np.sum(p * np.log2(p)))
+            phi.append(h if h > 0.0 else 0.0)
+        return np.array(phi)
+
+    @staticmethod
+    def posteriors(config):
+        objects, scenes, labels, _ = gen_response_data(config)
+        for responses in (objects, scenes):
+            yield bayes_posterior(estimate_conditional(responses, labels))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_preset_responses_bitwise(self, seed):
+        for posterior in self.posteriors(preset_responses(seed)):
+            assert np.all(posterior.post > 0)
+            phi = SelectionProblem.from_posterior(posterior, k=1).phi
+            assert phi.tobytes() == self.row_loop(posterior.post).tobytes()
+
+    def test_concepts_sized_table_bitwise(self):
+        # 1000 object and 365 scene classes over 50 events, as in the
+        # concepts benchmark
+        config = GeneratorConfig(
+            num_events=50, num_objects=1000, num_scenes=365, signature_sparsity=4,
+            concentration=8.0, noise_sigma=0.5, n_train=500, n_test=1, seed=3,
+        )
+        for posterior, classes in zip(self.posteriors(config), (1000, 365)):
+            assert posterior.post.shape == (classes, 50) and np.all(posterior.post > 0)
+            phi = SelectionProblem.from_posterior(posterior, k=1).phi
+            assert phi.tobytes() == self.row_loop(posterior.post).tobytes()
+
+    def test_rows_with_zeros_within_summation_bound(self):
+        # the table form sums a 0 term where the loop skips a zero entry, so
+        # numpy's pairwise summation may group the terms differently: the two
+        # agree to the summation error bound M * eps * sum |p log2 p|
+        rng = np.random.default_rng(12)
+        post = rng.dirichlet(np.ones(50), size=200)
+        post[rng.random(post.shape) < 0.3] = 0.0
+        post[:, 0] += 0.01
+        post /= post.sum(axis=1, keepdims=True)
+        phi = conditional_entropy(post)
+        loop = self.row_loop(post)
+        assert phi.tobytes() == np.array([conditional_entropy(r) for r in post]).tobytes()
+        bound = post.shape[1] * np.finfo(np.float64).eps * loop
+        assert np.all(np.abs(phi - loop) <= bound)

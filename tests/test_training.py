@@ -328,8 +328,12 @@ class TestReferenceLoop:
 
 class TestSoftTargets:
     def test_off_simplex_rows_rejected(self):
-        # checked once here, so the per-batch imitation loss need not
-        for rows in ([[0.5, 0.5], [0.9, 0.3]], [[1.2, -0.2]]):
+        # checked once here, so the per-batch imitation loss need not; the
+        # sum of a row holding NaN compares false against any tolerance
+        for rows in (
+            [[0.5, 0.5], [0.9, 0.3]], [[1.2, -0.2]], [[0.5, 0.5], [np.nan, np.nan]],
+            [[np.nan, 1.0]], [[np.inf, 0.0]], [[1.0, -np.inf]],
+        ):
             with pytest.raises(ValueError, match="on the simplex"):
                 SoftTargets(values=np.array(rows))
 
@@ -431,3 +435,50 @@ class TestProbeFeatures:
         norms = np.linalg.norm(probe_features(raw), axis=1)
         assert norms[3] == 0.0
         np.testing.assert_allclose(np.delete(norms, 3), 1.0, atol=1e-12)
+
+
+def _array_holders():
+    """One builder per dataclass that holds an array, each call a fresh object."""
+    from os2e import datagen, network, pipeline, selection, stats
+
+    config = preset_vector_benchmark(0)
+    net = network.NetworkConfig(input_dim=3, trunk=(2,), heads=(2,), dropout_rate=0.0)
+
+    def responses():
+        return stats.ResponseMatrix(np.full((2, 2), 0.5), ["a", "b"])
+
+    def labels():
+        return stats.EventLabels([0, 1], 2)
+
+    def posterior():
+        return stats.bayes_posterior(stats.estimate_conditional(responses(), labels()))
+
+    def problem():
+        return selection.SelectionProblem.from_posterior(posterior(), k=1)
+
+    return {
+        "ParamStore": lambda: network.init_params(net, 0),
+        "Checkpoint": lambda: network.Checkpoint(net, network.init_params(net, 0)),
+        "ForwardCache": lambda: forward(net, network.init_params(net, 0), np.ones((2, 3))),
+        "Dataset": lambda: Dataset(np.zeros((2, 3)), [0, 1], 2),
+        "SoftTargets": lambda: SoftTargets(np.full((2, 2), 0.5)),
+        "EvalResult": lambda: evaluate(np.eye(2), [0, 1]),
+        "ImageBuffer": lambda: pipeline.ImageBuffer(np.zeros((2, 2))),
+        "ResponseMatrix": responses,
+        "EventLabels": labels,
+        "ConditionalTable": lambda: stats.estimate_conditional(responses(), labels()),
+        "PosteriorTable": posterior,
+        "SelectionProblem": problem,
+        "SelectionResult": lambda: selection.greedy_select(problem()),
+        "PlantedTruth": lambda: datagen.make_truth(config),
+    }
+
+
+@pytest.mark.parametrize("name", list(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    # a generated field-wise __eq__ would raise "truth value of an array ...
+    # is ambiguous" on the array fields
+    build = _array_holders()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == a and a != b
