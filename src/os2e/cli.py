@@ -332,25 +332,11 @@ def _checkpoint_scorer(ckpt: Checkpoint):
     return scorer
 
 
+_CROP_DEFAULTS = dataclasses.asdict(pipeline.CropConfig())
+
+
 def _cmd_infer(args: argparse.Namespace) -> int:
-    crop = {}
-    if args.crop_config:
-        defaults = dataclasses.asdict(pipeline.CropConfig())
-        crop = _read_settings(args.crop_config, defaults)
-    if args.base_side is not None:
-        crop["base_side"] = args.base_side
-    if args.crop_side is not None:
-        crop["crop_side"] = args.crop_side
-    if args.scales is not None:
-        crop["scale_factors"] = [float(s) for s in args.scales.split(",")]
-    if args.ratio_modes is not None:
-        crop["ratio_modes"] = args.ratio_modes.split(",")
-    if args.grid is not None:
-        crop["grid"] = args.grid
-    for key in ("scale_factors", "ratio_modes"):
-        if key in crop:
-            crop[key] = tuple(crop[key])
-    config = dataclasses.replace(pipeline.CropConfig(), **crop)
+    config = pipeline.CropConfig(**_layer_config(args, _CROP_DEFAULTS))
     names = sorted(f for f in os.listdir(args.image_dir) if f.endswith(".npy"))
     if not names:
         raise ValueError(f"{args.image_dir}: no .npy images found")
@@ -450,6 +436,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _comma_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="os2e",
@@ -507,11 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-o", required=True)
     p.add_argument("--checkpoint-s", required=True)
     p.add_argument("--image-dir", required=True)
-    p.add_argument("--crop-config", help="JSON file of CropConfig fields")
+    p.add_argument("--crop-config", dest="config", help="JSON file of CropConfig fields")
     p.add_argument("--base-side", type=int)
     p.add_argument("--crop-side", type=int)
-    p.add_argument("--scales")
-    p.add_argument("--ratio-modes")
+    p.add_argument("--scales", dest="scale_factors", type=_comma_floats)
+    p.add_argument("--ratio-modes", type=lambda text: text.split(","))
     p.add_argument("--grid", type=int)
     p.add_argument("--mean-pixel", type=float, default=pipeline.DEFAULT_MEAN_PIXEL)
     p.add_argument("--out", required=True)

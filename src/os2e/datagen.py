@@ -118,21 +118,48 @@ def _balanced_labels(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return labels
 
 
-def _response_rows(
-    rng: np.random.Generator,
-    labels: np.ndarray,
-    num_classes: int,
-    signatures: list[list[int]],
-    concentration: float,
-    noise_sigma: float,
+def _split_labels(
+    rng: np.random.Generator, config: GeneratorConfig, sizes: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    n = labels.size
-    weights = np.ones((n, num_classes))
+    """Event-balanced labels for each split in turn: by default the train
+    split's ``n_train``, then the test split's ``n_test``."""
+    if sizes is None:
+        sizes = (config.n_train, config.n_test)
+    return np.concatenate([_balanced_labels(rng, n, config.num_events) for n in sizes])
+
+
+def _split(
+    features: np.ndarray, labels: np.ndarray, config: GeneratorConfig
+) -> tuple[Dataset, Dataset]:
+    """The first ``n_train`` rows as the train split, the rest as the test split."""
+    n = config.n_train
+    return (
+        Dataset(features=features[:n], labels=labels[:n], num_classes=config.num_events),
+        Dataset(features=features[n:], labels=labels[n:], num_classes=config.num_events),
+    )
+
+
+def _responses(
+    config: GeneratorConfig,
+    labels: np.ndarray,
+    stream: int,
+    signatures: list[list[int]],
+    num_classes: int,
+    kind: str,
+) -> ResponseMatrix:
+    """One stream's response rows: signature-peaked weights plus half-normal
+    noise from the ``stream`` rng, normalized to the simplex."""
+    weights = np.ones((labels.size, num_classes))
     for e, sig in enumerate(signatures):
         rows = labels == e
-        weights[np.ix_(rows, sig)] += concentration / len(sig)
-    weights += noise_sigma * np.abs(rng.normal(size=(n, num_classes)))
-    return weights / weights.sum(axis=1, keepdims=True)
+        weights[np.ix_(rows, sig)] += config.concentration / len(sig)
+    rng = np.random.default_rng([config.seed, stream])
+    weights += config.noise_sigma * np.abs(rng.normal(size=weights.shape))
+    return ResponseMatrix(
+        values=weights / weights.sum(axis=1, keepdims=True),
+        class_ids=default_class_ids(num_classes),
+        kind=kind,
+    )
 
 
 def gen_response_data(
@@ -144,34 +171,14 @@ def gen_response_data(
     is event-balanced.
     """
     truth = make_truth(config)
-    label_rng = np.random.default_rng([config.seed, _STREAM_LABELS])
-    labels = np.concatenate(
-        [
-            _balanced_labels(label_rng, config.n_train, config.num_events),
-            _balanced_labels(label_rng, config.n_test, config.num_events),
-        ]
+    labels = _split_labels(np.random.default_rng([config.seed, _STREAM_LABELS]), config)
+    objects = _responses(
+        config, labels, _STREAM_OBJECT_ROWS, truth.object_signatures,
+        config.num_objects, "object",
     )
-    obj_rows = _response_rows(
-        np.random.default_rng([config.seed, _STREAM_OBJECT_ROWS]),
-        labels,
-        config.num_objects,
-        truth.object_signatures,
-        config.concentration,
-        config.noise_sigma,
-    )
-    scene_rows = _response_rows(
-        np.random.default_rng([config.seed, _STREAM_SCENE_ROWS]),
-        labels,
-        config.num_scenes,
-        truth.scene_signatures,
-        config.concentration,
-        config.noise_sigma,
-    )
-    objects = ResponseMatrix(
-        values=obj_rows, class_ids=default_class_ids(config.num_objects), kind="object"
-    )
-    scenes = ResponseMatrix(
-        values=scene_rows, class_ids=default_class_ids(config.num_scenes), kind="scene"
+    scenes = _responses(
+        config, labels, _STREAM_SCENE_ROWS, truth.scene_signatures,
+        config.num_scenes, "scene",
     )
     return objects, scenes, EventLabels(labels, config.num_events), truth
 
@@ -225,26 +232,11 @@ def gen_vector_dataset(
         raise ValueError("feature_dim must be >= num_objects")
     rng = np.random.default_rng([config.seed, _STREAM_FEATURES])
     protos = _event_prototypes(config, truth)
-    n = config.n_train + config.n_test
-    labels = np.concatenate(
-        [
-            _balanced_labels(rng, config.n_train, config.num_events),
-            _balanced_labels(rng, config.n_test, config.num_events),
-        ]
-    )
+    labels = _split_labels(rng, config)
     features = protos[labels] + config.noise_sigma * rng.normal(
-        size=(n, config.feature_dim)
+        size=(labels.size, config.feature_dim)
     )
-    train = Dataset(
-        features=features[: config.n_train],
-        labels=labels[: config.n_train],
-        num_classes=config.num_events,
-    )
-    test = Dataset(
-        features=features[config.n_train :],
-        labels=labels[config.n_train :],
-        num_classes=config.num_events,
-    )
+    train, test = _split(features, labels, config)
     soft = teacher_soft_targets(config, truth, train.features)
     return train, test, soft
 
@@ -266,7 +258,7 @@ def gen_aux_dataset(
         raise ValueError("empty aux dataset: no concepts to label")
     rng = np.random.default_rng([config.seed, _STREAM_AUX])
     protos = _event_prototypes(config, truth)
-    events = _balanced_labels(rng, config.n_aux, config.num_events)
+    events = _split_labels(rng, config, (config.n_aux,))
     features = protos[events] + config.noise_sigma * rng.normal(
         size=(config.n_aux, config.feature_dim)
     )
@@ -301,32 +293,16 @@ def gen_image_dataset(
     rng = np.random.default_rng([config.seed, _STREAM_IMAGES])
     levels = blob_levels(config.num_events)
     bg = min(config.noise_sigma, 0.3)
-    n = config.n_train + config.n_test
-    labels = np.concatenate(
-        [
-            _balanced_labels(rng, config.n_train, config.num_events),
-            _balanced_labels(rng, config.n_test, config.num_events),
-        ]
-    )
+    labels = _split_labels(rng, config)
     side, blob = config.image_side, config.blob_side
-    images = np.zeros((n, side, side, 1))
+    images = np.zeros((labels.size, side, side, 1))
     for px, label in zip(images, labels):
         if bg > 0:
             px[...] = rng.uniform(0.0, bg, size=(side, side, 1))
         top = int(rng.integers(0, side - blob + 1))
         left = int(rng.integers(0, side - blob + 1))
         px[top : top + blob, left : left + blob] = levels[label]
-    train = Dataset(
-        features=images[: config.n_train],
-        labels=labels[: config.n_train],
-        num_classes=config.num_events,
-    )
-    test = Dataset(
-        features=images[config.n_train :],
-        labels=labels[config.n_train :],
-        num_classes=config.num_events,
-    )
-    return train, test
+    return _split(images, labels, config)
 
 
 def make_source_checkpoint(

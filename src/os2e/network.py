@@ -157,50 +157,33 @@ def param_count(config: NetworkConfig) -> int:
     return offset + int(np.prod(shape))
 
 
-def _init_store(
-    config: NetworkConfig, seed: int, source: ParamStore | None
+def init_params(
+    config: NetworkConfig, seed: int, source: ParamStore | None = None
 ) -> ParamStore:
-    """Zero biases and seeded uniform weights in +-1/sqrt(fan_in), drawn in
-    layout order; with a ``source``, its trunk layers are copied instead of
-    drawn."""
-    store = ParamStore(np.zeros(param_count(config)), build_layout(config), seed)
-    rng = np.random.default_rng([seed, _INIT_STREAM])
-    for name, fan_in, fan_out in config.layer_dims():
-        if source is not None and name.startswith("trunk"):
-            src = source.view(f"{name}.W")
-            if src.shape != (fan_in, fan_out):
-                raise ValueError(
-                    f"source {name}.W has shape {src.shape}, config wants "
-                    f"{(fan_in, fan_out)}"
-                )
-            store.view(f"{name}.W")[:] = src
-            store.view(f"{name}.b")[:] = source.view(f"{name}.b")
-        else:
-            limit = 1.0 / np.sqrt(fan_in)
-            store.view(f"{name}.W")[:] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-    return store
-
-
-def init_params(config: NetworkConfig, seed: int) -> ParamStore:
     """Seeded uniform init: weights in +-1/sqrt(fan_in), biases zero.
 
-    Draws follow layout order (trunk first, then heads in order), so the
-    event head's initial values do not depend on whether a second head
-    exists.
+    Draws follow layout order (trunk first, then heads in order) from the
+    ``[seed, 0]`` stream, so the event head's initial values do not depend
+    on whether a second head exists.  With a ``source`` store, each trunk
+    layer's weights and bias are copied from the source's same-named layer
+    instead of drawn, so the heads are the stream's first draws; the source
+    must have a trunk of the same shape, and its heads are ignored.
     """
-    return _init_store(config, seed, None)
-
-
-def init_from_source(
-    config: NetworkConfig, source: ParamStore, seed: int
-) -> ParamStore:
-    """Copy trunk weights from a source store; init heads.
-
-    The heads are the first draws of the ``[seed, 0]`` stream, as no trunk
-    weight is drawn.  The source must have a trunk of the same shape; its
-    heads are ignored.
-    """
-    return _init_store(config, seed, source)
+    store = ParamStore(np.zeros(param_count(config)), build_layout(config), seed)
+    rng = np.random.default_rng([seed, _INIT_STREAM])
+    for (name, fan_in, fan_out), (w, b) in zip(config.layer_dims(), store.layers):
+        if source is not None and name.startswith("trunk"):
+            src = source.view(f"{name}.W")
+            if src.shape != w.shape:
+                raise ValueError(
+                    f"source {name}.W has shape {src.shape}, config wants {w.shape}"
+                )
+            w[:] = src
+            b[:] = source.view(f"{name}.b")
+        else:
+            limit = 1.0 / np.sqrt(fan_in)
+            w[:] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return store
 
 
 @dataclass(eq=False)

@@ -81,6 +81,8 @@ class CropConfig:
     grid: int = 3
 
     def __post_init__(self):
+        object.__setattr__(self, "scale_factors", tuple(self.scale_factors))
+        object.__setattr__(self, "ratio_modes", tuple(self.ratio_modes))
         if self.crop_side > self.base_side:
             raise ValueError("crop_side must be <= base_side")
         if self.crop_side < 1:

@@ -43,7 +43,6 @@ from .network import (
     backward,
     cross_entropy_loss,
     forward,
-    init_from_source,
     init_params,
     sgd_momentum_step,
     soft_target_loss,
@@ -320,7 +319,7 @@ def init_transfer_train(
 ) -> TrainReport:
     """Fine-tune from the source trunk with freshly initialized event head."""
     net = _target_net(source, (train.num_classes,), config)
-    params = init_from_source(net, source.params, config.seed)
+    params = init_params(net, config.seed, source.params)
     return _run_training(net, params, train, test, config)
 
 
@@ -338,7 +337,7 @@ def knowledge_transfer_train(
             f"{len(train)} training samples"
         )
     net = _target_net(source, (train.num_classes, soft.values.shape[1]), config)
-    params = init_from_source(net, source.params, config.seed)
+    params = init_params(net, config.seed, source.params)
     return _run_training(net, params, train, test, config, soft=soft)
 
 
@@ -357,7 +356,7 @@ def data_transfer_train(
     if len(aux) == 0:
         raise ValueError("empty aux dataset")
     net = _target_net(source, (train.num_classes, aux.num_classes), config)
-    params = init_from_source(net, source.params, config.seed)
+    params = init_params(net, config.seed, source.params)
     return _run_training(net, params, train, test, config, aux=aux)
 
 

@@ -479,6 +479,36 @@ class TestInferCommand:
         assert f"crop_side {crop_side}" in err and f"{channels} channel" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scales", ["abc", "1,x", ""])
+    def test_unparsable_scales_fail_in_argparse_naming_flag(self, tmp_path, capsys, scales):
+        out = tmp_path / "infer"
+        code = run(["infer", *_images_and_checkpoint(tmp_path), "--scales", scales,
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "argument --scales" in err and repr(scales) in err
+        assert not out.exists()
+
+    def test_flags_override_crop_config_file(self, tmp_path):
+        crop_cfg = tmp_path / "crop.json"
+        crop_cfg.write_text(json.dumps(
+            {"base_side": 40, "crop_side": 16, "scale_factors": [1, 2], "grid": 2}
+        ))
+        out = tmp_path / "infer"
+        assert run(["infer", *_images_and_checkpoint(tmp_path),
+                    "--crop-config", str(crop_cfg), "--base-side", "32",
+                    "--scales", "1,1.5", "--ratio-modes", "square,aspect_preserving",
+                    "--out", str(out)]) == 0
+        resolved = read_json(out / "resolved_config.json")
+        crop = {key: resolved.pop(key)
+                for key in ("base_side", "crop_side", "scales", "ratio_modes", "grid")}
+        assert crop == {"base_side": 32, "crop_side": 16, "scales": [1.0, 1.5],
+                        "ratio_modes": ["square", "aspect_preserving"], "grid": 2}
+        assert sorted(resolved) == ["checkpoint_o", "checkpoint_s", "image_dir",
+                                    "mean_pixel", "subcommand"]
+        (size,) = read_json(out / "region_specs.json")["sizes"]
+        assert len(size["specs"]) == 2 * 2 * 2**2
+
     def test_dir_without_npy_images_names_dir_and_suffix(self, tmp_path, capsys):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()

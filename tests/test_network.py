@@ -20,7 +20,6 @@ from os2e.network import (
     build_layout,
     cross_entropy_loss,
     forward,
-    init_from_source,
     init_params,
     param_count,
     sgd_momentum_step,
@@ -417,11 +416,23 @@ class TestParamStore:
         src_cfg = small_net(heads=(9,), trunk=(8,))
         source = init_params(src_cfg, seed=43)
         tgt_cfg = small_net(heads=(4, 3), trunk=(8,))
-        params = init_from_source(tgt_cfg, source, seed=44)
+        params = init_params(tgt_cfg, seed=44, source=source)
         np.testing.assert_array_equal(
             params.view("trunk0.W"), source.view("trunk0.W")
         )
         assert params.view("head0.W").shape == (8, 4)
+
+    def test_init_from_shallower_source_raises_for_missing_trunk_layer(self):
+        # the source's head0.W is (8, 8), the shape the target's trunk1.W
+        # wants: matching layers by position would copy the head silently
+        source = init_params(small_net(heads=(8,), trunk=(8,)), seed=47)
+        with pytest.raises(KeyError, match="trunk1.W"):
+            init_params(small_net(heads=(4,), trunk=(8, 8)), seed=48, source=source)
+
+    def test_init_from_source_of_other_trunk_shape_rejected(self):
+        source = init_params(small_net(trunk=(8,)), seed=49)
+        with pytest.raises(ValueError, match=r"source trunk0.W has shape \(5, 8\)"):
+            init_params(small_net(trunk=(7,)), seed=49, source=source)
 
     def test_checkpoint_holds_config_and_params(self):
         cfg = small_net()

@@ -20,7 +20,7 @@ from os2e.network import (
     backward,
     cross_entropy_loss,
     forward,
-    init_from_source,
+    init_params,
     sgd_momentum_step,
     soft_target_loss,
 )
@@ -119,7 +119,7 @@ class TestInitTransfer:
         assert len(report.records) == 1
         assert report.records[0].iteration == 0
         net = report.checkpoint.config
-        expected = init_from_source(net, source.params, tc.seed)
+        expected = init_params(net, tc.seed, source.params)
         np.testing.assert_array_equal(report.checkpoint.params.values, expected.values)
 
     def test_planted_source_beats_random_source(self):
@@ -204,7 +204,7 @@ def _hand_first_step(mode, source, train, soft, aux, tc):
     """Parameters after the loop's first step, composed from the primitives."""
     second = soft.values.shape[1] if mode == "knowledge" else aux.num_classes
     net = training._target_net(source, (train.num_classes, second), tc)
-    params = init_from_source(net, source.params, tc.seed)
+    params = init_params(net, tc.seed, source.params)
     batch_rng = np.random.default_rng([tc.seed, training._STREAM_BATCH])
     drop_rng = np.random.default_rng([tc.seed, training._STREAM_DROPOUT])
     idx = batch_rng.integers(0, len(train), size=tc.batch_size)
@@ -316,7 +316,7 @@ class TestReferenceLoop:
                 "data": lambda: data_transfer_train(source, train, test, aux, tc),
             }[mode]()
             net = report.checkpoint.config
-            start = init_from_source(net, source.params, tc.seed)
+            start = init_params(net, tc.seed, source.params)
         expected = reference_training(
             net, start, train, tc,
             soft=soft if mode == "knowledge" else None,
