@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -186,8 +187,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    responses, _ = io.read_response_csv(args.responses, kind=args.kind)
-    labels, _ = io.read_labels_csv(args.labels)
+    responses, response_ids = io.read_response_csv(args.responses, kind=args.kind)
+    labels, label_ids = io.read_labels_csv(args.labels)
+    if response_ids != label_ids:
+        pairs = itertools.zip_longest(response_ids, label_ids, fillvalue="(none)")
+        row, (a, b) = next(
+            (i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1]
+        )
+        raise ValueError(
+            f"{args.responses} and {args.labels} must list the same image ids in "
+            f"the same order; they first differ on data row {row + 1}: {a} vs {b}"
+        )
     table = stats.estimate_conditional(responses, labels)
     posterior = stats.bayes_posterior(table)
     out = io.ensure_dir(args.out)
@@ -256,7 +266,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         name: type(getattr(_TRANSFER_DEFAULTS, name))(resolved[key])
         for key, name in _TRANSFER_FIELDS.items()
     })
-    trunk = tuple(int(w) for w in str(resolved["trunk"]).split(",") if w)
+    try:
+        trunk = tuple(int(w) for w in str(resolved["trunk"]).split(",") if w)
+    except ValueError:
+        raise ValueError(
+            f"setting 'trunk' must be comma-separated integer widths, "
+            f"got {resolved['trunk']!r}"
+        ) from None
 
     if resolved["mode"] == "probe":
         features = training.probe_features(train.features)

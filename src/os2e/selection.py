@@ -52,8 +52,8 @@ class SelectionProblem:
         c = self.posterior.num_classes
         if not (1 <= self.k <= c):
             raise ValueError(f"k must be in [1, {c}], got {self.k}")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         self.phi = conditional_entropy(self.posterior.post)
 
     @classmethod

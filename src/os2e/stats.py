@@ -130,6 +130,11 @@ class ConditionalTable:
             raise ValueError("prior length must match number of events")
         if self.counts.shape != self.prior.shape:
             raise ValueError("counts length must match number of events")
+        if np.any(self.counts < 0) or self.total < 1:
+            raise ValueError(
+                f"counts must be >= 0 with a total >= 1, got counts "
+                f"{self.counts.tolist()} and total {self.total}"
+            )
         col_sums = self.cond.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > INTERNAL_TOL) or np.any(self.cond < 0):
             raise ValueError("conditional columns must be distributions over concepts")

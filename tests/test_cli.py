@@ -43,6 +43,26 @@ class TestSelectCommand:
         assert os.path.exists(os.path.join(out, "selection_report.csv"))
         assert os.path.exists(os.path.join(out, "resolved_config.json"))
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lam_named_before_any_output(self, tmp_path, capsys, lam):
+        out = tmp_path / "sel"
+        code = run(["select", "--table", fixture_path("three_class_conditional.json"),
+                    "--k", "2", "--lam", lam, "--out", str(out)])
+        assert code == 1
+        assert f"lam must be finite and >= 0, got {lam}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_counts_name_table_file(self, tmp_path, capsys):
+        table = tmp_path / "conditional.json"
+        payload = read_json(fixture_path("three_class_conditional.json"))
+        payload.update(counts=[-1, 5], prior=[-0.25, 1.25])
+        table.write_text(json.dumps(payload))
+        out = tmp_path / "sel"
+        code = run(["select", "--table", str(table), "--k", "2", "--out", str(out)])
+        assert code == 1
+        assert f"{table}: counts must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_off_simplex_row_fails_with_line(self, tmp_path, capsys):
@@ -58,6 +78,35 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert "unnormalized scores" in err
         assert "line 3" in err
+
+    @pytest.mark.parametrize(
+        "ids, row, first, second",
+        [
+            (["img_1", "img_0", "img_2"], 1, "img_0", "img_1"),
+            (["new_0", "new_1", "new_2"], 1, "img_0", "new_0"),
+            (["img_0", "img_1"], 3, "img_2", "(none)"),
+        ],
+        ids=["reordered", "new_ids", "missing_row"],
+    )
+    def test_labels_for_other_images_fail_before_any_output(
+        self, tmp_path, capsys, ids, row, first, second
+    ):
+        resp = tmp_path / "resp.csv"
+        resp.write_text(
+            "image_id,class_0,class_1\nimg_0,0.5,0.5\nimg_1,0.9,0.1\nimg_2,0.2,0.8\n"
+        )
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "image_id,event_index\n" + "".join(f"{i},{n % 2}\n" for n, i in enumerate(ids))
+        )
+        out = tmp_path / "out"
+        code = run(["stats", "--responses", str(resp), "--labels", str(labels),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{resp} and {labels} must list the same image ids" in err
+        assert f"first differ on data row {row}: {first} vs {second}" in err
+        assert not out.exists()
 
     def test_writes_tables(self, tmp_path):
         gen_dir = str(tmp_path / "gen")
@@ -132,6 +181,24 @@ class TestTrainCommand:
             "--schedule", "6", "--batch-size", "8", "--dropout", "0.0",
             "--trunk", "8", "--seed", "7", "--out", out, *extra,
         ]
+
+    @pytest.mark.parametrize("trunk", ["a", "8,x"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_trunk_named_before_any_output(self, tmp_path, capsys, trunk, source):
+        gen_dir = self.gen_data(tmp_path)
+        out = tmp_path / "t"
+        args = self.common_args(gen_dir, str(out), ["--mode", "init"])
+        if source == "flag":
+            args[args.index("--trunk") + 1] = trunk
+        else:
+            del args[args.index("--trunk") : args.index("--trunk") + 2]
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"trunk": trunk}))
+            args += ["--config", str(cfg)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert f"setting 'trunk' must be comma-separated integer widths, got {trunk!r}" in err
+        assert not out.exists()
 
     def test_init_deterministic_checkpoints(self, tmp_path):
         gen_dir = self.gen_data(tmp_path)

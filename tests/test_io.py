@@ -7,6 +7,7 @@ from io import BytesIO
 
 import numpy as np
 import pytest
+from conftest import fixture_path
 
 from os2e import io
 from os2e.datagen import (
@@ -104,6 +105,20 @@ class TestTableJson:
         assert post.tobytes() == posterior.post.tobytes()
         assert np.array(d["marginal"]).tobytes() == posterior.marginal.tobytes()
         np.testing.assert_array_equal(d["undefined_mask"], posterior.undefined_mask)
+
+    @pytest.mark.parametrize(
+        "counts, total", [([-1, 5], 4), ([-2, -2], -4), ([0, 0], 0)],
+        ids=["one_negative", "all_negative", "zero_total"],
+    )
+    def test_negative_counts_or_zero_total_name_file(self, tmp_path, counts, total):
+        # the first two priors are counts / total exactly and sum to 1
+        path = tmp_path / "cond.json"
+        payload = io.read_json(fixture_path("three_class_conditional.json"))
+        payload.update(counts=counts, total=total)
+        payload["prior"] = [c / total for c in counts] if total else [0.5, 0.5]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(io.ParseError, match=re.escape(f"{path}: counts must be >= 0")):
+            io.read_conditional_json(str(path))
 
     def test_malformed_json_names_file(self, tmp_path):
         path = tmp_path / "cond.json"

@@ -173,6 +173,11 @@ class TestAverageCorrelation:
 
 
 class TestGreedySelect:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match=rf"lam must be finite and >= 0, got {lam!r}"):
+            three_class_problem(k=2, lam=lam)
+
     def test_hand_executed_instance(self):
         result = greedy_select(three_class_problem(k=2, lam=0.5))
         assert result.selected == [0, 1]
