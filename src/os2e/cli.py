@@ -270,7 +270,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         trunk = tuple(int(w) for w in str(resolved["trunk"]).split(",") if w)
     except ValueError:
         raise ValueError(
-            f"setting 'trunk' must be comma-separated integer widths, "
+            "setting 'trunk' must be comma-separated integer widths, "
             f"got {resolved['trunk']!r}"
         ) from None
 

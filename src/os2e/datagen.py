@@ -155,10 +155,9 @@ def _responses(
         weights[np.ix_(rows, sig)] += config.concentration / len(sig)
     rng = np.random.default_rng([config.seed, stream])
     weights += config.noise_sigma * np.abs(rng.normal(size=weights.shape))
+    weights /= weights.sum(axis=1, keepdims=True)
     return ResponseMatrix(
-        values=weights / weights.sum(axis=1, keepdims=True),
-        class_ids=default_class_ids(num_classes),
-        kind=kind,
+        values=weights, class_ids=default_class_ids(num_classes), kind=kind
     )
 
 
