@@ -3,10 +3,11 @@
 Config precedence is defaults < ``--config`` JSON file < command-line flags;
 a config file key that names no setting, or whose value has the wrong type or
 is not one of the flag's choices, is an error naming the file and the key.
-Every subcommand reads and checks all of its inputs before it creates its
-output directory, so a failed run leaves none behind, and writes a
-``resolved_config.json`` there with the fully-explicit settings of the run,
-so any output can be reproduced bit for bit.  File formats live in ``io``.
+Every subcommand reads and checks all of its inputs (``gen`` generates all of
+its data) before it creates its output directory, so a failed run leaves none
+behind, and writes a ``resolved_config.json`` there with the fully-explicit
+settings of the run, so any output can be reproduced bit for bit.  File
+formats live in ``io``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .network import (
 
 
 def _write_resolved_config(out_dir: str, payload: dict) -> None:
-    io.ensure_dir(out_dir)
     io.write_json(os.path.join(out_dir, "resolved_config.json"), payload, sort_keys=True)
 
 
@@ -122,60 +122,59 @@ def _generator_config(resolved: dict) -> datagen.GeneratorConfig:
     return dataclasses.replace(preset, **overrides)
 
 
-def _truth_payload(truth: datagen.PlantedTruth) -> dict:
+def _truth_payload(truth: datagen.PlantedTruth, teacher: np.ndarray | None) -> dict:
+    """The planted signatures and, for the vectors preset, the frozen teacher
+    behind its soft targets, whose bias is all zero."""
     return {
         "object_signatures": truth.object_signatures,
         "scene_signatures": truth.scene_signatures,
-        "teacher_concepts": truth.teacher_concepts,
-        "teacher_weights": None
-        if truth.teacher_weights is None
-        else truth.teacher_weights.tolist(),
-        "teacher_bias": None
-        if truth.teacher_bias is None
-        else truth.teacher_bias.tolist(),
+        "teacher_concepts": [] if teacher is None else truth.planted_objects(),
+        "teacher_weights": None if teacher is None else teacher.tolist(),
+        "teacher_bias": None if teacher is None else [0.0] * teacher.shape[1],
     }
+
+
+def _write_image_split(split_dir: str, ds: training.Dataset) -> None:
+    """One ``img_NNNN.npy`` per image and their ``labels.csv``."""
+    io.ensure_dir(split_dir)
+    ids = [f"img_{i:04d}" for i in range(len(ds))]
+    for image_id, pixels in zip(ids, ds.features):
+        io.write_image(os.path.join(split_dir, f"{image_id}.npy"), pixels)
+    labels = stats.EventLabels(ds.labels, ds.num_classes)
+    io.write_labels_csv(os.path.join(split_dir, "labels.csv"), labels, image_ids=ids)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _GEN_DEFAULTS, datagen.GeneratorConfig())
     config = _generator_config(resolved)
-    out = io.ensure_dir(args.out)
-    produced = []
+    truth, teacher = datagen.make_truth(config), None
 
+    # every output is generated before the output directory is created
     if resolved["preset"] == "responses":
-        objects, scenes, labels, truth = datagen.gen_response_data(config)
-        io.write_response_csv(os.path.join(out, "object_responses.csv"), objects)
-        io.write_response_csv(os.path.join(out, "scene_responses.csv"), scenes)
-        io.write_labels_csv(os.path.join(out, "labels.csv"), labels)
-        produced = ["object_responses.csv", "scene_responses.csv", "labels.csv"]
+        objects, scenes, labels, _ = datagen.gen_response_data(config)
+        files = [
+            ("object_responses.csv", io.write_response_csv, objects),
+            ("scene_responses.csv", io.write_response_csv, scenes),
+            ("labels.csv", io.write_labels_csv, labels),
+        ]
     elif resolved["preset"] == "vectors":
-        truth = datagen.make_truth(config)
         train, test, soft = datagen.gen_vector_dataset(config, truth)
-        aux = datagen.gen_aux_dataset(config, truth)
-        io.write_dataset_csv(os.path.join(out, "train.csv"), train)
-        io.write_dataset_csv(os.path.join(out, "test.csv"), test)
-        io.write_dataset_csv(os.path.join(out, "aux.csv"), aux)
-        io.write_soft_targets_json(os.path.join(out, "soft_targets.json"), soft)
-        produced = ["train.csv", "test.csv", "aux.csv", "soft_targets.json"]
+        teacher = datagen.teacher_weights(config, truth)
+        files = [
+            ("train.csv", io.write_dataset_csv, train),
+            ("test.csv", io.write_dataset_csv, test),
+            ("aux.csv", io.write_dataset_csv, datagen.gen_aux_dataset(config, truth)),
+            ("soft_targets.json", io.write_soft_targets_json, soft),
+        ]
     else:
-        truth = datagen.make_truth(config)
         train, test = datagen.gen_image_dataset(config, truth)
-        for split, ds in (("train", train), ("test", test)):
-            split_dir = io.ensure_dir(os.path.join(out, split))
-            ids = []
-            for i, pixels in enumerate(ds.features):
-                name = f"img_{i:04d}.npy"
-                io.write_image(os.path.join(split_dir, name), pixels)
-                ids.append(f"img_{i:04d}")
-            io.write_labels_csv(
-                os.path.join(split_dir, "labels.csv"),
-                stats.EventLabels(ds.labels, ds.num_classes),
-                image_ids=ids,
-            )
-            produced.append(f"{split}/")
+        files = [("train/", _write_image_split, train), ("test/", _write_image_split, test)]
+    files.append(("truth.json", io.write_json, _truth_payload(truth, teacher)))
 
-    io.write_json(os.path.join(out, "truth.json"), _truth_payload(truth))
-    manifest = {"preset": resolved["preset"], "files": produced + ["truth.json"]}
+    out = io.ensure_dir(args.out)
+    for name, write, value in files:
+        write(os.path.join(out, name), value)
+    manifest = {"preset": resolved["preset"], "files": [name for name, _, _ in files]}
     io.write_json(os.path.join(out, "manifest.json"), manifest)
     _write_resolved_config(out, {"subcommand": "gen", **resolved})
     return 0
@@ -401,6 +400,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if args.top_k < 1:
+        raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
     conditional_path = None
     runs = []  # (mode, report.json path, eval records)
     for root, dirs, files in os.walk(args.run_dir):

@@ -4,14 +4,14 @@ Every generator is a pure function of (config, seed).  The common structure:
 each event class owns a small disjoint "signature" of concept classes, and
 samples of that event express those concepts (peaked response rows, indicator
 feature patterns, or an intensity-coded blob).  The hidden signatures come
-back as a :class:`PlantedTruth` so selection-recovery and transfer benchmarks
-can score themselves against ground truth.
+back as a frozen :class:`PlantedTruth` so selection-recovery and transfer
+benchmarks can score themselves against ground truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,21 +54,23 @@ class GeneratorConfig:
             raise ValueError("sample counts must be >= 1")
         if not 1 <= self.signature_sparsity <= min(self.num_objects, self.num_scenes):
             raise ValueError("sparsity must be in [1, min(num_objects, num_scenes)]")
-        if self.concentration < 0 or self.noise_sigma < 0:
-            raise ValueError("concentration and noise_sigma must be >= 0")
+        for name in ("concentration", "noise_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.blob_side > self.image_side:
             raise ValueError("blob_side must fit in image_side")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class PlantedTruth:
-    """The generator's hidden event-concept signatures and teacher weights."""
+    """The generator's hidden event-concept signatures.  The frozen teacher
+    is a function of these and the config: see ``teacher_weights``."""
 
     object_signatures: list[list[int]]
     scene_signatures: list[list[int]]
-    teacher_weights: np.ndarray | None = None
-    teacher_bias: np.ndarray | None = None
-    teacher_concepts: list[int] = field(default_factory=list)
 
     def planted_objects(self) -> list[int]:
         return sorted({c for sig in self.object_signatures for c in sig})
@@ -193,30 +195,27 @@ _TEACHER_GAIN = 4.0
 _TEACHER_NOISE = 0.05
 
 
-def _ensure_teacher(config: GeneratorConfig, truth: PlantedTruth) -> None:
-    """Plant the frozen teacher: a linear scorer aligned with concept dims."""
-    if truth.teacher_weights is not None:
-        return
+def teacher_weights(config: GeneratorConfig, truth: PlantedTruth) -> np.ndarray:
+    """The frozen teacher: a bias-free linear scorer from ``feature_dim``
+    inputs to the planted concepts, each column aligned with its concept's
+    dimension, drawn from the teacher stream."""
     concepts = truth.planted_objects()
     rng = np.random.default_rng([config.seed, _STREAM_TEACHER])
     w = _TEACHER_NOISE * rng.normal(size=(config.feature_dim, len(concepts)))
     for k, c in enumerate(concepts):
         w[c, k] += _TEACHER_GAIN
-    truth.teacher_weights = w
-    truth.teacher_bias = np.zeros(len(concepts))
-    truth.teacher_concepts = concepts
+    return w
 
 
 def teacher_soft_targets(
     config: GeneratorConfig, truth: PlantedTruth, features: np.ndarray
 ) -> SoftTargets:
     """Apply the frozen teacher to features; identical inputs give identical rows."""
-    _ensure_teacher(config, truth)
-    logits = features @ truth.teacher_weights + truth.teacher_bias
+    logits = features @ teacher_weights(config, truth)
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=1, keepdims=True)
-    return SoftTargets(values=probs, concept_ids=list(truth.teacher_concepts))
+    return SoftTargets(values=probs, concept_ids=truth.planted_objects())
 
 
 def gen_vector_dataset(

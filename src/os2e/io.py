@@ -229,22 +229,27 @@ def write_conditional_json(path: str, table: ConditionalTable) -> None:
             "cond": table.cond.ravel().tolist(),
             "prior": table.prior.tolist(),
             "counts": table.counts.tolist(),
-            "total": int(table.total),
+            "total": table.total,
             "class_ids": table.class_ids,
         },
     )
 
 
 def read_conditional_json(path: str) -> ConditionalTable:
+    """The table in ``path``; its ``total`` and ``prior`` must equal, exactly,
+    those that its ``counts`` give."""
+
     def build(d, key):
         c, m = int(key("num_classes")), int(key("num_events"))
-        return ConditionalTable(
+        table = ConditionalTable(
             cond=np.array(key("cond"), dtype=np.float64).reshape(c, m),
-            prior=np.array(key("prior"), dtype=np.float64),
             counts=np.array(key("counts"), dtype=np.int64),
-            total=int(key("total")),
             class_ids=key("class_ids", kind=list),
         )
+        for name, want in (("total", table.total), ("prior", table.prior.tolist())):
+            if not np.array_equal(key(name), want):
+                raise ParseError(f"{path}: '{name}' disagrees with counts ({want!r})")
+        return table
 
     return _read_object(path, build)
 

@@ -90,7 +90,7 @@ class ParamStore:
     values: np.ndarray
     layout: list[tuple[str, int, tuple[int, ...]]]
     rng_seed: int
-    _index: dict[str, tuple[slice, np.ndarray]] = field(init=False, repr=False)
+    _index: dict[str, np.ndarray] = field(init=False, repr=False)
     layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -114,17 +114,13 @@ class ParamStore:
                 f"layout covers {end} values, got values of shape {self.values.shape}"
             )
         self._index = {
-            name: (span, self.values[span].reshape(shape))
-            for name, (span, shape) in spans.items()
+            name: self.values[span].reshape(shape) for name, (span, shape) in spans.items()
         }
         names = dict.fromkeys(name.rpartition(".")[0] for name, _, _ in self.layout)
         self.layers = [(self.view(f"{n}.W"), self.view(f"{n}.b")) for n in names]
 
     def view(self, name: str) -> np.ndarray:
-        return self._index[name][1]
-
-    def slice_of(self, name: str) -> slice:
-        return self._index[name][0]
+        return self._index[name]
 
     def zeros_like(self) -> ParamStore:
         """An all-zero store with this layout: the gradient store ``backward``

@@ -106,42 +106,41 @@ class EventLabels:
 
 @dataclass(eq=False)
 class ConditionalTable:
-    """p(concept|event) columns plus the event prior p(e) and counts.
+    """p(concept|event) columns plus the per-event image counts.
 
-    ``cond`` is C x M with each column a distribution over concepts;
-    ``prior[e] == counts[e] / total`` exactly.
+    ``cond`` is C x M with each column a distribution over concepts.  The
+    event prior p(e) and the image total are read off ``counts``:
+    ``prior == counts / total`` exactly.
     """
 
     cond: np.ndarray
-    prior: np.ndarray
     counts: np.ndarray
-    total: int
     class_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.cond = _as_float_matrix(self.cond)
-        self.prior = np.asarray(self.prior, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if not self.class_ids:
             self.class_ids = default_class_ids(self.cond.shape[0])
         if len(self.class_ids) != self.cond.shape[0]:
             raise ValueError("one class id per concept row required")
-        if self.prior.shape != (self.cond.shape[1],):
-            raise ValueError("prior length must match number of events")
-        if self.counts.shape != self.prior.shape:
+        if self.counts.shape != (self.cond.shape[1],):
             raise ValueError("counts length must match number of events")
         if np.any(self.counts < 0) or self.total < 1:
             raise ValueError(
-                f"counts must be >= 0 with a total >= 1, got counts "
-                f"{self.counts.tolist()} and total {self.total}"
+                f"counts must be >= 0 with a total >= 1, got counts {self.counts.tolist()}"
             )
         col_sums = self.cond.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > INTERNAL_TOL) or np.any(self.cond < 0):
             raise ValueError("conditional columns must be distributions over concepts")
-        if abs(self.prior.sum() - 1.0) > 1e-12:
-            raise ValueError("prior must sum to 1")
-        if not np.array_equal(self.prior, self.counts / self.total):
-            raise ValueError("prior must equal counts / total exactly")
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def prior(self) -> np.ndarray:
+        return self.counts / self.counts.sum()
 
     @property
     def num_classes(self) -> int:
@@ -212,14 +211,7 @@ def estimate_conditional(
     cond = np.zeros((responses.num_classes, m))
     for e in range(m):
         cond[:, e] = responses.values[labels.labels == e].mean(axis=0)
-    prior = counts / responses.num_images
-    return ConditionalTable(
-        cond=cond,
-        prior=prior,
-        counts=counts,
-        total=responses.num_images,
-        class_ids=list(responses.class_ids),
-    )
+    return ConditionalTable(cond=cond, counts=counts, class_ids=list(responses.class_ids))
 
 
 def marginalize(table: ConditionalTable) -> np.ndarray:

@@ -128,8 +128,8 @@ class TransferConfig:
     soft_direction: str = SOFT_TARGET_AS_DISTRIBUTION
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         for name, weight in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0 <= weight < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {weight!r}")
@@ -172,10 +172,20 @@ class TrainReport:
 
 @dataclass(eq=False)
 class EvalResult:
+    """Accuracy and per-class AP; a class without positives has a NaN AP,
+    is skipped, and is left out of the mean."""
+
     accuracy: float
     average_precision: np.ndarray
-    mean_ap: float
-    skipped_classes: list[int]
+
+    @property
+    def skipped_classes(self) -> list[int]:
+        return np.flatnonzero(np.isnan(self.average_precision)).tolist()
+
+    @property
+    def mean_ap(self) -> float:
+        ap = self.average_precision
+        return float("nan") if np.isnan(ap).all() else float(np.nanmean(ap))
 
 
 def evaluate(scores, labels) -> EvalResult:
@@ -184,7 +194,8 @@ def evaluate(scores, labels) -> EvalResult:
     Accuracy takes the argmax per row (lowest index on ties).  AP for a class
     ranks all samples by descending class score (ties by sample index) and
     averages precision at each positive's rank.  Classes without positives
-    are skipped and excluded from the mean.
+    get a NaN AP: the result's ``skipped_classes`` and ``mean_ap`` are read
+    off ``average_precision``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -193,21 +204,16 @@ def evaluate(scores, labels) -> EvalResult:
     n, m = scores.shape
     accuracy = float((scores.argmax(axis=1) == labels).mean())
     ap = np.full(m, np.nan)
-    skipped = []
     for c in range(m):
         positives = labels == c
         if not positives.any():
-            skipped.append(c)
             continue
         order = np.argsort(-scores[:, c], kind="stable")
         hits = positives[order]
         cum_hits = np.cumsum(hits)
         ranks = np.flatnonzero(hits) + 1
         ap[c] = float((cum_hits[hits > 0] / ranks).mean())
-    mean_ap = float(np.nanmean(ap)) if len(skipped) < m else float("nan")
-    return EvalResult(
-        accuracy=accuracy, average_precision=ap, mean_ap=mean_ap, skipped_classes=skipped
-    )
+    return EvalResult(accuracy=accuracy, average_precision=ap)
 
 
 def _evaluate_point(

@@ -82,6 +82,14 @@ def grad_check(
     return worst
 
 
+def view_of(params, flat, name):
+    """A copy of entry ``name`` of the flat vector ``flat``, which is laid
+    out like the store ``params``."""
+    store = params.zeros_like()
+    store.values[:] = flat
+    return store.view(name)
+
+
 def flat_grad(cache, head_grads):
     """``backward`` into a fresh zeroed store; its flat gradient vector."""
     grad = cache.params.zeros_like()
@@ -170,22 +178,22 @@ def _reference_step_grad(net, params, x, rng, losses):
             raise ValueError(f"unknown loss kind {kind!r}")
         head_grads[hd] = weight * g
 
-    grad = np.zeros_like(params.values)
+    grad = params.zeros_like()
     d_h = np.zeros_like(h)
     for hd, g in head_grads.items():
-        grad[params.slice_of(f"head{hd}.W")] = (h.T @ g).ravel()
-        grad[params.slice_of(f"head{hd}.b")] = g.sum(axis=0)
+        grad.view(f"head{hd}.W")[...] = h.T @ g
+        grad.view(f"head{hd}.b")[...] = g.sum(axis=0)
         d_h += g @ params.view(f"head{hd}.W").T
     if mask is not None:
         d_h = d_h * mask
     for i in reversed(range(len(net.trunk))):
         d_pre = d_h * (trunk_pre[i] > 0.0)
         layer_in = trunk_out[i - 1] if i > 0 else x
-        grad[params.slice_of(f"trunk{i}.W")] = (layer_in.T @ d_pre).ravel()
-        grad[params.slice_of(f"trunk{i}.b")] = d_pre.sum(axis=0)
+        grad.view(f"trunk{i}.W")[...] = layer_in.T @ d_pre
+        grad.view(f"trunk{i}.b")[...] = d_pre.sum(axis=0)
         if i > 0:
             d_h = d_pre @ params.view(f"trunk{i}.W").T
-    return grad
+    return grad.values
 
 
 def reference_training(net, params, train, config, soft=None, aux=None):

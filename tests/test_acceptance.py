@@ -18,6 +18,7 @@ from conftest import (
     make_blob_scorer,
     param_steps,
     preset_high_concentration,
+    view_of,
 )
 
 from os2e import io
@@ -200,8 +201,10 @@ class TestCriterion4DegenerateWeights:
     def shared_trajectory(report, steps):
         params = report.checkpoint.params
         names = [n for n, _, _ in params.layout if n.startswith(("trunk", "head0"))]
-        slices = [params.slice_of(n) for n in names]
-        return [np.concatenate([step[s] for s in slices]) for step in steps]
+        return [
+            np.concatenate([view_of(params, step, n).ravel() for n in names])
+            for step in steps
+        ]
 
     def test_degenerate_weight_equivalence(self, monkeypatch):
         config = preset_vector_benchmark(0)

@@ -138,6 +138,14 @@ class TestGenCommand:
                                           "soft_targets.json", "truth.json"}
         truth = read_json(os.path.join(out, "truth.json"))
         assert len(truth["object_signatures"]) == 4
+        # the teacher in truth.json scores the train rows into soft_targets.json
+        train = io.read_dataset_csv(os.path.join(out, "train.csv"))
+        soft = io.read_soft_targets_json(os.path.join(out, "soft_targets.json"))
+        logits = train.features @ np.array(truth["teacher_weights"]) + truth["teacher_bias"]
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(probs, soft.values, rtol=1e-12, atol=0)
+        assert soft.concept_ids == truth["teacher_concepts"]
 
     def test_images_preset_files(self, tmp_path):
         out = str(tmp_path / "i")
@@ -148,6 +156,28 @@ class TestGenCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "train", "img_0000.npy"))
         assert os.path.exists(os.path.join(out, "test", "labels.csv"))
+        truth = read_json(os.path.join(out, "truth.json"))
+        teacher = [truth[k] for k in ("teacher_weights", "teacher_bias", "teacher_concepts")]
+        assert teacher == [None, None, []]
+
+    @pytest.mark.parametrize("preset", ["responses", "vectors", "images"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--concentration", "nan", "concentration must be finite and >= 0, got nan"),
+            ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+            ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+        ],
+        ids=["seed_negative", "concentration_nan", "noise_sigma_nan", "noise_sigma_inf"],
+    )
+    def test_bad_setting_named_before_any_output(
+        self, tmp_path, capsys, preset, flag, value, message
+    ):
+        out = tmp_path / "g"
+        assert run(["gen", "--preset", preset, flag, value, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrongly_typed_config_value_fails_before_any_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -296,12 +326,12 @@ class TestTrainCommand:
         assert "batch_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("lr", ["0", "-1"])
+    @pytest.mark.parametrize("lr", ["0", "-1", "inf"])
     def test_nonpositive_lr_names_setting(self, tmp_path, capsys, lr):
         gen_dir = self.gen_data(tmp_path)
         out = tmp_path / "c"
         assert run(self.common_args(gen_dir, str(out), ["--lr", lr])) == 1
-        assert "lr must be > 0, got" in capsys.readouterr().err
+        assert "lr must be finite and > 0, got" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -704,6 +734,14 @@ class TestReportCommand:
         assert run(["report", "--run-dir", str(tmp_path / "runs"), "--out", str(out)]) == 1
         bad = tmp_path / "runs" / "a" / "resolved_config.json"
         assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_named_before_any_output(self, tmp_path, capsys, top_k):
+        out = tmp_path / "rep"
+        code = run(["report", "--run-dir", str(tmp_path), "--top-k", top_k, "--out", str(out)])
+        assert code == 1
+        assert f"--top-k must be >= 1, got {top_k}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_dir_warns_exit_zero(self, tmp_path, capsys):

@@ -102,6 +102,8 @@ class TestVectorGenerator:
         train, _, soft_a = gen_vector_dataset(config, truth)
         soft_b = teacher_soft_targets(config, truth, train.features)
         np.testing.assert_array_equal(soft_a.values, soft_b.values)
+        # the teacher is computed, not stored: the truth is left as drawn
+        assert truth == make_truth(config)
 
     def test_soft_targets_on_simplex_aligned_with_train(self):
         config = preset_vector_benchmark(5)

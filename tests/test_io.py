@@ -120,6 +120,21 @@ class TestTableJson:
         with pytest.raises(io.ParseError, match=re.escape(f"{path}: counts must be >= 0")):
             io.read_conditional_json(str(path))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("prior", [0.25, 0.75]), ("prior", [0.5, 0.5, 0.0]), ("total", 5)],
+        ids=["prior_off", "prior_length", "total_off"],
+    )
+    def test_prior_or_total_disagreeing_with_counts_names_file_and_key(
+        self, tmp_path, key, value
+    ):
+        path = tmp_path / "cond.json"
+        payload = io.read_json(fixture_path("three_class_conditional.json"))
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(io.ParseError, match=re.escape(f"{path}: '{key}'")):
+            io.read_conditional_json(str(path))
+
     def test_malformed_json_names_file(self, tmp_path):
         path = tmp_path / "cond.json"
         path.write_text('{"type": "conditional_table",\n')

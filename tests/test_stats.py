@@ -75,30 +75,18 @@ class TestMarginalize:
     def test_one_class_id_per_row_required(self):
         # the report tables pair class ids with rows; a short list would drop rows
         with pytest.raises(ValueError, match="one class id per concept row"):
-            ConditionalTable(
-                cond=[[1.0, 0.0], [0.0, 1.0]], prior=[0.5, 0.5], counts=[1, 1],
-                total=2, class_ids=["a"],
-            )
+            ConditionalTable(cond=[[1.0, 0.0], [0.0, 1.0]], counts=[1, 1], class_ids=["a"])
 
     def test_symmetric(self):
-        table = ConditionalTable(
-            cond=[[1.0, 0.0], [0.0, 1.0]], prior=[0.5, 0.5], counts=[1, 1], total=2
-        )
+        table = ConditionalTable(cond=[[1.0, 0.0], [0.0, 1.0]], counts=[1, 1])
         np.testing.assert_allclose(marginalize(table), [0.5, 0.5])
 
     def test_hand_weighted_sum(self):
-        table = ConditionalTable(
-            cond=[[0.8, 0.4], [0.2, 0.6]], prior=[0.5, 0.5], counts=[1, 1], total=2
-        )
+        table = ConditionalTable(cond=[[0.8, 0.4], [0.2, 0.6]], counts=[1, 1])
         np.testing.assert_allclose(marginalize(table), [0.6, 0.4], atol=1e-15)
 
     def test_uniform_conditional_gives_uniform_marginal(self):
-        table = ConditionalTable(
-            cond=np.full((4, 3), 0.25),
-            prior=[0.5, 0.25, 0.25],
-            counts=[2, 1, 1],
-            total=4,
-        )
+        table = ConditionalTable(cond=np.full((4, 3), 0.25), counts=[2, 1, 1])
         np.testing.assert_allclose(marginalize(table), 0.25, atol=1e-15)
 
     def test_total_probability(self):
@@ -107,34 +95,25 @@ class TestMarginalize:
             c, m = int(rng.integers(2, 10)), int(rng.integers(1, 6))
             cond = random_simplex_rows(rng, m, c).T
             counts = rng.integers(1, 9, size=m)
-            table = ConditionalTable(
-                cond=cond, prior=counts / counts.sum(), counts=counts,
-                total=int(counts.sum()),
-            )
+            table = ConditionalTable(cond=cond, counts=counts)
             assert abs(marginalize(table).sum() - 1.0) <= 1e-9
 
 
 class TestBayesPosterior:
     def test_hand_applied_bayes(self):
-        table = ConditionalTable(
-            cond=[[0.8, 0.4], [0.2, 0.6]], prior=[0.5, 0.5], counts=[1, 1], total=2
-        )
+        table = ConditionalTable(cond=[[0.8, 0.4], [0.2, 0.6]], counts=[1, 1])
         posterior = bayes_posterior(table)
         np.testing.assert_allclose(posterior.post[0], [2 / 3, 1 / 3], atol=1e-15)
         assert not posterior.undefined_mask.any()
 
     def test_zero_conditional_row_masked_uniform(self):
-        table = ConditionalTable(
-            cond=[[1.0, 1.0], [0.0, 0.0]], prior=[0.5, 0.5], counts=[1, 1], total=2
-        )
+        table = ConditionalTable(cond=[[1.0, 1.0], [0.0, 0.0]], counts=[1, 1])
         posterior = bayes_posterior(table)
         assert posterior.undefined_mask.tolist() == [False, True]
         np.testing.assert_array_equal(posterior.post[1], [0.5, 0.5])
 
     def test_single_event_posterior_is_one(self):
-        table = ConditionalTable(
-            cond=[[0.3], [0.7]], prior=[1.0], counts=[5], total=5
-        )
+        table = ConditionalTable(cond=[[0.3], [0.7]], counts=[5])
         np.testing.assert_array_equal(bayes_posterior(table).post, 1.0)
 
     def test_round_trip_recovers_prior(self):
@@ -143,10 +122,7 @@ class TestBayesPosterior:
             c, m = int(rng.integers(2, 10)), int(rng.integers(2, 6))
             cond = random_simplex_rows(rng, m, c).T
             counts = rng.integers(1, 9, size=m)
-            table = ConditionalTable(
-                cond=cond, prior=counts / counts.sum(), counts=counts,
-                total=int(counts.sum()),
-            )
+            table = ConditionalTable(cond=cond, counts=counts)
             posterior = bayes_posterior(table)
             recovered = posterior.post.T @ posterior.marginal
             np.testing.assert_allclose(recovered, table.prior, atol=1e-8)

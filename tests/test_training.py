@@ -3,7 +3,7 @@ schedules, determinism, and the probe."""
 
 import numpy as np
 import pytest
-from conftest import param_steps, reference_training
+from conftest import param_steps, reference_training, view_of
 
 from os2e.datagen import (
     gen_aux_dataset,
@@ -167,10 +167,9 @@ def _shared_slices(report, steps):
     """Trunk and event-head parameter values, concatenated, per iteration."""
     params = report.checkpoint.params
     names = [n for n, _, _ in params.layout if n.startswith(("trunk", "head0"))]
-    slices = [params.slice_of(n) for n in names]
 
     def extract(flat):
-        return np.concatenate([flat[s] for s in slices])
+        return np.concatenate([view_of(params, flat, n).ravel() for n in names])
 
     return [extract(step) for step in steps]
 
@@ -344,9 +343,9 @@ class TestTransferConfig:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             TransferConfig(batch_size=batch_size)
 
-    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_or_nan_lr_rejected(self, lr):
-        with pytest.raises(ValueError, match="lr must be > 0, got"):
+        with pytest.raises(ValueError, match="lr must be finite and > 0, got"):
             TransferConfig(lr=lr)
 
     @pytest.mark.parametrize("name", ["alpha", "beta"])
@@ -439,9 +438,8 @@ class TestProbeFeatures:
 
 def _array_holders():
     """One builder per dataclass that holds an array, each call a fresh object."""
-    from os2e import datagen, network, pipeline, selection, stats
+    from os2e import network, pipeline, selection, stats
 
-    config = preset_vector_benchmark(0)
     net = network.NetworkConfig(input_dim=3, trunk=(2,), heads=(2,), dropout_rate=0.0)
 
     def responses():
@@ -470,7 +468,6 @@ def _array_holders():
         "PosteriorTable": posterior,
         "SelectionProblem": problem,
         "SelectionResult": lambda: selection.greedy_select(problem()),
-        "PlantedTruth": lambda: datagen.make_truth(config),
     }
 
 
