@@ -135,11 +135,11 @@ def _truth_payload(truth: datagen.PlantedTruth, teacher: np.ndarray | None) -> d
 
 
 def _write_image_split(split_dir: str, ds: training.Dataset) -> None:
-    """One ``img_NNNN.npy`` per image and their ``labels.csv``."""
+    """The split's images as one NxHxWxC stack, ``img.npy``, and their
+    ``labels.csv``, which lists the stack's image ids ``img_0000``, ... in
+    stack order."""
     io.ensure_dir(split_dir)
-    ids = [f"img_{i:04d}" for i in range(len(ds))]
-    for image_id, pixels in zip(ids, ds.features):
-        io.write_image(os.path.join(split_dir, f"{image_id}.npy"), pixels)
+    ids = io.write_image(os.path.join(split_dir, "img.npy"), ds.features)
     labels = stats.EventLabels(ds.labels, ds.num_classes)
     io.write_labels_csv(os.path.join(split_dir, "labels.csv"), labels, image_ids=ids)
 
@@ -360,22 +360,37 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         "scene": (args.checkpoint_s, io.read_checkpoint_json(args.checkpoint_s)),
     }
     scorers = {stream: _checkpoint_scorer(ckpt) for stream, (_, ckpt) in checkpoints.items()}
-    ids, rows = [], []
-    sizes = []  # the distinct (height, width), in first-seen order
+    holder = {}  # image id -> its file, in file name and stack order
+    groups = {}  # (height, width, channels) -> (image ids, stacks), first-seen order
     for name in names:
-        image = io.read_image(os.path.join(args.image_dir, name))
+        path = os.path.join(args.image_dir, name)
+        file_ids, pixels = io.read_image(path)
+        for image_id in file_ids:
+            if image_id in holder:
+                raise ValueError(
+                    f"{holder[image_id]} and {path} both hold image id {image_id!r}"
+                )
+            holder[image_id] = path
+        group_ids, stacks = groups.setdefault(pixels.shape[1:], ([], []))
+        group_ids += file_ids
+        stacks.append(pixels)
+    for channels in dict.fromkeys(shape[2] for shape in groups):
         for path, ckpt in checkpoints.values():
-            _check_fits_crops(path, ckpt, config.crop_side, image.channels)
-        if (image.height, image.width) not in sizes:
-            sizes.append((image.height, image.width))
-        scores, _ = pipeline.classify_image(
-            image, config, scorers, mean_pixel=args.mean_pixel
+            _check_fits_crops(path, ckpt, config.crop_side, channels)
+    sizes = list(dict.fromkeys(shape[:2] for shape in groups))
+    by_id = {}
+    for group_ids, stacks in groups.values():
+        image_scores, _ = pipeline.classify_images(
+            stacks[0] if len(stacks) == 1 else np.concatenate(stacks),
+            config,
+            scorers,
+            mean_pixel=args.mean_pixel,
         )
-        ids.append(name[: -len(".npy")])
-        rows.append(scores)
+        by_id.update(zip(group_ids, image_scores))
+    ids = list(holder)
     out = io.ensure_dir(args.out)
     io.write_region_specs_json(os.path.join(out, "region_specs.json"), sizes, config)
-    io.write_scores_csv(os.path.join(out, "scores.csv"), ids, np.array(rows))
+    io.write_scores_csv(os.path.join(out, "scores.csv"), ids, [by_id[i] for i in ids])
     _write_resolved_config(
         out,
         {

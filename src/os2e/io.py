@@ -10,8 +10,9 @@ with ``<file>: ``, and a missing key one reading ``<file>: missing key
 '<key>'``.  The public ``read_json``/``write_json`` are for the CLI's
 free-form files only, so each artifact is opened by exactly one public
 function.  ``posterior.json`` is written for inspection and read by nothing.
-Images are float64 HxWxC ``.npy`` arrays, checked on read, and round-trip
-bitwise.
+An image file is a float64 ``.npy`` array: one HxWxC image, whose id is the
+file stem, or an NxHxWxC stack, whose images have the ids ``<stem>_0000``,
+``<stem>_0001``, ...; it is checked on read and round-trips bitwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .network import Checkpoint, NetworkConfig, ParamStore, build_layout
-from .pipeline import CropConfig, ImageBuffer, generate_regions
+from .pipeline import CropConfig, check_images, generate_regions
 from .selection import SelectionProblem, SelectionResult
 from .stats import (
     ConditionalTable,
@@ -488,25 +489,41 @@ def read_soft_targets_json(path: str) -> SoftTargets:
 
 
 # ---------------------------------------------------------------------------
-# inference: images (float64 HxWxC .npy arrays), region specs, image scores
+# inference: images (float64 HxWxC or NxHxWxC .npy arrays), region specs,
+# image scores
 # ---------------------------------------------------------------------------
 
 
-def write_image(path: str, pixels: np.ndarray) -> None:
-    """HxWxC pixels as a ``.npy`` file, written as given; ``read_image`` checks them."""
+def _image_ids(path: str, ndim: int, n: int) -> list[str]:
+    """The ids of the images in an image file: its stem for one HxWxC image
+    (``ndim`` 3), ``<stem>_<i:04d>`` for image ``i`` of an NxHxWxC stack."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return [stem] if ndim == 3 else [f"{stem}_{i:04d}" for i in range(n)]
+
+
+def write_image(path: str, pixels: np.ndarray) -> list[str]:
+    """One HxWxC image or an NxHxWxC stack as a ``.npy`` file, written as
+    given (``read_image`` checks it); returns the ids ``read_image`` gives
+    its images."""
     with open(path, "wb") as fh:
         np.save(fh, pixels, allow_pickle=False)
+    return _image_ids(path, pixels.ndim, len(pixels))
 
 
-def read_image(path: str) -> ImageBuffer:
-    """An ``ImageBuffer`` from a float64 HxWxC ``.npy`` file; ``read_array``, not
-    ``np.load``, which would open a zip archive renamed ``.npy`` as an NpzFile."""
+def read_image(path: str) -> tuple[list[str], np.ndarray]:
+    """The image ids and the (N, H, W, C) float64 stack of a ``.npy`` image
+    file, checked once for the whole file by ``pipeline.check_images``;
+    ``read_array``, not ``np.load``, which would open a zip archive renamed
+    ``.npy`` as an NpzFile."""
     try:
         with open(path, "rb") as fh:
             px = np.lib.format.read_array(fh, allow_pickle=False)
-        if px.dtype != np.float64 or px.ndim != 3:
-            raise ValueError(f"expected float64 HxWxC pixels, got {px.dtype} {px.shape}")
-        return ImageBuffer(px)
+        if px.ndim not in (3, 4):
+            raise ValueError(
+                f"expected float64 HxWxC or NxHxWxC pixels, got {px.dtype} {px.shape}"
+            )
+        pixels = check_images(px if px.ndim == 4 else px[None])
+        return _image_ids(path, px.ndim, len(px)), pixels
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

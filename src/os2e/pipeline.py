@@ -7,19 +7,30 @@ fused twice: the two streams with equal weights per region, then a plain mean
 across regions.  With the default config this produces 2 x 3 x 9 = 54 regions
 per image.
 
+Images travel as one float64 (N, H, W, C) stack of same-size images.
+``check_images`` validates a stack where it enters (``io.read_image``, or
+``classify_images`` and ``score_regions`` for a caller's array); an
+``ImageBuffer`` holds one checked HxWxC image, scored as a stack of one.
+
 Scorer contract: a scorer receives one C-contiguous float64 stack of
 mean-subtracted crops, shape (n, crop, crop, channels), and returns an (n, M)
 array whose rows are probability vectors over the M event classes.
-``score_regions`` calls each stream once per resized view with that view's
-grid x grid crops, so 12 calls score the 54 default regions.
+``score_regions`` scores the images in chunks: as many images as keep one
+view's crops within ``CROP_STACK_BYTES``, and always at least one.  For each
+chunk it resizes each view once for the whole chunk (a view at the images'
+own size is their pixels, only read), writes the chunk's grid x grid crops of
+that view, mean-subtracted, into one stack, image-major, and calls each
+stream once on it.  At paper scale a chunk is one image, so 12 calls score
+its 54 default regions; at desk scale (base 32, crop 16, one channel) a chunk
+is 14 images.  A view mixes checked pixels, so it is not checked again.
+
+Scorers see batches of different sizes as the chunking changes, so a fused
+score is reproducible bitwise for a given stack and config, and within the
+eval-forward tolerance of ``network.forward`` (1e-12) of the same image
+scored alone.
 
 The region layout is plain data: ``generate_regions`` returns the list of
-views and one (R, 2) int array of crop offsets.  Pixels are validated where
-an image enters, as an ``ImageBuffer`` built by ``io.read_image`` or the
-caller.  ``score_regions`` resizes each view once as a plain array (a view at
-the image's own size is the image's pixels, only read) and writes its crops,
-mean-subtracted, straight into the stack; a view mixes checked pixels, so it
-is not checked again.
+views and one (R, 2) int array of crop offsets.
 """
 
 from __future__ import annotations
@@ -35,6 +46,35 @@ RATIO_MODES = (RATIO_ASPECT, RATIO_SQUARE)
 
 DEFAULT_MEAN_PIXEL = 0.5
 
+# the most bytes of crops one scorer call receives: the crops of one view for
+# a chunk of images; one image's crops may take more, and are then the chunk
+CROP_STACK_BYTES = 256 * 1024
+
+
+def check_images(pixels) -> np.ndarray:
+    """``pixels`` itself, once checked to be a float64 (N, H, W, C) stack of
+    N >= 1 images of at least 1x1 pixels, with 1 or 3 channels and every
+    value finite and in [0, 1]; otherwise a ``ValueError`` saying which.
+
+    One min and one max pass: either is NaN or infinite exactly when some
+    pixel is.
+    """
+    px = np.asarray(pixels)
+    if px.dtype != np.float64 or px.ndim != 4:
+        raise ValueError(f"expected float64 NxHxWxC pixels, got {px.dtype} {px.shape}")
+    if 0 in px.shape[:3]:
+        raise ValueError(
+            f"need at least one image of at least 1x1 pixels, got NxHxWxC {px.shape}"
+        )
+    if px.shape[3] not in (1, 3):
+        raise ValueError(f"channels must be 1 or 3, got {px.shape[3]}")
+    lo, hi = px.min(), px.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("pixels must be finite")
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError("pixels must lie in [0, 1]")
+    return px
+
 
 @dataclass(eq=False)
 class ImageBuffer:
@@ -48,16 +88,7 @@ class ImageBuffer:
             px = px[:, :, None]
         if px.ndim != 3:
             raise ValueError(f"expected HxWxC pixels, got shape {px.shape}")
-        h, w, c = px.shape
-        if h < 1 or w < 1:
-            raise ValueError("image dims must be >= 1")
-        if c not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {c}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("pixels must be finite")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError("pixels must lie in [0, 1]")
-        self.pixels = px
+        self.pixels = check_images(px[None])[0]
 
     @property
     def height(self) -> int:
@@ -111,15 +142,18 @@ def _source_coords(src: int, target: int) -> np.ndarray:
 
 
 def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Bilinear resample of HxWxC pixels, input unchanged: a new array, or
-    ``px`` itself when the target size is its own.
+    """Bilinear resample of the HxWxC image(s) in ``px``, shape (..., H, W,
+    C), input unchanged: a new array, or ``px`` itself when the target size
+    is its own.
 
-    Separable: interpolate columns on every source row, then gather rows.
-    Each pass computes ``a * (1 - w) + b * w`` in place on its gathers, and
-    the column pass works on ``(h, w * c)`` rows with per-element indices, so
-    every ufunc runs one long contiguous loop.
+    Separable, one gather per axis for all images at once: interpolate
+    columns on every source row of every image, then gather rows.  Each pass
+    computes ``a * (1 - w) + b * w`` in place on its gathers, and the column
+    pass works on ``(rows, w * c)`` with per-element indices, so every ufunc
+    runs one long contiguous loop.  Each output pixel is the same arithmetic
+    on the same four source pixels whatever the number of images.
     """
-    h, w, c = px.shape
+    *lead, h, w, c = px.shape
     if (target_h, target_w) == (h, w):
         return px
     ys = _source_coords(h, target_h)
@@ -128,7 +162,7 @@ def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    rows = px.reshape(h, w * c)
+    rows = px.reshape(-1, w * c)
     channel = np.arange(c)
     wx = np.repeat(xs - x0, c)
     cols = np.take(rows, (x0[:, None] * c + channel).ravel(), axis=1)
@@ -136,13 +170,14 @@ def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     tmp = np.take(rows, (x1[:, None] * c + channel).ravel(), axis=1)
     tmp *= wx
     cols += tmp
+    cols = cols.reshape(-1, h, target_w * c)
     wy = (ys - y0)[:, None]
-    out = np.take(cols, y0, axis=0)
+    out = np.take(cols, y0, axis=1)
     out *= 1.0 - wy
-    tmp = np.take(cols, y1, axis=0)
+    tmp = np.take(cols, y1, axis=1)
     tmp *= wy
     out += tmp
-    return out.reshape(target_h, target_w, c)
+    return out.reshape(*lead, target_h, target_w, c)
 
 
 def resized_dims(
@@ -208,39 +243,79 @@ def _check_scorer_output(rows, n: int, num_classes: int | None) -> np.ndarray:
 
 
 def score_regions(
-    image: ImageBuffer,
+    images,
     config: CropConfig,
     scorers: dict[str, object],
     mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every generated region with the object and scene stream scorers.
+    """Score every generated region of each image with the object and scene
+    stream scorers, one call per stream, view and chunk of images (see the
+    module docstring).
 
-    Each (ratio mode, scale) view is resized once; its grid x grid crops are
-    sliced into one mean-subtracted stack that each stream scores in one call.
-    Returns the (R, M) object and scene score arrays, rows in
-    ``generate_regions`` order.
+    ``images`` is a float64 (N, H, W, C) stack of same-size images, checked
+    here by ``check_images``, or one ``ImageBuffer``, a stack of one.
+    Returns the (N * R, M) object and scene score arrays, image-major, each
+    image's R rows in ``generate_regions`` order.
     """
     if set(scorers) != {"object", "scene"}:
         raise ValueError("scorers must map exactly the 'object' and 'scene' streams")
     mean = np.asarray(mean_pixel, dtype=np.float64)
     if not np.all(np.isfinite(mean)):
         raise ValueError(f"mean_pixel must be finite, got {mean_pixel!r}")
-    views, offsets = generate_regions(image.height, image.width, config)
+    if isinstance(images, ImageBuffer):
+        pixels = images.pixels[None]
+    else:
+        pixels = check_images(images)
+    n, height, width, channels = pixels.shape
+    views, offsets = generate_regions(height, width, config)
     per_view = config.grid**2
     side = config.crop_side
-    scores = {"object": [], "scene": []}
+    image_crop_bytes = per_view * side * side * channels * pixels.itemsize
+    chunk = max(1, CROP_STACK_BYTES // image_crop_bytes)
+    scores = {}  # stream -> (N, R, M), allocated once M is known
     m = None
-    for v, (_, _, rh, rw) in enumerate(views):
-        view = _resize(image.pixels, rh, rw)
-        # a fresh stack per view: a scorer may keep the array it is handed
-        crops = np.empty((per_view, side, side, image.channels))
-        view_offsets = offsets[v * per_view : (v + 1) * per_view].tolist()
-        for crop, (top, left) in zip(crops, view_offsets):
-            np.subtract(view[top : top + side, left : left + side], mean, out=crop)
-        for stream, rows in scores.items():
-            rows.append(_check_scorer_output(scorers[stream](crops), per_view, m))
-            m = rows[-1].shape[1]
-    return np.concatenate(scores["object"]), np.concatenate(scores["scene"])
+    for start in range(0, n, chunk):
+        block = pixels[start : start + chunk]
+        k = len(block)
+        for v, (_, _, rh, rw) in enumerate(views):
+            view = _resize(block, rh, rw)
+            # a fresh stack per view: a scorer may keep the array it is handed
+            crops = np.empty((k, per_view, side, side, channels))
+            cells = slice(v * per_view, (v + 1) * per_view)
+            for cell, (top, left) in enumerate(offsets[cells].tolist()):
+                np.subtract(
+                    view[:, top : top + side, left : left + side], mean, out=crops[:, cell]
+                )
+            crops = crops.reshape(k * per_view, side, side, channels)
+            for stream in ("object", "scene"):
+                rows = _check_scorer_output(scorers[stream](crops), k * per_view, m)
+                m = rows.shape[1]
+                if stream not in scores:
+                    scores[stream] = np.empty((n, len(offsets), m))
+                scores[stream][start : start + k, cells] = rows.reshape(k, per_view, m)
+    return scores["object"].reshape(-1, m), scores["scene"].reshape(-1, m)
+
+
+def classify_images(
+    images,
+    config: CropConfig,
+    scorers: dict[str, object],
+    mean_pixel=DEFAULT_MEAN_PIXEL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full pipeline on a stack of same-size images: crop, score, fuse.
+
+    ``images`` is as for ``score_regions``.  Returns ``(image_scores,
+    fused)``: ``fused`` holds each image's (R, M) fused region scores in
+    ``generate_regions`` order, shape (N, R, M), the two streams weighted
+    equally, and ``image_scores`` (N, M) is their mean over regions, which
+    keeps scores normalized and ranks classes identically to the sum.
+    """
+    object_scores, scene_scores = score_regions(
+        images, config, scorers, mean_pixel=mean_pixel
+    )
+    fused = 0.5 * object_scores + 0.5 * scene_scores
+    fused = fused.reshape(-1, config.region_count, fused.shape[1])
+    return fused.mean(axis=1), fused
 
 
 def classify_image(
@@ -249,15 +324,7 @@ def classify_image(
     scorers: dict[str, object],
     mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full pipeline: crop, score, fuse; returns ``(image_scores, fused)``.
-
-    ``fused`` holds the (R, M) fused region scores in ``generate_regions``
-    order, the two streams weighted equally, and ``image_scores`` is their
-    mean, which keeps scores normalized and ranks classes identically to
-    the sum.
-    """
-    object_scores, scene_scores = score_regions(
-        image, config, scorers, mean_pixel=mean_pixel
-    )
-    fused = 0.5 * object_scores + 0.5 * scene_scores
-    return fused.mean(axis=0), fused
+    """``classify_images`` on one image: its (M,) scores and (R, M) fused
+    region scores."""
+    scores, fused = classify_images(image, config, scorers, mean_pixel=mean_pixel)
+    return scores[0], fused[0]

@@ -154,8 +154,12 @@ class TestGenCommand:
              "--n-test", "2", "--out", out]
         )
         assert code == 0
-        assert os.path.exists(os.path.join(out, "train", "img_0000.npy"))
-        assert os.path.exists(os.path.join(out, "test", "labels.csv"))
+        for split in ("train", "test"):
+            assert sorted(os.listdir(os.path.join(out, split))) == ["img.npy", "labels.csv"]
+            ids, pixels = io.read_image(os.path.join(out, split, "img.npy"))
+            assert pixels.shape == (2, 64, 64, 1)
+            _, label_ids = io.read_labels_csv(os.path.join(out, split, "labels.csv"))
+            assert ids == label_ids == ["img_0000", "img_0001"]
         truth = read_json(os.path.join(out, "truth.json"))
         teacher = [truth[k] for k in ("teacher_weights", "teacher_bias", "teacher_concepts")]
         assert teacher == [None, None, []]
@@ -194,7 +198,8 @@ class TestGenCommand:
         out = tmp_path / "g"
         assert run(["gen", "--preset", "images", "--n-train", "1",
                     "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(list((out / "test").glob("*.npy"))) == 3
+        assert [path.name for path in (out / "test").glob("*.npy")] == ["img.npy"]
+        assert io.read_image(str(out / "test" / "img.npy"))[1].shape == (3, 64, 64, 1)
 
 
 class TestTrainCommand:
@@ -628,8 +633,9 @@ class TestInferCommand:
                     "--n-test", "4", "--out", str(gen_dir)]) == 0
         config = dataclasses.replace(preset_image_benchmark(5), n_train=2, n_test=4)
         train, test = gen_image_dataset(config, make_truth(config))
-        loaded = io.read_image(str(gen_dir / "train" / "img_0000.npy"))
-        assert loaded.pixels.tobytes() == train.features[0].tobytes()
+        ids, loaded = io.read_image(str(gen_dir / "train" / "img.npy"))
+        assert ids == ["img_0000", "img_0001"]
+        assert loaded.tobytes() == train.features.tobytes()
 
         ckpts = {}
         for stream, seed in (("o", 1), ("s", 2)):
@@ -651,10 +657,77 @@ class TestInferCommand:
         crop = CropConfig(base_side=32, crop_side=16)
         lines = (out / "scores.csv").read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in lines] == [f"img_{i:04d}" for i in range(4)]
+        # infer scores the 4 images as one batch, and eval forwards agree
+        # across batch sizes within 1e-12 (network.forward), not bitwise
         for line, pixels in zip(lines, test.features):
             expected, _ = classify_image(ImageBuffer(pixels), crop, scorers)
             got = np.array([float(x) for x in line.split(",")[1:]])
-            assert got.tobytes() == expected.tobytes()
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_duplicate_image_id_names_both_files_before_any_output(self, tmp_path, capsys):
+        # a stack img.npy holds img_0000..img_0003, so img_0003.npy repeats an id
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(22)
+        io.write_image(str(img_dir / "img.npy"), rng.random((4, 64, 64, 1)))
+        io.write_image(str(img_dir / "img_0003.npy"), rng.random((64, 64, 1)))
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        out = tmp_path / "infer"
+        code = run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--base-side", "32", "--crop-side", "16",
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{img_dir / 'img.npy'} and {img_dir / 'img_0003.npy'}" in err
+        assert "'img_0003'" in err
+        assert not out.exists()
+
+    def test_images_and_stacks_scored_in_file_and_stack_order(self, tmp_path):
+        # single images and stacks of two sizes, the sizes interleaved in
+        # name order: each image's scores equal its own classify_image
+        # within 1e-12
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(23)
+        images = {
+            "a": rng.random((3, 40, 56, 1)),
+            "b": rng.random((48, 32, 1)),
+            "c": rng.random((40, 56, 1)),
+            "d": rng.random((2, 48, 32, 1)),
+        }
+        for name, pixels in images.items():
+            io.write_image(str(img_dir / f"{name}.npy"), pixels)
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        out = tmp_path / "infer"
+        assert run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--base-side", "32", "--crop-side", "16",
+             "--out", str(out)]
+        ) == 0
+        lines = (out / "scores.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [
+            "a_0000", "a_0001", "a_0002", "b", "c", "d_0000", "d_0001"
+        ]
+        sizes = read_json(out / "region_specs.json")["sizes"]
+        assert [(s["height"], s["width"]) for s in sizes] == [(40, 56), (48, 32)]
+        model = io.read_checkpoint_json(ckpt)
+
+        def scorer(crops):
+            flat = crops.reshape(len(crops), -1)
+            return forward(model.config, model.params, flat, mode="eval").head_prob[0]
+
+        crop = CropConfig(base_side=32, crop_side=16)
+        expected = [
+            classify_image(ImageBuffer(px), crop, {"object": scorer, "scene": scorer})[0]
+            for pixels in images.values()
+            for px in (pixels if pixels.ndim == 4 else [pixels])
+        ]
+        got = np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
+        assert np.max(np.abs(got - np.array(expected))) <= 1e-12
 
 
 class TestReportCommand:

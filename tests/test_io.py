@@ -591,13 +591,34 @@ def _with_pixel(value):
     return px
 
 
+_STACK = np.stack([_PIXELS, _PIXELS[::-1]])
+
+
+def _in_last_image(value):
+    px = _STACK.copy()
+    px[-1, 3, 4, 2] = value
+    return px
+
+
 class TestImageContainer:
     def test_round_trip_bitwise(self, tmp_path):
+        # one HxWxC image reads as a stack of one, under its file stem
         px = np.random.default_rng(7).random((5, 4, 3))
         path = str(tmp_path / "img.npy")
-        io.write_image(path, px)
-        loaded = io.read_image(path)
-        assert loaded.pixels.tobytes() == px.tobytes()
+        assert io.write_image(path, px) == ["img"]
+        ids, loaded = io.read_image(path)
+        assert ids == ["img"]
+        assert loaded.shape == (1, 5, 4, 3)
+        assert loaded.tobytes() == px.tobytes()
+
+    def test_stack_round_trip_bitwise(self, tmp_path):
+        px = np.random.default_rng(8).random((3, 5, 4, 1))
+        path = str(tmp_path / "split.npy")
+        assert io.write_image(path, px) == ["split_0000", "split_0001", "split_0002"]
+        ids, loaded = io.read_image(path)
+        assert ids == ["split_0000", "split_0001", "split_0002"]
+        assert loaded.dtype == np.float64 and loaded.shape == px.shape
+        assert loaded.tobytes() == px.tobytes()
 
     @pytest.mark.parametrize(
         "content, message",
@@ -611,14 +632,27 @@ class TestImageContainer:
             (_npy_bytes(_PIXELS.astype(np.float32)), "float32"),
             (_npy_bytes(np.ones((4, 5, 3), dtype=np.int64)), "int64"),
             (_npy_bytes(_PIXELS[:, :, 0]), r"\(4, 5\)"),
-            (_npy_bytes(_PIXELS[None]), r"\(1, 4, 5, 3\)"),
+            (_npy_bytes(_PIXELS[None, None]), r"HxWxC or NxHxWxC .*\(1, 1, 4, 5, 3\)"),
             (_npy_bytes(_PIXELS[:, :, :2]), "channels must be 1 or 3, got 2"),
             (_npy_bytes(_with_pixel(np.nan)), "finite"),
             (_npy_bytes(_with_pixel(1.5)), r"\[0, 1\]"),
+            (_npy_bytes(_STACK.astype(np.float32)), r"float32 \(2, 4, 5, 3\)"),
+            (_npy_bytes(_STACK[:0]), r"at least one image .*\(0, 4, 5, 3\)"),
+            (_npy_bytes(_STACK[:, :, :0]), r"at least 1x1 pixels.*\(2, 4, 0, 3\)"),
+            (_npy_bytes(_PIXELS[:0]), r"at least 1x1 pixels.*\(1, 0, 5, 3\)"),
+            (_npy_bytes(_STACK[..., :2]), "channels must be 1 or 3, got 2"),
+            (_npy_bytes(_in_last_image(np.nan)), "finite"),
+            (_npy_bytes(_in_last_image(np.inf)), "finite"),
+            (_npy_bytes(_in_last_image(-np.inf)), "finite"),
+            (_npy_bytes(_in_last_image(-0.5)), r"\[0, 1\]"),
+            (_npy_bytes(_in_last_image(1.5)), r"\[0, 1\]"),
         ],
         ids=[
             "empty", "header_only", "truncated", "text_fimg", "npz_zip", "pickle",
-            "float32", "int64", "ndim2", "ndim4", "two_channels", "nan", "above_one",
+            "float32", "int64", "ndim2", "ndim5", "two_channels", "nan", "above_one",
+            "stack_float32", "stack_no_images", "stack_zero_width", "zero_height",
+            "stack_two_channels", "stack_nan", "stack_inf", "stack_minus_inf",
+            "stack_below_zero", "stack_above_one",
         ],
     )
     def test_malformed_file_names_path(self, tmp_path, content, message):

@@ -90,6 +90,25 @@ class TestForward:
         with pytest.raises(ValueError, match="input_dim"):
             forward(cfg, params, np.zeros((2, 7)))
 
+    @pytest.mark.parametrize("trunk", [(), (64,)], ids=["linear", "trunk64"])
+    def test_eval_rows_order_invariant_and_within_1e12_across_batch_sizes(self, trunk):
+        # the eval contract: a row scores bitwise the same wherever it sits
+        # in its batch, and within 1e-12 of itself in a batch of another
+        # size (the matrix product's blocking depends on the batch size)
+        cfg = NetworkConfig(input_dim=256, trunk=trunk, heads=(4,), dropout_rate=0.0)
+        params = init_params(cfg, seed=1)
+        x = np.random.default_rng(24).uniform(-0.5, 0.5, size=(1800, 256))
+        full = forward(cfg, params, x, mode="eval").head_prob[0]
+        perm = np.random.default_rng(25).permutation(len(x))
+        permuted = forward(cfg, params, x[perm], mode="eval").head_prob[0]
+        assert permuted.tobytes() == full[perm].tobytes()
+        for size in (1, 9, 126):
+            rows = np.concatenate([
+                forward(cfg, params, x[i : i + size], mode="eval").head_prob[0]
+                for i in range(0, len(x), size)
+            ])
+            assert np.max(np.abs(rows - full)) <= 1e-12
+
 
 class TestCrossEntropy:
     def test_uniform_prediction(self):

@@ -1,15 +1,21 @@
 """Crop geometry, bilinear resampling, scoring, and fusion."""
 
+import json
+
 import numpy as np
 import pytest
+from conftest import fixture_path
 
+from os2e.network import NetworkConfig, forward, init_params
 from os2e.pipeline import (
+    CROP_STACK_BYTES,
     CropConfig,
     ImageBuffer,
     RATIO_ASPECT,
     RATIO_SQUARE,
     _resize,
     classify_image,
+    classify_images,
     generate_regions,
     grid_offsets,
     resized_dims,
@@ -504,3 +510,126 @@ class TestFusion:
         object_scores, scene_scores = score_regions(img, DESK, scorers)
         assert fused.tobytes() == (0.5 * object_scores + 0.5 * scene_scores).tobytes()
         assert scores.tobytes() == fused.mean(axis=0).tobytes()
+
+
+def checkpoint_scorer(channels, crop_side, seed):
+    """A linear 4-class network's eval forward on flattened crops."""
+    cfg = NetworkConfig(
+        input_dim=crop_side * crop_side * channels, trunk=(), heads=(4,), dropout_rate=0.0
+    )
+    params = init_params(cfg, seed)
+    return lambda crops: forward(
+        cfg, params, crops.reshape(len(crops), -1), mode="eval"
+    ).head_prob[0]
+
+
+class TestBatchedImages:
+    """``classify_images`` scores a stack in chunks, one call per view and chunk."""
+
+    def test_n1_classify_image_matches_golden_file(self):
+        # written by the one-image-at-a-time pipeline before batching: the
+        # image alone still goes through the same crops and the same batch-9
+        # forwards, so every fused byte is unchanged
+        with open(fixture_path("classify_image_n1.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert len(golden["cases"]) == 3
+        for i, case in enumerate(golden["cases"]):
+            config = CropConfig(**case["crop_config"])
+            shape = (case["height"], case["width"], case["channels"])
+            pixels = np.random.default_rng([23, i]).random(shape)
+            scorers = {
+                stream: checkpoint_scorer(case["channels"], config.crop_side, seed)
+                for stream, seed in (("object", 1), ("scene", 2))
+            }
+            scores, fused = classify_image(ImageBuffer(pixels), config, scorers)
+            assert scores.tobytes() == np.array(case["image_scores"]).tobytes()
+            assert fused.tobytes() == np.array(case["fused"]).tobytes()
+
+    def test_desk_scale_calls_stay_within_byte_budget(self):
+        # 16x16x1 crops: 9 * 2048 bytes per image and view, so 14 images
+        # a chunk; 40 images take 3 chunks of 6 views
+        pixels = np.random.default_rng(30).random((40, 64, 64, 1))
+        seen = []
+
+        def sizing_scorer(crops):
+            seen.append((len(crops), crops.nbytes))
+            return np.full((len(crops), 2), 0.5)
+
+        classify_images(pixels, DESK, {"object": sizing_scorer, "scene": sizing_scorer})
+        assert all(nbytes <= CROP_STACK_BYTES for _, nbytes in seen)
+        assert [n for n, _ in seen] == [9 * k for k in (14, 14, 12) for _ in range(6 * 2)]
+
+    def test_paper_scale_calls_hold_one_image(self):
+        # one image's 9 crops of 224x224x3 exceed the budget: a chunk of one
+        pixels = np.random.default_rng(31).random((2, 256, 256, 3))
+        seen = []
+
+        def shape_scorer(crops):
+            seen.append(crops.shape)
+            return np.full((len(crops), 2), 0.5)
+
+        classify_images(pixels, CropConfig(), {"object": shape_scorer, "scene": shape_scorer})
+        assert seen == [(9, 224, 224, 3)] * (2 * 6 * 2)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_crops_byte_equal_to_each_image_scored_alone(self, channels):
+        rng = np.random.default_rng(32)
+        n = 20 if channels == 1 else 7  # two chunks either way
+        pixels = rng.random((n, 40, 56, channels))
+        mean = np.array([0.4, 0.5, 0.6][:channels])
+        chunk = CROP_STACK_BYTES // (9 * 16 * 16 * channels * 8)
+        assert chunk < n <= 2 * chunk
+        batched = []
+        score_regions(
+            pixels, DESK,
+            {"object": recording_scorer(batched), "scene": recording_scorer([])},
+            mean_pixel=mean,
+        )
+        assert len(batched) == 2 * 6
+        for i in range(n):
+            alone = []
+            score_regions(
+                ImageBuffer(pixels[i]), DESK,
+                {"object": recording_scorer(alone), "scene": recording_scorer([])},
+                mean_pixel=mean,
+            )
+            c, j = divmod(i, chunk)
+            for v in range(6):
+                crops = batched[6 * c + v].reshape(-1, 9, 16, 16, channels)[j]
+                assert crops.tobytes() == alone[v].tobytes()
+
+    def test_row_wise_scorer_gives_each_image_its_own_scores_bitwise(self):
+        # a scorer whose rows do not depend on their batch: batching moves
+        # no byte of the fused scores
+        pixels = np.random.default_rng(33).random((17, 40, 48, 1))
+        scorers = {"object": brightness_scorer, "scene": constant_scorer([0.3, 0.7])}
+        scores, fused = classify_images(pixels, DESK, scorers)
+        assert scores.shape == (17, 2) and fused.shape == (17, 54, 2)
+        for px, row, regions in zip(pixels, scores, fused):
+            alone_scores, alone_fused = classify_image(ImageBuffer(px), DESK, scorers)
+            assert row.tobytes() == alone_scores.tobytes()
+            assert regions.tobytes() == alone_fused.tobytes()
+
+    def test_eval_forward_scorers_within_1e12_of_each_image_alone(self):
+        pixels = np.random.default_rng(34).random((30, 40, 56, 1))
+        scorers = {"object": checkpoint_scorer(1, 16, 1), "scene": checkpoint_scorer(1, 16, 2)}
+        scores, _ = classify_images(pixels, DESK, scorers)
+        alone = [classify_image(ImageBuffer(px), DESK, scorers)[0] for px in pixels]
+        assert np.max(np.abs(scores - np.array(alone))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "pixels, message",
+        [
+            (np.zeros((40, 56, 1)), r"NxHxWxC pixels, got float64 \(40, 56, 1\)"),
+            (np.zeros((2, 40, 56, 1), dtype=np.float32), "float32"),
+            (np.zeros((0, 40, 56, 1)), "at least one image"),
+            (np.zeros((2, 40, 56, 2)), "channels must be 1 or 3, got 2"),
+            (np.full((2, 40, 56, 1), np.nan), "finite"),
+            (np.full((2, 40, 56, 1), 1.5), r"\[0, 1\]"),
+        ],
+        ids=["hwc", "float32", "no_images", "two_channels", "nan", "above_one"],
+    )
+    def test_unchecked_stack_rejected(self, pixels, message):
+        ok = constant_scorer([1.0, 0.0])
+        with pytest.raises(ValueError, match=message):
+            classify_images(pixels, DESK, {"object": ok, "scene": ok})
