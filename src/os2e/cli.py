@@ -361,7 +361,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     }
     scorers = {stream: _checkpoint_scorer(ckpt) for stream, (_, ckpt) in checkpoints.items()}
     holder = {}  # image id -> its file, in file name and stack order
-    groups = {}  # (height, width, channels) -> (image ids, stacks), first-seen order
+    rows = []  # one (N, M) score array per file
+    sizes = []  # the distinct (height, width), in first-seen order
     for name in names:
         path = os.path.join(args.image_dir, name)
         file_ids, pixels = io.read_image(path)
@@ -371,26 +372,18 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                     f"{holder[image_id]} and {path} both hold image id {image_id!r}"
                 )
             holder[image_id] = path
-        group_ids, stacks = groups.setdefault(pixels.shape[1:], ([], []))
-        group_ids += file_ids
-        stacks.append(pixels)
-    for channels in dict.fromkeys(shape[2] for shape in groups):
-        for path, ckpt in checkpoints.values():
-            _check_fits_crops(path, ckpt, config.crop_side, channels)
-    sizes = list(dict.fromkeys(shape[:2] for shape in groups))
-    by_id = {}
-    for group_ids, stacks in groups.values():
-        image_scores, _ = pipeline.classify_images(
-            stacks[0] if len(stacks) == 1 else np.concatenate(stacks),
-            config,
-            scorers,
-            mean_pixel=args.mean_pixel,
+        _, height, width, channels = pixels.shape
+        for ckpt_path, ckpt in checkpoints.values():
+            _check_fits_crops(ckpt_path, ckpt, config.crop_side, channels)
+        if (height, width) not in sizes:
+            sizes.append((height, width))
+        scores, _ = pipeline.classify_images(
+            pixels, config, scorers, mean_pixel=args.mean_pixel
         )
-        by_id.update(zip(group_ids, image_scores))
-    ids = list(holder)
+        rows.append(scores)
     out = io.ensure_dir(args.out)
     io.write_region_specs_json(os.path.join(out, "region_specs.json"), sizes, config)
-    io.write_scores_csv(os.path.join(out, "scores.csv"), ids, [by_id[i] for i in ids])
+    io.write_scores_csv(os.path.join(out, "scores.csv"), list(holder), np.concatenate(rows))
     _write_resolved_config(
         out,
         {

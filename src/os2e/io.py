@@ -514,13 +514,15 @@ def read_image(path: str) -> tuple[list[str], np.ndarray]:
     """The image ids and the (N, H, W, C) float64 stack of a ``.npy`` image
     file, checked once for the whole file by ``pipeline.check_images``;
     ``read_array``, not ``np.load``, which would open a zip archive renamed
-    ``.npy`` as an NpzFile."""
+    ``.npy`` as an NpzFile.  The dtype and axes are checked first, so an
+    error gives the shape the file holds, not the stack of one made from it."""
     try:
         with open(path, "rb") as fh:
             px = np.lib.format.read_array(fh, allow_pickle=False)
-        if px.ndim not in (3, 4):
+        if px.dtype != np.float64 or px.ndim not in (3, 4) or 0 in px.shape[:-1]:
             raise ValueError(
-                f"expected float64 HxWxC or NxHxWxC pixels, got {px.dtype} {px.shape}"
+                "expected float64 HxWxC or NxHxWxC pixels, at least one image "
+                f"of at least 1x1 pixels, got {px.dtype} {px.shape}"
             )
         pixels = check_images(px if px.ndim == 4 else px[None])
         return _image_ids(path, px.ndim, len(px)), pixels

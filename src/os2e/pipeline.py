@@ -9,8 +9,8 @@ per image.
 
 Images travel as one float64 (N, H, W, C) stack of same-size images.
 ``check_images`` validates a stack where it enters (``io.read_image``, or
-``classify_images`` and ``score_regions`` for a caller's array); an
-``ImageBuffer`` holds one checked HxWxC image, scored as a stack of one.
+``score_regions`` for a caller's array); an ``ImageBuffer`` holds one checked
+HxWxC image, which ``classify_image`` scores as a stack of one.
 
 Scorer contract: a scorer receives one C-contiguous float64 stack of
 mean-subtracted crops, shape (n, crop, crop, channels), and returns an (n, M)
@@ -243,7 +243,7 @@ def _check_scorer_output(rows, n: int, num_classes: int | None) -> np.ndarray:
 
 
 def score_regions(
-    images,
+    images: np.ndarray,
     config: CropConfig,
     scorers: dict[str, object],
     mean_pixel=DEFAULT_MEAN_PIXEL,
@@ -253,7 +253,7 @@ def score_regions(
     module docstring).
 
     ``images`` is a float64 (N, H, W, C) stack of same-size images, checked
-    here by ``check_images``, or one ``ImageBuffer``, a stack of one.
+    here by ``check_images``.
     Returns the (N * R, M) object and scene score arrays, image-major, each
     image's R rows in ``generate_regions`` order.
     """
@@ -262,10 +262,7 @@ def score_regions(
     mean = np.asarray(mean_pixel, dtype=np.float64)
     if not np.all(np.isfinite(mean)):
         raise ValueError(f"mean_pixel must be finite, got {mean_pixel!r}")
-    if isinstance(images, ImageBuffer):
-        pixels = images.pixels[None]
-    else:
-        pixels = check_images(images)
+    pixels = check_images(images)
     n, height, width, channels = pixels.shape
     views, offsets = generate_regions(height, width, config)
     per_view = config.grid**2
@@ -297,7 +294,7 @@ def score_regions(
 
 
 def classify_images(
-    images,
+    images: np.ndarray,
     config: CropConfig,
     scorers: dict[str, object],
     mean_pixel=DEFAULT_MEAN_PIXEL,
@@ -326,5 +323,7 @@ def classify_image(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``classify_images`` on one image: its (M,) scores and (R, M) fused
     region scores."""
-    scores, fused = classify_images(image, config, scorers, mean_pixel=mean_pixel)
+    scores, fused = classify_images(
+        image.pixels[None], config, scorers, mean_pixel=mean_pixel
+    )
     return scores[0], fused[0]

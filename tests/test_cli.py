@@ -9,7 +9,7 @@ import pytest
 from conftest import fixture_path
 
 from os2e.cli import run
-from os2e import io
+from os2e import io, pipeline
 from os2e.datagen import gen_image_dataset, make_truth, preset_image_benchmark
 from os2e.network import (
     Checkpoint,
@@ -728,6 +728,54 @@ class TestInferCommand:
         ]
         got = np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
         assert np.max(np.abs(got - np.array(expected))) <= 1e-12
+
+
+    def test_each_file_scored_as_its_own_stack(self, tmp_path, monkeypatch):
+        # files of one size are not gathered into one stack: infer holds
+        # one file's images at a time
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(24)
+        shapes = [(40, 56, 1), (2, 40, 56, 1), (40, 56, 1), (48, 32, 1)]
+        for i, shape in enumerate(shapes):
+            io.write_image(str(img_dir / f"p{i}.npy"), rng.random(shape))
+        seen = []
+        classify_images = pipeline.classify_images
+
+        def recording(pixels, *args, **kwargs):
+            seen.append(pixels.shape)
+            return classify_images(pixels, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "classify_images", recording)
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        assert run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--base-side", "32", "--crop-side", "16",
+             "--out", str(tmp_path / "infer")]
+        ) == 0
+        assert seen == [(1, 40, 56, 1), (2, 40, 56, 1), (1, 40, 56, 1), (1, 48, 32, 1)]
+
+    def test_bad_file_after_scored_files_leaves_no_output(self, tmp_path, capsys):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(25)
+        io.write_image(str(img_dir / "a.npy"), rng.random((2, 40, 56, 1)))
+        bad = rng.random((40, 56, 1))
+        bad[3, 4, 0] = np.nan
+        io.write_image(str(img_dir / "b.npy"), bad)
+        ckpt = str(tmp_path / "o.json")
+        self.make_checkpoint(ckpt)
+        out = tmp_path / "infer"
+        code = run(
+            ["infer", "--checkpoint-o", ckpt, "--checkpoint-s", ckpt,
+             "--image-dir", str(img_dir), "--base-side", "32", "--crop-side", "16",
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{img_dir / 'b.npy'}: " in err and "finite" in err
+        assert not out.exists()
 
 
 class TestReportCommand:

@@ -639,7 +639,8 @@ class TestImageContainer:
             (_npy_bytes(_STACK.astype(np.float32)), r"float32 \(2, 4, 5, 3\)"),
             (_npy_bytes(_STACK[:0]), r"at least one image .*\(0, 4, 5, 3\)"),
             (_npy_bytes(_STACK[:, :, :0]), r"at least 1x1 pixels.*\(2, 4, 0, 3\)"),
-            (_npy_bytes(_PIXELS[:0]), r"at least 1x1 pixels.*\(1, 0, 5, 3\)"),
+            (_npy_bytes(_PIXELS[:0]), r"at least 1x1 pixels.*float64 \(0, 5, 3\)$"),
+            (_npy_bytes(_PIXELS.astype(np.float32)), r"float32 \(4, 5, 3\)$"),
             (_npy_bytes(_STACK[..., :2]), "channels must be 1 or 3, got 2"),
             (_npy_bytes(_in_last_image(np.nan)), "finite"),
             (_npy_bytes(_in_last_image(np.inf)), "finite"),
@@ -651,6 +652,7 @@ class TestImageContainer:
             "empty", "header_only", "truncated", "text_fimg", "npz_zip", "pickle",
             "float32", "int64", "ndim2", "ndim5", "two_channels", "nan", "above_one",
             "stack_float32", "stack_no_images", "stack_zero_width", "zero_height",
+            "float32_file_shape",
             "stack_two_channels", "stack_nan", "stack_inf", "stack_minus_inf",
             "stack_below_zero", "stack_above_one",
         ],

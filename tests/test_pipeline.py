@@ -31,6 +31,11 @@ def image_of(values):
     return ImageBuffer(np.asarray(values, dtype=np.float64))
 
 
+def stack_of(values):
+    """A stack of one checked image, the form ``score_regions`` takes."""
+    return image_of(values).pixels[None]
+
+
 def constant_scorer(vector):
     vector = np.asarray(vector, dtype=np.float64)
     return lambda crops: np.tile(vector, (len(crops), 1))
@@ -221,7 +226,7 @@ class TestCropStacks:
         img = image_of(np.random.default_rng(5).random((40, 56)))
         calls = {"object": [], "scene": []}
         score_regions(
-            img,
+            img.pixels[None],
             DESK,
             {stream: recording_scorer(seen) for stream, seen in calls.items()},
         )
@@ -248,7 +253,9 @@ class TestCropStacks:
             )
             return np.full((len(crops), 2), 0.5)
 
-        score_regions(img, config, {"object": checking_scorer, "scene": checking_scorer})
+        score_regions(
+            img.pixels[None], config, {"object": checking_scorer, "scene": checking_scorer}
+        )
         assert len(seen) == 2 * len(config.ratio_modes) * len(config.scale_factors)
         assert set(seen) == {(expected, np.dtype(np.float64), True, True)}
 
@@ -258,7 +265,7 @@ class TestCropStacks:
         mean = np.array([0.4, 0.5, 0.6])
         calls = []
         score_regions(
-            img,
+            img.pixels[None],
             DESK,
             {"object": recording_scorer(calls), "scene": constant_scorer([1.0, 0.0])},
             mean_pixel=mean,
@@ -280,7 +287,8 @@ class TestCropStacks:
         )
         calls = []
         score_regions(
-            img, config, {"object": recording_scorer(calls), "scene": recording_scorer([])},
+            img.pixels[None], config,
+            {"object": recording_scorer(calls), "scene": recording_scorer([])},
             mean_pixel=0.0,
         )
         np.testing.assert_array_equal(calls[0][0], img.pixels)
@@ -294,7 +302,8 @@ class TestCropStacks:
         )
         calls = []
         score_regions(
-            img, config, {"object": recording_scorer(calls), "scene": recording_scorer([])},
+            img.pixels[None], config,
+            {"object": recording_scorer(calls), "scene": recording_scorer([])},
             mean_pixel=0.0,
         )
         np.testing.assert_allclose(calls[0][0, :, :, 0], [[0.1, 0.2], [0.4, 0.5]])
@@ -308,7 +317,7 @@ class TestCropStacks:
         )
         calls = []
         score_regions(
-            image_of(board), config,
+            stack_of(board), config,
             {"object": recording_scorer(calls), "scene": recording_scorer([])},
             mean_pixel=0.0,
         )
@@ -322,7 +331,7 @@ class TestScoreRegions:
         img = image_of(rng.random((40, 56)))
         v = np.array([0.25, 0.75])
         object_scores, scene_scores = score_regions(
-            img, DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
+            img.pixels[None], DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
         )
         assert object_scores.shape == scene_scores.shape == (54, 2)
         np.testing.assert_array_equal(object_scores, np.tile(v, (54, 1)))
@@ -330,7 +339,7 @@ class TestScoreRegions:
     def test_order_matches_generate_regions(self):
         img = image_of(np.random.default_rng(7).random((40, 48)))
         object_scores, _ = score_regions(
-            img, DESK, {"object": brightness_scorer, "scene": brightness_scorer}
+            img.pixels[None], DESK, {"object": brightness_scorer, "scene": brightness_scorer}
         )
         views, offsets = generate_regions(40, 48, DESK)
         side = DESK.crop_side
@@ -343,7 +352,7 @@ class TestScoreRegions:
         img = image_of(np.zeros((32, 32)))
         bad = constant_scorer([0.7, 0.7])
         with pytest.raises(ValueError, match="off simplex"):
-            score_regions(img, DESK, {"object": bad, "scene": bad})
+            score_regions(img.pixels[None], DESK, {"object": bad, "scene": bad})
 
     def test_one_row_off_simplex_rejected(self):
         def one_bad_row(crops):
@@ -353,14 +362,14 @@ class TestScoreRegions:
 
         with pytest.raises(ValueError, match="off simplex"):
             score_regions(
-                image_of(np.zeros((32, 32))), DESK,
+                stack_of(np.zeros((32, 32))), DESK,
                 {"object": constant_scorer([1.0, 0.0]), "scene": one_bad_row},
             )
 
     def test_negative_entry_rejected(self):
         bad = constant_scorer([1.5, -0.5])
         with pytest.raises(ValueError, match="off simplex"):
-            score_regions(image_of(np.zeros((32, 32))), DESK, {"object": bad, "scene": bad})
+            score_regions(stack_of(np.zeros((32, 32))), DESK, {"object": bad, "scene": bad})
 
     def test_wrong_row_count_rejected(self):
         def one_row(crops):
@@ -368,13 +377,13 @@ class TestScoreRegions:
 
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
-                image_of(np.zeros((32, 32))), DESK, {"object": one_row, "scene": one_row}
+                stack_of(np.zeros((32, 32))), DESK, {"object": one_row, "scene": one_row}
             )
 
     def test_streams_disagree_on_classes_rejected(self):
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
-                image_of(np.zeros((32, 32))), DESK,
+                stack_of(np.zeros((32, 32))), DESK,
                 {"object": constant_scorer([1.0, 0.0]),
                  "scene": constant_scorer([1.0, 0.0, 0.0])},
             )
@@ -388,7 +397,7 @@ class TestScoreRegions:
 
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
-                image_of(np.zeros((32, 32))), DESK, {"object": growing, "scene": growing}
+                stack_of(np.zeros((32, 32))), DESK, {"object": growing, "scene": growing}
             )
 
     @pytest.mark.parametrize("mean", [float("nan"), float("inf"), [0.5, np.nan, 0.5]])
@@ -396,7 +405,7 @@ class TestScoreRegions:
         ok = constant_scorer([1.0, 0.0])
         with pytest.raises(ValueError, match="mean_pixel must be finite"):
             score_regions(
-                ImageBuffer(np.zeros((32, 32, 3))), DESK, {"object": ok, "scene": ok},
+                stack_of(np.zeros((32, 32, 3))), DESK, {"object": ok, "scene": ok},
                 mean_pixel=mean,
             )
 
@@ -404,7 +413,8 @@ class TestScoreRegions:
         img = image_of(np.full((32, 32), 0.5))
         seen = []
         score_regions(
-            img, DESK, {"object": recording_scorer(seen), "scene": constant_scorer([1.0, 0.0])}
+            img.pixels[None], DESK,
+            {"object": recording_scorer(seen), "scene": constant_scorer([1.0, 0.0])},
         )
         for crops in seen:
             np.testing.assert_allclose(crops, 0.0, atol=1e-12)
@@ -438,7 +448,7 @@ class TestFusion:
         # one scorer on both streams leaves every region's scores as they are
         img = image_of(np.random.default_rng(7).random((40, 56)))
         scorers = {"object": brightness_scorer, "scene": brightness_scorer}
-        object_scores, _ = score_regions(img, DESK, scorers)
+        object_scores, _ = score_regions(img.pixels[None], DESK, scorers)
         _, fused = classify_image(img, DESK, scorers)
         assert fused.tobytes() == object_scores.tobytes()
 
@@ -507,7 +517,7 @@ class TestFusion:
         img = image_of(np.random.default_rng(17).random((40, 56)))
         scorers = {"object": brightness_scorer, "scene": constant_scorer([0.1, 0.9])}
         scores, fused = classify_image(img, DESK, scorers)
-        object_scores, scene_scores = score_regions(img, DESK, scorers)
+        object_scores, scene_scores = score_regions(img.pixels[None], DESK, scorers)
         assert fused.tobytes() == (0.5 * object_scores + 0.5 * scene_scores).tobytes()
         assert scores.tobytes() == fused.mean(axis=0).tobytes()
 
@@ -589,7 +599,7 @@ class TestBatchedImages:
         for i in range(n):
             alone = []
             score_regions(
-                ImageBuffer(pixels[i]), DESK,
+                pixels[i : i + 1], DESK,
                 {"object": recording_scorer(alone), "scene": recording_scorer([])},
                 mean_pixel=mean,
             )
