@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import INGEST_TOL, check_simplex_rows
+
 RATIO_ASPECT = "aspect_preserving"
 RATIO_SQUARE = "square"
 RATIO_MODES = (RATIO_ASPECT, RATIO_SQUARE)
@@ -237,9 +239,7 @@ def _check_scorer_output(rows, n: int, num_classes: int | None) -> np.ndarray:
         raise ValueError(
             f"scorer output off simplex: wrong shape {rows.shape} for {n} crops"
         )
-    if np.any(rows < 0) or not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-6):
-        raise ValueError("scorer output off simplex")
-    return rows
+    return check_simplex_rows(rows, INGEST_TOL, "scorer output row")
 
 
 def score_regions(

@@ -5,9 +5,10 @@ of the toolkit consumes: response distributions, concept-given-event
 conditionals, event priors, concept marginals, Bayes posteriors and
 conditional entropies.
 
-All distributions are plain float64 numpy arrays.  Rows/columns that are
-probability distributions must sum to 1: externally ingested data is accepted
-within ``INGEST_TOL`` (files carry rounding), internally produced tables are
+All distributions are plain float64 numpy arrays.  ``check_simplex_rows``,
+used here and by ``pipeline`` and ``training``, is the one check that rows are
+probability distributions: ingested data (files, scorer output) is accepted
+within ``INGEST_TOL`` (it carries rounding), internally produced tables are
 held to ``INTERNAL_TOL``.
 """
 
@@ -28,17 +29,21 @@ def _as_float_matrix(values) -> np.ndarray:
     return arr
 
 
-def _check_simplex_rows(rows: np.ndarray, tol: float, what: str) -> None:
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"{what}: non-finite entry")
-    if np.any(rows < 0):
-        raise ValueError(f"{what}: negative entry")
-    sums = rows.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > tol)[0]
-    if bad.size:
+def check_simplex_rows(rows, tol: float, what: str) -> np.ndarray:
+    """``rows`` as float64, once each row (along the last axis) is checked to
+    hold entries >= 0 summing to 1 within ``tol``, comparisons that NaN and
+    inf fail; otherwise a ``ValueError`` naming ``what`` and the first bad row."""
+    rows = np.asarray(rows, dtype=np.float64)
+    sums = rows.sum(axis=-1)
+    ok = np.all(rows >= 0, axis=-1) & (np.abs(sums - 1.0) <= tol)
+    if not np.all(ok):
+        i = int(np.flatnonzero(~ok)[0])
+        least = rows.reshape(-1, rows.shape[-1])[i].min(initial=np.inf)
         raise ValueError(
-            f"unnormalized scores: {what} row {bad[0]} sums to {sums[bad[0]]!r}"
+            f"{what} {i} off simplex: sums to {float(sums.flat[i])!r}, "
+            f"least entry {float(least)!r}"
         )
+    return rows
 
 
 @dataclass(eq=False)
@@ -61,9 +66,9 @@ class ResponseMatrix:
             raise ValueError(
                 f"{len(self.class_ids)} class ids for {self.values.shape[1]} columns"
             )
-        _check_simplex_rows(self.values, INGEST_TOL, "response matrix")
-        # Ingested rows may carry up to 1e-6 of file rounding; renormalize so
-        # every table derived from this matrix meets the 1e-9 contract.
+        check_simplex_rows(self.values, INGEST_TOL, "response row")
+        # Ingested rows may carry up to INGEST_TOL of file rounding; renormalize
+        # so every table derived from this matrix meets INTERNAL_TOL.
         self.values = self.values / self.values.sum(axis=1, keepdims=True)
 
     @property
@@ -130,9 +135,7 @@ class ConditionalTable:
             raise ValueError(
                 f"counts must be >= 0 with a total >= 1, got counts {self.counts.tolist()}"
             )
-        col_sums = self.cond.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > INTERNAL_TOL) or np.any(self.cond < 0):
-            raise ValueError("conditional columns must be distributions over concepts")
+        check_simplex_rows(self.cond.T, INTERNAL_TOL, "conditional column")
 
     @property
     def total(self) -> int:
@@ -173,10 +176,7 @@ class PosteriorTable:
         c, m = self.post.shape
         if self.marginal.shape != (c,) or self.undefined_mask.shape != (c,):
             raise ValueError("marginal and mask must have one entry per concept")
-        row_sums = self.post.sum(axis=1)
-        live = ~self.undefined_mask
-        if np.any(np.abs(row_sums[live] - 1.0) > INTERNAL_TOL):
-            raise ValueError("unmasked posterior rows must sum to 1")
+        check_simplex_rows(self.post, INTERNAL_TOL, "posterior row")
         if np.any(self.post[self.undefined_mask] != 1.0 / m):
             raise ValueError("masked posterior rows must be exactly uniform")
 
@@ -248,13 +248,7 @@ def conditional_entropy(posterior) -> float | np.ndarray:
     Low entropy means the concept fires for few events, i.e. it is
     discriminative.
     """
-    p = np.asarray(posterior, dtype=np.float64)
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("invalid distribution")
-    sums = p.sum(axis=-1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > INGEST_TOL)
-    if bad.size:
-        raise ValueError(f"invalid distribution: sums to {sums.flat[bad[0]]!r}")
+    p = check_simplex_rows(posterior, INGEST_TOL, "entropy input row")
     h = -np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0), axis=-1)
     h = np.where(h > 0.0, h, 0.0)
     return float(h) if p.ndim == 1 else h

@@ -51,6 +51,7 @@ from .network import (
     DEFAULT_MOMENTUM,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
+from .stats import INGEST_TOL, check_simplex_rows
 
 ALPHA_OBJECT_DEFAULT = 0.125
 ALPHA_SCENE_DEFAULT = 0.25
@@ -99,13 +100,9 @@ class SoftTargets:
     concept_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
+        if np.ndim(self.values) != 2:
             raise ValueError("soft targets must be a 2-D matrix")
-        sums = self.values.sum(axis=1)
-        # a NaN or +inf entry makes its row sum fail the comparison
-        if np.any(self.values < 0) or not np.all(np.abs(sums - 1.0) <= 1e-6):
-            raise ValueError("soft target rows must be finite and on the simplex")
+        self.values = check_simplex_rows(self.values, INGEST_TOL, "soft target row")
 
 
 @dataclass

@@ -552,7 +552,7 @@ class TestSoftTargetsJson:
         payload = json.loads(path.read_text())
         payload["values"][1] += 0.5  # row 0 now sums to 1.5
         path.write_text(json.dumps(payload))
-        with pytest.raises(io.ParseError, match="on the simplex") as info:
+        with pytest.raises(io.ParseError, match="row 0 off simplex: sums to 1.5") as info:
             io.read_soft_targets_json(str(path))
         assert str(info.value).startswith(f"{path}: ")
 
@@ -564,7 +564,7 @@ class TestSoftTargetsJson:
         payload["values"][:width] = [float("nan")] * width  # row 0 all NaN
         path.write_text(json.dumps(payload))
         assert "NaN" in path.read_text()
-        with pytest.raises(io.ParseError, match="finite and on the simplex") as info:
+        with pytest.raises(io.ParseError, match="row 0 off simplex: sums to nan") as info:
             io.read_soft_targets_json(str(path))
         assert str(info.value).startswith(f"{path}: ")
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from os2e.stats import (
+    INGEST_TOL,
     ConditionalTable,
     EventLabels,
+    PosteriorTable,
     ResponseMatrix,
     bayes_posterior,
+    check_simplex_rows,
     conditional_entropy,
     default_class_ids,
     estimate_conditional,
@@ -23,6 +26,42 @@ def make_responses(values, kind="object"):
 def random_simplex_rows(rng, n, c):
     rows = rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0), size=n)
     return rows
+
+
+class TestCheckSimplexRows:
+    def test_returns_float64_rows(self):
+        rows = check_simplex_rows([[1, 0], [0, 1]], INGEST_TOL, "row")
+        assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "bad, total, least",
+        [([0.5, 0.75], "1.25", "0.5"), ([1.5, -0.5], "1.0", "-0.5"),
+         ([np.nan, 1.0], "nan", "nan"), ([np.inf, 0.0], "inf", "0.0"),
+         ([1.0, -np.inf], "-inf", "-inf")],
+    )
+    def test_first_bad_row_named_with_its_sum(self, bad, total, least):
+        rows = [[0.25, 0.75], bad, [1.5, 1.5]]
+        with pytest.raises(ValueError) as info:
+            check_simplex_rows(rows, INGEST_TOL, "test row")
+        message = f"test row 1 off simplex: sums to {total}, least entry {least}"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_conditional_column_rejected(self, value):
+        cond = np.array([[0.8, 0.4], [0.2, 0.6]])
+        cond[1, 1] = value
+        with pytest.raises(ValueError, match="conditional column 1 off simplex"):
+            ConditionalTable(cond=cond, counts=[1, 1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_posterior_row_rejected(self, value):
+        post = np.array([[0.5, 0.5], [value, 0.0]])
+        with pytest.raises(ValueError, match="posterior row 1 off simplex"):
+            PosteriorTable(post=post, marginal=[0.5, 0.5], undefined_mask=[False, False])
+
+    def test_nan_entropy_input_rejected(self):
+        with pytest.raises(ValueError, match="entropy input row 0 off simplex: sums to nan"):
+            conditional_entropy([np.nan, 1.0])
 
 
 class TestEstimateConditional:
@@ -139,7 +178,7 @@ class TestConditionalEntropy:
         assert conditional_entropy([0.5, 0.25, 0.25]) == 1.5
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="invalid distribution"):
+        with pytest.raises(ValueError, match="entropy input row 0 off simplex"):
             conditional_entropy([1.2, -0.2])
 
     def test_bounds_over_random_posteriors(self):
@@ -157,9 +196,9 @@ class TestResponseMatrix:
         assert abs(matrix.values.sum() - 1.0) <= 1e-12
 
     def test_rejects_beyond_ingest_tolerance(self):
-        with pytest.raises(ValueError, match="unnormalized scores"):
+        with pytest.raises(ValueError, match="response row 0 off simplex"):
             make_responses([[0.5 + 1e-5, 0.5]])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="least entry -0.5"):
             make_responses([[1.5, -0.5]])

@@ -333,7 +333,7 @@ class TestSoftTargets:
             [[0.5, 0.5], [0.9, 0.3]], [[1.2, -0.2]], [[0.5, 0.5], [np.nan, np.nan]],
             [[np.nan, 1.0]], [[np.inf, 0.0]], [[1.0, -np.inf]],
         ):
-            with pytest.raises(ValueError, match="on the simplex"):
+            with pytest.raises(ValueError, match="soft target row [01] off simplex"):
                 SoftTargets(values=np.array(rows))
 
 
