@@ -3,9 +3,9 @@
 An image is resized under two aspect-ratio modes (smaller-side-preserving and
 square) at several scales, densely cropped on a grid, and the crops are scored
 by per-stream scorer callables (object stream and scene stream).  Scores are
-fused twice: the two streams with equal weights per region, then a plain mean
-across regions.  With the default config this produces 2 x 3 x 9 = 54 regions
-per image.
+fused twice: the two streams with equal weights per region, as each view is
+scored, then a plain mean across regions.  With the default config this
+produces 2 x 3 x 9 = 54 regions per image.
 
 Images travel as one float64 (N, H, W, C) stack of same-size images.
 ``check_images`` validates a stack where it enters (``io.read_image``, or
@@ -247,15 +247,15 @@ def score_regions(
     config: CropConfig,
     scorers: dict[str, object],
     mean_pixel=DEFAULT_MEAN_PIXEL,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Score every generated region of each image with the object and scene
     stream scorers, one call per stream, view and chunk of images (see the
-    module docstring).
+    module docstring), and fuse the two streams as each view is scored.
 
     ``images`` is a float64 (N, H, W, C) stack of same-size images, checked
     here by ``check_images``.
-    Returns the (N * R, M) object and scene score arrays, image-major, each
-    image's R rows in ``generate_regions`` order.
+    Returns the (N, R, M) fused region scores ``0.5 * object + 0.5 * scene``,
+    each image's R rows in ``generate_regions`` order.
     """
     if set(scorers) != {"object", "scene"}:
         raise ValueError("scorers must map exactly the 'object' and 'scene' streams")
@@ -269,8 +269,7 @@ def score_regions(
     side = config.crop_side
     image_crop_bytes = per_view * side * side * channels * pixels.itemsize
     chunk = max(1, CROP_STACK_BYTES // image_crop_bytes)
-    scores = {}  # stream -> (N, R, M), allocated once M is known
-    m = None
+    m = fused = None  # fused is (N, R, M), allocated once M is known
     for start in range(0, n, chunk):
         block = pixels[start : start + chunk]
         k = len(block)
@@ -284,13 +283,14 @@ def score_regions(
                     view[:, top : top + side, left : left + side], mean, out=crops[:, cell]
                 )
             crops = crops.reshape(k * per_view, side, side, channels)
-            for stream in ("object", "scene"):
-                rows = _check_scorer_output(scorers[stream](crops), k * per_view, m)
-                m = rows.shape[1]
-                if stream not in scores:
-                    scores[stream] = np.empty((n, len(offsets), m))
-                scores[stream][start : start + k, cells] = rows.reshape(k, per_view, m)
-    return scores["object"].reshape(-1, m), scores["scene"].reshape(-1, m)
+            obj = _check_scorer_output(scorers["object"](crops), k * per_view, m)
+            if m is None:
+                m = obj.shape[1]
+                fused = np.empty((n, len(offsets), m))
+            scene = _check_scorer_output(scorers["scene"](crops), k * per_view, m)
+            rows = 0.5 * obj + 0.5 * scene
+            fused[start : start + k, cells] = rows.reshape(k, per_view, m)
+    return fused
 
 
 def classify_images(
@@ -307,11 +307,7 @@ def classify_images(
     equally, and ``image_scores`` (N, M) is their mean over regions, which
     keeps scores normalized and ranks classes identically to the sum.
     """
-    object_scores, scene_scores = score_regions(
-        images, config, scorers, mean_pixel=mean_pixel
-    )
-    fused = 0.5 * object_scores + 0.5 * scene_scores
-    fused = fused.reshape(-1, config.region_count, fused.shape[1])
+    fused = score_regions(images, config, scorers, mean_pixel=mean_pixel)
     return fused.mean(axis=1), fused
 
 

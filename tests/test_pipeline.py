@@ -330,20 +330,21 @@ class TestScoreRegions:
         rng = np.random.default_rng(6)
         img = image_of(rng.random((40, 56)))
         v = np.array([0.25, 0.75])
-        object_scores, scene_scores = score_regions(
+        fused = score_regions(
             img.pixels[None], DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
         )
-        assert object_scores.shape == scene_scores.shape == (54, 2)
-        np.testing.assert_array_equal(object_scores, np.tile(v, (54, 1)))
+        assert fused.shape == (1, 54, 2)
+        np.testing.assert_array_equal(fused[0], np.tile(v, (54, 1)))
 
     def test_order_matches_generate_regions(self):
         img = image_of(np.random.default_rng(7).random((40, 48)))
-        object_scores, _ = score_regions(
+        # one scorer on both streams: 0.5 * x + 0.5 * x == x exactly
+        (scores,) = score_regions(
             img.pixels[None], DESK, {"object": brightness_scorer, "scene": brightness_scorer}
         )
         views, offsets = generate_regions(40, 48, DESK)
         side = DESK.crop_side
-        for r, (row, (top, left)) in enumerate(zip(object_scores, offsets)):
+        for r, (row, (top, left)) in enumerate(zip(scores, offsets)):
             _, _, rh, rw = views[r // DESK.grid**2]
             rect = _resize(img.pixels, rh, rw)[top : top + side, left : left + side]
             np.testing.assert_allclose(row, brightness_scorer(rect[None] - 0.5)[0])
@@ -447,10 +448,16 @@ class TestFusion:
     def test_fuse_regions_identity(self):
         # one scorer on both streams leaves every region's scores as they are
         img = image_of(np.random.default_rng(7).random((40, 56)))
-        scorers = {"object": brightness_scorer, "scene": brightness_scorer}
-        object_scores, _ = score_regions(img.pixels[None], DESK, scorers)
+        returned = []
+
+        def recording_scorer(crops):
+            rows = brightness_scorer(crops)
+            returned.append(rows)
+            return rows
+
+        scorers = {"object": recording_scorer, "scene": brightness_scorer}
         _, fused = classify_image(img, DESK, scorers)
-        assert fused.tobytes() == object_scores.tobytes()
+        assert fused.tobytes() == np.concatenate(returned).tobytes()
 
     def test_fuse_regions_symmetric(self):
         img = image_of(np.random.default_rng(8).random((40, 56)))
@@ -517,7 +524,11 @@ class TestFusion:
         img = image_of(np.random.default_rng(17).random((40, 56)))
         scorers = {"object": brightness_scorer, "scene": constant_scorer([0.1, 0.9])}
         scores, fused = classify_image(img, DESK, scorers)
-        object_scores, scene_scores = score_regions(img.pixels[None], DESK, scorers)
+        # one scorer on both streams scores each stream alone
+        object_scores, scene_scores = (
+            score_regions(img.pixels[None], DESK, {"object": s, "scene": s})[0]
+            for s in scorers.values()
+        )
         assert fused.tobytes() == (0.5 * object_scores + 0.5 * scene_scores).tobytes()
         assert scores.tobytes() == fused.mean(axis=0).tobytes()
 
