@@ -18,6 +18,7 @@ file stem, or an NxHxWxC stack, whose images have the ids ``<stem>_0000``,
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, astuple, fields
 from itertools import zip_longest
@@ -89,7 +90,7 @@ def _read_csv(path: str, header: list[str], parse_row, exact: bool = False):
 
 
 def _numbers(cells: list[str], kind=float) -> list:
-    """``cells`` converted by ``kind`` (float or int); the error names a bad cell."""
+    """``cells`` converted by ``kind`` (float or int, finite); the error names a cell."""
     values = []
     for cell in cells:
         try:
@@ -97,6 +98,10 @@ def _numbers(cells: list[str], kind=float) -> list:
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"not {what}: {cell!r}") from None
+    if kind is float and not math.isfinite(sum(values)):
+        for cell, x in zip(cells, values):
+            if not math.isfinite(x):
+                raise ValueError(f"not a finite number: {cell!r}")
     return values
 
 
@@ -388,6 +393,11 @@ def _checkpoint_from(d: dict, key) -> Checkpoint:
         layout=layout,
         rng_seed=int(key("seed")),
     )
+    bad = np.flatnonzero(~np.isfinite(params.values))
+    if bad.size:  # the entries tile values in order: the first ending past i holds i
+        i, value = int(bad[0]), float(params.values[bad[0]])
+        name = next(name for name, offset, shape in layout if i < offset + math.prod(shape))
+        raise ValueError(f"'values' must be finite, got {value!r} in layout entry '{name}'")
     return Checkpoint(config=config, params=params)
 
 

@@ -970,6 +970,93 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, bad_input):
     assert not out.exists()
 
 
+def _set_last_cell(path, line_no, value):
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = lines[line_no - 1].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_json(path, edit):
+    payload = read_json(path)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _nonfinite_responses(tmp_path, value):
+    resp = tmp_path / "resp.csv"
+    resp.write_text("image_id,class_0,class_1\nimg_0,0.5,0.5\nimg_1,0.5,0.5\n")
+    _set_last_cell(resp, 3, value)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("image_id,event_index\nimg_0,0\nimg_1,1\n")
+    return ["stats", "--responses", str(resp), "--labels", str(labels)], resp, 3
+
+
+def _nonfinite_train_csv(tmp_path, value):
+    args = _vectors(tmp_path)
+    _set_last_cell(tmp_path / "vec" / "train.csv", 3, value)
+    return ["train", "--mode", "init", *args], tmp_path / "vec" / "train.csv", 3
+
+
+def _nonfinite_aux_csv(tmp_path, value):
+    aux = tmp_path / "vec" / "aux.csv"
+    args = _vectors(tmp_path)
+    _set_last_cell(aux, 3, value)
+    return ["train", "--mode", "data", *args, "--aux", str(aux)], aux, 3
+
+
+def _nonfinite_conditional(tmp_path, value):
+    table = tmp_path / "conditional.json"
+    table.write_text(open(fixture_path("three_class_conditional.json")).read())
+    _edit_json(table, lambda d: d["cond"].__setitem__(0, float(value)))
+    return ["select", "--table", str(table), "--k", "2"], table, None
+
+
+def _nonfinite_soft_targets(tmp_path, value):
+    soft = tmp_path / "vec" / "soft_targets.json"
+    args = _vectors(tmp_path)
+    _edit_json(soft, lambda d: d["values"].__setitem__(0, float(value)))
+    return ["train", "--mode", "knowledge", *args, "--soft-targets", str(soft)], soft, None
+
+
+def _nonfinite_source(tmp_path, value):
+    args = _vectors(tmp_path)
+    ckpt = tmp_path / "source.json"
+    cfg = NetworkConfig(input_dim=32, trunk=(8,), heads=(4,), dropout_rate=0.0)
+    io.write_checkpoint_json(str(ckpt), Checkpoint(cfg, init_params(cfg, seed=3)))
+    _edit_json(ckpt, lambda d: d["values"].__setitem__(5, float(value)))
+    return ["train", "--mode", "init", *args, "--source", str(ckpt)], ckpt, None
+
+
+def _nonfinite_infer_checkpoint(tmp_path, value):
+    args = _images_and_checkpoint(tmp_path)
+    ckpt = tmp_path / "o.json"
+    _edit_json(ckpt, lambda d: d["values"].__setitem__(5, float(value)))
+    return ["infer", *args], ckpt, None
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "bad_input",
+    [_nonfinite_responses, _nonfinite_train_csv, _nonfinite_aux_csv,
+     _nonfinite_conditional, _nonfinite_soft_targets, _nonfinite_source,
+     _nonfinite_infer_checkpoint],
+    ids=["responses", "train_csv", "aux_csv", "conditional", "soft_targets",
+         "train_source", "infer_checkpoint"],
+)
+def test_non_finite_input_names_file_and_leaves_no_out_dir(
+    tmp_path, capsys, bad_input, value
+):
+    args, path, line_no = bad_input(tmp_path, value)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    where = f"{path}: " if line_no is None else f"{path}: line {line_no}: "
+    assert where in err
+    assert value in err.split(where, 1)[1]
+    assert not out.exists()
+
+
 def test_report_reads_first_conditional_table_in_name_order(tmp_path):
     # two stats dirs whose tables differ: the one named first is read,
     # whatever order the file system lists them in

@@ -204,6 +204,23 @@ class TestCheckpointJson:
         ):
             io.read_checkpoint_json(path)
 
+    @pytest.mark.parametrize(
+        "index, value, entry",
+        [(0, "nan", "trunk0.W"), (11, "inf", "trunk0.W"), (12, "-inf", "trunk0.b"),
+         (15, "nan", "head0.W"), (22, "inf", "head0.b")],
+    )
+    def test_non_finite_value_names_file_and_entry(self, tmp_path, index, value, entry):
+        def spoil(payload):
+            payload["values"][index] = float(value)
+
+        path = self._edited_checkpoint(tmp_path, spoil)
+        with pytest.raises(
+            io.ParseError,
+            match=re.escape(f"{path}: 'values' must be finite, got {value} "
+                            f"in layout entry '{entry}'"),
+        ):
+            io.read_checkpoint_json(path)
+
     def test_layout_config_mismatch_names_file_and_entry(self, tmp_path):
         def widen_head(payload):
             payload["config"]["heads"] = [3]
@@ -466,6 +483,9 @@ MALFORMED_CSV = {
     "dataset_header": (_DATA, "id,label,x_0\ns_0,0,0.5\n", 1, "expected header"),
     "dataset_label": (_DATA, "sample_id,label,x_0\ns_0,a,0.5\n", 2, "not an integer"),
     "dataset_feature": (_DATA, "sample_id,label,x_0\ns_0,0,nope\n", 2, "not a number"),
+    "dataset_nan": (_DATA, "sample_id,label,x_0,x_1\ns_0,0,0.5,NaN\n", 2, "finite.*'NaN'"),
+    "dataset_neg_inf": (_DATA, "sample_id,label,x_0\ns_0,0,-inf\n", 2, "finite.*'-inf'"),
+    "resp_nan": (_RESP, "image_id,a,b\nimg_0,0.5,0.5\nimg_1,nan,1.0\n", 3, "finite.*'nan'"),
 }
 
 
@@ -477,6 +497,12 @@ def test_malformed_csv_names_file_and_line(tmp_path, case):
     with pytest.raises(io.ParseError, match=fragment) as info:
         read(str(path))
     assert str(info.value).startswith(f"{path}: line {line}: ")
+
+
+def test_finite_cells_whose_sum_overflows_are_read(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("sample_id,label,x_0,x_1\ns_0,0,1e308,1e308\n")
+    assert io.read_dataset_csv(str(path)).features.tolist() == [[1e308, 1e308]]
 
 
 class TestReportTables:
