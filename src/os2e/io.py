@@ -356,7 +356,8 @@ def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
 
 
 def read_checkpoint_json(path: str) -> Checkpoint:
-    """Load a checkpoint whose layout must match its config and tile its values.
+    """Load a checkpoint whose layout must match its config and tile its
+    values, which must be finite.
 
     Keys the reader does not know must be null: files written while os2e had
     an input-normalization layer carry its unused settings and statistics as

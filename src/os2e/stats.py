@@ -35,8 +35,8 @@ def check_simplex_rows(rows, tol: float, what: str) -> np.ndarray:
     inf fail; otherwise a ``ValueError`` naming ``what`` and the first bad row."""
     rows = np.asarray(rows, dtype=np.float64)
     sums = rows.sum(axis=-1)
-    ok = np.all(rows >= 0, axis=-1) & (np.abs(sums - 1.0) <= tol)
-    if not np.all(ok):
+    ok = (rows >= 0).all(axis=-1) & (np.abs(sums - 1.0) <= tol)
+    if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         least = rows.reshape(-1, rows.shape[-1])[i].min(initial=np.inf)
         raise ValueError(

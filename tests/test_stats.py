@@ -59,10 +59,6 @@ class TestCheckSimplexRows:
         with pytest.raises(ValueError, match="posterior row 1 off simplex"):
             PosteriorTable(post=post, marginal=[0.5, 0.5], undefined_mask=[False, False])
 
-    def test_nan_entropy_input_rejected(self):
-        with pytest.raises(ValueError, match="entropy input row 0 off simplex: sums to nan"):
-            conditional_entropy([np.nan, 1.0])
-
 
 class TestEstimateConditional:
     def test_two_images_one_event(self):
