@@ -14,15 +14,23 @@ HxWxC image, which ``classify_image`` scores as a stack of one.
 
 Scorer contract: a scorer receives one C-contiguous float64 stack of
 mean-subtracted crops, shape (n, crop, crop, channels), and returns an (n, M)
-array whose rows are probability vectors over the M event classes.
+array whose rows are probability vectors over the M event classes.  The stack
+is read-only (a write raises ``ValueError``) and valid only during the call:
+``score_regions`` fills the same memory for the next view, so a scorer that
+keeps crops must copy them.
+
 ``score_regions`` scores the images in chunks: as many images as keep one
 view's crops within ``CROP_STACK_BYTES``, and always at least one.  For each
-chunk it resizes each view once for the whole chunk (a view at the images'
-own size is their pixels, only read), writes the chunk's grid x grid crops of
-that view, mean-subtracted, into one stack, image-major, and calls each
-stream once on it.  At paper scale a chunk is one image, so 12 calls score
-its 54 default regions; at desk scale (base 32, crop 16, one channel) a chunk
-is 14 images.  A view mixes checked pixels, so it is not checked again.
+chunk and view it streams the view in bands of output rows, as many as keep a
+band of the chunk within ``CROP_STACK_BYTES`` (at least one row): ``_resize``
+computes only the band, from only the source rows it reads, and each crop's
+rows in the band are written, mean-subtracted, straight into the call's one
+crop stack, image-major.  No whole resized view is ever held; a view at the
+images' own size is one band cut from their pixels, only read.  Each stream
+is then called once on the stack.  At paper scale a chunk is one image, so 12
+calls score its 54 default regions; at desk scale (base 32, crop 16, one
+channel) a chunk is 14 images and each view is one band.  A view mixes
+checked pixels, so it is not checked again.
 
 Scorers see batches of different sizes as the chunking changes, so a fused
 score is reproducible bitwise for a given stack and config, and within the
@@ -49,7 +57,8 @@ RATIO_MODES = (RATIO_ASPECT, RATIO_SQUARE)
 DEFAULT_MEAN_PIXEL = 0.5
 
 # the most bytes of crops one scorer call receives: the crops of one view for
-# a chunk of images; one image's crops may take more, and are then the chunk
+# a chunk of images; one image's crops may take more, and are then the chunk.
+# Also the most bytes of one band of a view resized for the chunk, or one row.
 CROP_STACK_BYTES = 256 * 1024
 
 
@@ -137,49 +146,58 @@ class CropConfig:
         return len(self.ratio_modes) * len(self.scale_factors) * self.grid**2
 
 
-def _source_coords(src: int, target: int) -> np.ndarray:
-    # half-pixel-center convention, clamped at the borders
-    coords = (np.arange(target) + 0.5) * (src / target) - 0.5
-    return np.clip(coords, 0.0, src - 1.0)
+def _taps(src: int, target: int, lo: int = 0, hi: int | None = None):
+    """Bilinear taps of output positions ``lo:hi`` (default all) along one
+    axis of ``src`` pixels resampled to ``target``: the two source indices
+    and the weight of the second.  Half-pixel-center convention, clamped at
+    the borders; each position is computed alone, so any range gives the
+    same bytes as the same positions of the whole axis."""
+    coords = (np.arange(lo, target if hi is None else hi) + 0.5) * (src / target) - 0.5
+    coords = np.clip(coords, 0.0, src - 1.0)
+    i0 = np.floor(coords).astype(np.int64)
+    return i0, np.minimum(i0 + 1, src - 1), coords - i0
 
 
-def _resize(px: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Bilinear resample of the HxWxC image(s) in ``px``, shape (..., H, W,
-    C), input unchanged: a new array, or ``px`` itself when the target size
-    is its own.
+def _resize(
+    px: np.ndarray, target_h: int, target_w: int, r0: int = 0, r1: int | None = None
+) -> np.ndarray:
+    """Output rows ``r0:r1`` (default all) of the bilinear resample of the
+    HxWxC image(s) in ``px``, shape (..., H, W, C), input unchanged: a new
+    (..., r1 - r0, target_w, C) array, or a slice of ``px`` (``px`` itself
+    for all rows) when the target size is its own.
 
     Separable, one gather per axis for all images at once: interpolate
-    columns on every source row of every image, then gather rows.  Each pass
-    computes ``a * (1 - w) + b * w`` in place on its gathers, and the column
-    pass works on ``(rows, w * c)`` with per-element indices, so every ufunc
-    runs one long contiguous loop.  Each output pixel is the same arithmetic
-    on the same four source pixels whatever the number of images.
+    columns on only the source rows the band reads, ``y0[r0]`` to ``y1[r1 -
+    1]``, then gather the band's rows from them.  Each pass computes ``a * (1
+    - w) + b * w`` in place on its gathers, which are contiguous and, in the
+    column pass, flattened to ``(..., rows, target_w * c)`` with the weights
+    repeated per channel, so every ufunc runs one long contiguous loop.  Each
+    output pixel is the same arithmetic on the same four source pixels
+    whatever the band and the number of images, so bands put together are
+    the whole view byte for byte.
     """
     *lead, h, w, c = px.shape
+    r1 = target_h if r1 is None else r1
     if (target_h, target_w) == (h, w):
-        return px
-    ys = _source_coords(h, target_h)
-    xs = _source_coords(w, target_w)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    rows = px.reshape(-1, w * c)
-    channel = np.arange(c)
-    wx = np.repeat(xs - x0, c)
-    cols = np.take(rows, (x0[:, None] * c + channel).ravel(), axis=1)
+        return px if (r0, r1) == (0, h) else px[..., r0:r1, :, :]
+    y0, y1, wy = _taps(h, target_h, r0, r1)
+    x0, x1, wx = _taps(w, target_w)
+    top = int(y0[0])
+    rows = px[..., top : int(y1[-1]) + 1, :, :]
+    flat = (*lead, -1, target_w * c)
+    wx = np.repeat(wx, c)
+    cols = np.take(rows, x0, axis=-2).reshape(flat)
     cols *= 1.0 - wx
-    tmp = np.take(rows, (x1[:, None] * c + channel).ravel(), axis=1)
+    tmp = np.take(rows, x1, axis=-2).reshape(flat)
     tmp *= wx
     cols += tmp
-    cols = cols.reshape(-1, h, target_w * c)
-    wy = (ys - y0)[:, None]
-    out = np.take(cols, y0, axis=1)
+    wy = wy[:, None]
+    out = np.take(cols, y0 - top, axis=-2)
     out *= 1.0 - wy
-    tmp = np.take(cols, y1, axis=1)
+    tmp = np.take(cols, y1 - top, axis=-2)
     tmp *= wy
     out += tmp
-    return out.reshape(*lead, target_h, target_w, c)
+    return out.reshape(*lead, r1 - r0, target_w, c)
 
 
 def resized_dims(
@@ -249,8 +267,9 @@ def score_regions(
     mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> np.ndarray:
     """Score every generated region of each image with the object and scene
-    stream scorers, one call per stream, view and chunk of images (see the
-    module docstring), and fuse the two streams as each view is scored.
+    stream scorers, one call per stream, view and chunk of images, each
+    handed the call's one read-only crop stack (see the module docstring),
+    and fuse the two streams as each view is scored.
 
     ``images`` is a float64 (N, H, W, C) stack of same-size images, checked
     here by ``check_images``.
@@ -268,26 +287,40 @@ def score_regions(
     per_view = config.grid**2
     side = config.crop_side
     image_crop_bytes = per_view * side * side * channels * pixels.itemsize
-    chunk = max(1, CROP_STACK_BYTES // image_crop_bytes)
+    chunk = min(n, max(1, CROP_STACK_BYTES // image_crop_bytes))
+    # the call's one crop stack: written here, lent to the scorers read-only
+    crops = np.empty((chunk * per_view, side, side, channels))
+    lent = crops.view()
+    lent.flags.writeable = False
     m = fused = None  # fused is (N, R, M), allocated once M is known
     for start in range(0, n, chunk):
         block = pixels[start : start + chunk]
         k = len(block)
+        cells_of = crops[: k * per_view].reshape(k, per_view, side, side, channels)
+        stack = lent[: k * per_view]
         for v, (_, _, rh, rw) in enumerate(views):
-            view = _resize(block, rh, rw)
-            # a fresh stack per view: a scorer may keep the array it is handed
-            crops = np.empty((k, per_view, side, side, channels))
             cells = slice(v * per_view, (v + 1) * per_view)
-            for cell, (top, left) in enumerate(offsets[cells].tolist()):
-                np.subtract(
-                    view[:, top : top + side, left : left + side], mean, out=crops[:, cell]
-                )
-            crops = crops.reshape(k * per_view, side, side, channels)
-            obj = _check_scorer_output(scorers["object"](crops), k * per_view, m)
+            corners = offsets[cells].tolist()
+            if (rh, rw) == (height, width):
+                band = rh  # cut from the pixels: nothing to hold
+            else:
+                band = max(1, CROP_STACK_BYTES // (k * rw * channels * pixels.itemsize))
+            for r0 in range(0, rh, band):
+                r1 = min(r0 + band, rh)
+                strip = _resize(block, rh, rw, r0, r1)
+                for cell, (top, left) in enumerate(corners):
+                    lo, hi = max(top, r0), min(top + side, r1)
+                    if lo < hi:
+                        np.subtract(
+                            strip[:, lo - r0 : hi - r0, left : left + side],
+                            mean,
+                            out=cells_of[:, cell, lo - top : hi - top],
+                        )
+            obj = _check_scorer_output(scorers["object"](stack), k * per_view, m)
             if m is None:
                 m = obj.shape[1]
                 fused = np.empty((n, len(offsets), m))
-            scene = _check_scorer_output(scorers["scene"](crops), k * per_view, m)
+            scene = _check_scorer_output(scorers["scene"](stack), k * per_view, m)
             rows = 0.5 * obj + 0.5 * scene
             fused[start : start + k, cells] = rows.reshape(k, per_view, m)
     return fused

@@ -1,6 +1,7 @@
 """Crop geometry, bilinear resampling, scoring, and fusion."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,41 @@ class TestResizeBilinear:
         assert (out is px) == (target == px.shape[:2])
         assert np.shares_memory(out, px) == (out is px)
 
+    @pytest.mark.parametrize(
+        "shape, target",
+        [
+            ((1, 20, 27, 3), (45, 61)),
+            ((1, 41, 53, 1), (17, 22)),
+            ((1, 20, 27, 3), (20, 40)),
+            ((1, 20, 27, 3), (33, 27)),
+            ((4, 19, 23, 3), (30, 14)),
+            ((2, 9, 11, 1), (9, 11)),
+            ((20, 27, 3), (45, 61)),
+        ],
+        ids=["upscale", "downscale", "height_kept", "width_kept", "n4", "own_size", "hwc"],
+    )
+    @pytest.mark.parametrize("band", [1, 7, None], ids=["rows1", "rows7", "full"])
+    def test_bands_put_together_are_the_whole_view(self, shape, target, band):
+        px = np.random.default_rng(22).random(shape)
+        th = target[0]
+        band = band or th
+        assert band in (1, th) or th % band  # 7-row bands end in a shorter band
+        edges = [*range(0, th, band), th]
+        bands = [_resize(px, *target, r0, r1) for r0, r1 in zip(edges, edges[1:])]
+        for b, r0, r1 in zip(bands, edges, edges[1:]):
+            assert b.shape == (*shape[:-3], r1 - r0, target[1], shape[-1])
+        assert np.concatenate(bands, axis=-3).tobytes() == _resize(px, *target).tobytes()
+
+    def test_random_bands_put_together_are_the_whole_view(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n, h, w, th, tw = (int(x) for x in rng.integers(1, 30, size=5))
+            px = rng.random((n, h, w, int(rng.choice([1, 3]))))
+            cuts = rng.integers(0, th + 1, size=int(rng.integers(0, 5))).tolist()
+            edges = sorted({0, th, *cuts})
+            bands = [_resize(px, th, tw, r0, r1) for r0, r1 in zip(edges, edges[1:])]
+            assert np.concatenate(bands, axis=1).tobytes() == _resize(px, th, tw).tobytes()
+
 
 class TestGeometry:
     def test_default_config_54_regions(self):
@@ -240,7 +276,7 @@ class TestCropStacks:
         ids=["desk", "paper"],
     )
     def test_every_stack_is_contiguous_float64(self, shape, config):
-        # so a scorer's reshape(n, -1) is a view, not a copy
+        # so a scorer's reshape(n, -1) is a view, not a copy; and read-only
         img = ImageBuffer(np.random.default_rng(21).random(shape))
         expected = (config.grid**2, config.crop_side, config.crop_side, img.channels)
         seen = []
@@ -249,7 +285,7 @@ class TestCropStacks:
             flat = crops.reshape(len(crops), -1)
             seen.append(
                 (crops.shape, crops.dtype, crops.flags.c_contiguous,
-                 np.shares_memory(flat, crops))
+                 np.shares_memory(flat, crops), crops.flags.writeable)
             )
             return np.full((len(crops), 2), 0.5)
 
@@ -257,27 +293,37 @@ class TestCropStacks:
             img.pixels[None], config, {"object": checking_scorer, "scene": checking_scorer}
         )
         assert len(seen) == 2 * len(config.ratio_modes) * len(config.scale_factors)
-        assert set(seen) == {(expected, np.dtype(np.float64), True, True)}
+        assert set(seen) == {(expected, np.dtype(np.float64), True, True, False)}
 
     def test_slices_of_resized_view_minus_mean(self):
+        self.check_slices_of_resized_view_minus_mean((40, 56), DESK)
+
+    @pytest.mark.parametrize("shape", PAPER_SHAPES)
+    def test_slices_of_banded_paper_views_minus_mean(self, shape):
+        # desk-scale views are one band; resized paper-scale views are 7 to
+        # 33 bands of 16 to 42 rows, so every crop straddles band edges
+        self.check_slices_of_resized_view_minus_mean(shape, CropConfig())
+
+    @staticmethod
+    def check_slices_of_resized_view_minus_mean(shape, config):
         rng = np.random.default_rng(16)
-        img = ImageBuffer(rng.random((40, 56, 3)))
+        img = ImageBuffer(rng.random((*shape, 3)))
         mean = np.array([0.4, 0.5, 0.6])
         calls = []
         score_regions(
             img.pixels[None],
-            DESK,
+            config,
             {"object": recording_scorer(calls), "scene": constant_scorer([1.0, 0.0])},
             mean_pixel=mean,
         )
         crops = np.concatenate(calls)
-        views, offsets = generate_regions(40, 56, DESK)
-        side = DESK.crop_side
+        views, offsets = generate_regions(*shape, config)
+        side = config.crop_side
         assert len(crops) == len(offsets)
         for r, (crop, (top, left)) in enumerate(zip(crops, offsets)):
-            _, _, rh, rw = views[r // DESK.grid**2]
+            _, _, rh, rw = views[r // config.grid**2]
             rect = _resize(img.pixels, rh, rw)[top : top + side, left : left + side]
-            np.testing.assert_array_equal(crop, rect - mean)
+            assert crop.tobytes() == (rect - mean).tobytes()
 
     def test_whole_image_identity(self):
         img = image_of(np.random.default_rng(5).random((16, 16)))
@@ -507,8 +553,9 @@ class TestFusion:
 
     @pytest.mark.parametrize("shape", [(32, 48), (32, 32, 3)])
     def test_classify_image_leaves_pixels_unchanged(self, shape):
-        # views at the image's own size are the image's pixels; a scorer
-        # that writes into its crops must still not reach them
+        # views at the image's own size are the image's pixels; the stack a
+        # scorer is handed is read-only, so its write is refused and reaches
+        # neither the pixels nor the crops the other stream scores
         img = image_of(np.random.default_rng(21).random(shape))
         before = img.pixels.copy()
 
@@ -517,7 +564,8 @@ class TestFusion:
             crops[...] = 1.0
             return rows
 
-        classify_image(img, DESK, {"object": scribbling_scorer, "scene": brightness_scorer})
+        with pytest.raises(ValueError, match="read-only"):
+            classify_image(img, DESK, {"object": scribbling_scorer, "scene": brightness_scorer})
         assert img.pixels.tobytes() == before.tobytes()
 
     def test_classify_image_is_mean_of_fused_regions(self):
@@ -654,3 +702,19 @@ class TestBatchedImages:
         ok = constant_scorer([1.0, 0.0])
         with pytest.raises(ValueError, match=message):
             classify_images(pixels, DESK, {"object": ok, "scene": ok})
+
+
+class TestWorkingMemory:
+    def test_paper_scale_image_peak_below_16_mib(self):
+        # the one 9 x 224 x 224 x 3 crop stack takes 10.3 MiB and the bands
+        # of a resized view about 1 MiB; a whole 512 x 682 view took 8 MiB
+        # more, with its column pass and temporaries a 38.9 MiB peak
+        img = ImageBuffer(np.random.default_rng(35).random((256, 341, 3)))
+        scorers = {"object": checkpoint_scorer(3, 224, 1), "scene": checkpoint_scorer(3, 224, 2)}
+        tracemalloc.start()
+        try:
+            classify_image(img, CropConfig(), scorers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
