@@ -167,14 +167,15 @@ def _resize(
     for all rows) when the target size is its own.
 
     Separable, one gather per axis for all images at once: interpolate
-    columns on only the source rows the band reads, ``y0[r0]`` to ``y1[r1 -
-    1]``, then gather the band's rows from them.  Each pass computes ``a * (1
-    - w) + b * w`` in place on its gathers, which are contiguous and, in the
-    column pass, flattened to ``(..., rows, target_w * c)`` with the weights
-    repeated per channel, so every ufunc runs one long contiguous loop.  Each
-    output pixel is the same arithmetic on the same four source pixels
-    whatever the band and the number of images, so bands put together are
-    the whole view byte for byte.
+    columns on only the source rows the band reads, from the upper tap of
+    row ``r0`` to the lower tap of row ``r1 - 1``, then gather the band's
+    rows from them.  Each pass computes ``a * (1 - w) + b * w`` in place on
+    its gathers, which are contiguous and, in the column pass, flattened to
+    ``(..., rows, target_w * c)`` with the weights repeated per channel, so
+    every ufunc runs one long contiguous loop.  Each output pixel is the same
+    arithmetic on the same four source pixels whatever the band and the
+    number of images, so bands put together are the whole view byte for
+    byte.
     """
     *lead, h, w, c = px.shape
     r1 = target_h if r1 is None else r1

@@ -165,7 +165,7 @@ class TestResizeBilinear:
         px = np.random.default_rng(22).random(shape)
         th = target[0]
         band = band or th
-        assert band in (1, th) or th % band  # 7-row bands end in a shorter band
+        assert band in (1, th) or th % band  # each target ends in a shorter band
         edges = [*range(0, th, band), th]
         bands = [_resize(px, *target, r0, r1) for r0, r1 in zip(edges, edges[1:])]
         for b, r0, r1 in zip(bands, edges, edges[1:]):
@@ -706,9 +706,9 @@ class TestBatchedImages:
 
 class TestWorkingMemory:
     def test_paper_scale_image_peak_below_16_mib(self):
-        # the one 9 x 224 x 224 x 3 crop stack takes 10.3 MiB and the bands
-        # of a resized view about 1 MiB; a whole 512 x 682 view took 8 MiB
-        # more, with its column pass and temporaries a 38.9 MiB peak
+        # the call's one 9 x 224 x 224 x 3 crop stack takes 10.3 MiB and a
+        # band with its temporaries about 1 MiB; holding a whole 512 x 682
+        # view (8 MiB) or a second stack breaks the bound
         img = ImageBuffer(np.random.default_rng(35).random((256, 341, 3)))
         scorers = {"object": checkpoint_scorer(3, 224, 1), "scene": checkpoint_scorer(3, 224, 2)}
         tracemalloc.start()
