@@ -29,8 +29,8 @@ crop stack, image-major.  No whole resized view is ever held; a view at the
 images' own size is one band cut from their pixels, only read.  Each stream
 is then called once on the stack.  At paper scale a chunk is one image, so 12
 calls score its 54 default regions; at desk scale (base 32, crop 16, one
-channel) a chunk is 14 images and each view is one band.  A view mixes
-checked pixels, so it is not checked again.
+channel) a chunk is 14 images, and each view of 64x64 images is one band.  A
+view mixes checked pixels, so it is not checked again.
 
 Scorers see batches of different sizes as the chunking changes, so a fused
 score is reproducible bitwise for a given stack and config, and within the
