@@ -197,7 +197,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{args.responses} and {args.labels} must list the same image ids in "
             f"the same order; they first differ on data row {row + 1}: {a} vs {b}"
         )
-    table = stats.estimate_conditional(responses, labels)
+    try:
+        table = stats.estimate_conditional(responses, labels)
+    except ValueError as exc:  # with the ids equal, only an empty event class
+        raise ValueError(f"{args.labels}: {exc}") from None
     posterior = stats.bayes_posterior(table)
     out = io.ensure_dir(args.out)
     io.write_conditional_json(os.path.join(out, "conditional.json"), table)
@@ -255,6 +258,18 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _check_widths(input_dim: int, where: str, inputs) -> None:
+    """Each ``(path, dataset)`` of ``inputs`` must have the ``input_dim``
+    features per sample of the network that ``where`` gives; the training
+    functions check no widths before they start, and name no file."""
+    for path, ds in inputs:
+        if ds.features.shape[1] != input_dim:
+            raise ValueError(
+                f"{path}: {ds.features.shape[1]} features per sample, but the "
+                f"network from {where} takes {input_dim}"
+            )
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _TRAIN_DEFAULTS)
     train = io.read_dataset_csv(args.train)
@@ -274,6 +289,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         ) from None
 
     if resolved["mode"] == "probe":
+        _check_widths(train.features.shape[1], args.train, [(args.test, test)])
         features = training.probe_features(train.features)
         test_features = training.probe_features(test.features)
         probe_train = training.Dataset(features, train.labels, train.num_classes)
@@ -290,17 +306,27 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 dropout_rate=0.0,
             )
             source = Checkpoint(config=net, params=init_params(net, config.seed))
-        if resolved["mode"] == "init":
-            report = training.init_transfer_train(source, train, test, config)
-        elif resolved["mode"] == "knowledge":
+        inputs = [(args.train, train), (args.test, test)]
+        if resolved["mode"] == "knowledge":
             if not args.soft_targets:
                 raise ValueError("knowledge mode needs --soft-targets")
             soft = io.read_soft_targets_json(args.soft_targets)
-            report = training.knowledge_transfer_train(source, train, test, soft, config)
-        else:
+            if len(soft.values) != len(train):
+                raise ValueError(
+                    f"{args.soft_targets}: {len(soft.values)} soft target rows for "
+                    f"the {len(train)} samples of {args.train}"
+                )
+        elif resolved["mode"] == "data":
             if not args.aux:
                 raise ValueError("data mode needs --aux")
             aux = io.read_dataset_csv(args.aux)
+            inputs.append((args.aux, aux))
+        _check_widths(source.config.input_dim, args.source or args.train, inputs)
+        if resolved["mode"] == "init":
+            report = training.init_transfer_train(source, train, test, config)
+        elif resolved["mode"] == "knowledge":
+            report = training.knowledge_transfer_train(source, train, test, soft, config)
+        else:
             report = training.data_transfer_train(source, train, test, aux, config)
 
     out = io.ensure_dir(args.out)

@@ -2,8 +2,11 @@
 
 Every CSV goes through ``_write_csv`` and ``_read_csv``: a header line, then
 one line per row, floats in ``repr`` form (shortest round-trip), so
-write-then-read is bitwise; a malformed line raises ``ParseError`` naming the
-file and the 1-based line.  Every JSON artifact is written by
+write-then-read is bitwise.  ``io`` checks format (UTF-8 text, the header,
+field counts, finite number or integer cells, a data row) and the type a
+reader builds checks rules (simplex rows, labels in range); either error is a
+``ParseError`` naming the file and the 1-based line, for a rule the line of
+the ``stats.RowError``'s row.  Every JSON artifact is written by
 ``_write_json`` and read through ``_read_object``: a file that is not a JSON
 object, or a wrongly typed or shaped value, raises ``ParseError`` starting
 with ``<file>: ``, and a missing key one reading ``<file>: missing key
@@ -28,13 +31,7 @@ import numpy as np
 from .network import Checkpoint, NetworkConfig, ParamStore, build_layout
 from .pipeline import CropConfig, check_images, generate_regions
 from .selection import SelectionProblem, SelectionResult
-from .stats import (
-    ConditionalTable,
-    EventLabels,
-    PosteriorTable,
-    ResponseMatrix,
-    INGEST_TOL,
-)
+from .stats import ConditionalTable, EventLabels, PosteriorTable, ResponseMatrix, RowError
 from .training import Dataset, EvalRecord, SoftTargets, TrainReport
 
 
@@ -59,17 +56,27 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
-def _read_csv(path: str, header: list[str], parse_row, exact: bool = False):
-    """The header cells and ``parse_row(cells)`` of each non-blank data line.
+def _decoded(path: str, fh):
+    """The lines of the text file ``fh``; a byte that is not UTF-8 names ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_csv(path: str, header: list[str], parse_row, build, exact: bool = False):
+    """``build(head, rows)`` of the header cells and ``parse_row(cells)`` of
+    each non-blank data line, of which there must be at least one.
 
     The header must equal ``header`` when ``exact`` and otherwise extend it by
     at least one column; every line must have as many fields as the header.
-    A ``ValueError`` from ``parse_row`` becomes a ``ParseError`` naming the line.
+    A ``ValueError`` from ``parse_row`` becomes a ``ParseError`` naming the
+    line, one from ``build`` naming the file and a ``RowError``'s line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = (
             (line_no, [cell.strip() for cell in line.split(",")])
-            for line_no, line in enumerate(fh, start=1)
+            for line_no, line in enumerate(_decoded(path, fh), start=1)
             if line.strip()
         )
         head_no, head = next(lines, (1, []))
@@ -77,7 +84,7 @@ def _read_csv(path: str, header: list[str], parse_row, exact: bool = False):
         if (head != header) if exact else (head[:n] != header or len(head) == n):
             expected = ",".join(header) + ("" if exact else ",...")
             raise ParseError(f"{path}: line {head_no}: expected header '{expected}'")
-        rows = []
+        rows, line_nos = [], []
         for line_no, cells in lines:
             if len(cells) != len(head):
                 got = f"expected {len(head)} fields, got {len(cells)}"
@@ -86,7 +93,15 @@ def _read_csv(path: str, header: list[str], parse_row, exact: bool = False):
                 rows.append(parse_row(cells))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {line_no}: {exc}") from None
-    return head, rows
+            line_nos.append(line_no)
+    if not rows:
+        raise ParseError(f"{path}: line {head_no + 1}: no data rows")
+    try:
+        return build(head, rows)
+    except RowError as exc:
+        raise ParseError(f"{path}: line {line_nos[exc.row]}: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _numbers(cells: list[str], kind=float) -> list:
@@ -105,15 +120,6 @@ def _numbers(cells: list[str], kind=float) -> list:
     return values
 
 
-def _label(cell: str, num_classes: int | None) -> int:
-    """An integer label in [0, num_classes), or >= 0 when ``num_classes`` is None."""
-    (y,) = _numbers([cell], int)
-    if y < 0 or (num_classes is not None and y >= num_classes):
-        bound = "inf" if num_classes is None else num_classes
-        raise ValueError(f"label {y} out of range [0, {bound})")
-    return y
-
-
 def _write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=sort_keys)
@@ -124,7 +130,7 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
 
 
@@ -186,21 +192,12 @@ def write_response_csv(
     _write_csv(path, ["image_id", *matrix.class_ids], rows)
 
 
-def _response_row(cells: list[str]) -> tuple[str, list[float]]:
-    row = _numbers(cells[1:])
-    total = sum(row)
-    if any(x < 0 for x in row) or abs(total - 1.0) > INGEST_TOL:
-        raise ValueError(f"unnormalized scores (row sums to {total!r})")
-    return cells[0], row
-
-
 def read_response_csv(path: str, kind: str = "object") -> tuple[ResponseMatrix, list[str]]:
-    header, rows = _read_csv(path, ["image_id"], _response_row)
-    if not rows:
-        raise ParseError(f"{path}: line 2: no data rows")
-    image_ids, values = zip(*rows)
-    matrix = ResponseMatrix(values=np.array(values), class_ids=header[1:], kind=kind)
-    return matrix, list(image_ids)
+    def build(header, rows):
+        image_ids, values = zip(*rows)
+        return ResponseMatrix(np.array(values), header[1:], kind), list(image_ids)
+
+    return _read_csv(path, ["image_id"], lambda cells: (cells[0], _numbers(cells[1:])), build)
 
 
 def write_labels_csv(
@@ -216,13 +213,14 @@ def read_labels_csv(
     path: str, num_events: int | None = None
 ) -> tuple[EventLabels, list[str]]:
     def parse_row(cells):
-        return cells[0], _label(cells[1], num_events)
+        return cells[0], _numbers(cells[1:], int)[0]
 
-    _, rows = _read_csv(path, ["image_id", "event_index"], parse_row, exact=True)
-    values = [y for _, y in rows]
-    if num_events is None:
-        num_events = max(values) + 1 if values else 1
-    return EventLabels(np.array(values), num_events), [image_id for image_id, _ in rows]
+    def build(header, rows):
+        image_ids, values = zip(*rows)
+        n = max(1, max(values) + 1) if num_events is None else num_events
+        return EventLabels(np.array(values), n), list(image_ids)
+
+    return _read_csv(path, ["image_id", "event_index"], parse_row, build, exact=True)
 
 
 def write_conditional_json(path: str, table: ConditionalTable) -> None:
@@ -463,17 +461,14 @@ def write_dataset_csv(path: str, dataset: Dataset) -> None:
 
 def read_dataset_csv(path: str, num_classes: int | None = None) -> Dataset:
     def parse_row(cells):
-        return _label(cells[1], num_classes), _numbers(cells[2:])
+        return _numbers(cells[1:2], int)[0], _numbers(cells[2:])
 
-    header, rows = _read_csv(path, ["sample_id", "label"], parse_row)
-    labels = [y for y, _ in rows]
-    if num_classes is None:
-        num_classes = max(labels) + 1 if labels else 1
-    return Dataset(
-        features=np.array([x for _, x in rows]).reshape(len(rows), len(header) - 2),
-        labels=np.array(labels),
-        num_classes=num_classes,
-    )
+    def build(header, rows):
+        labels, features = zip(*rows)
+        n = max(1, max(labels) + 1) if num_classes is None else num_classes
+        return Dataset(np.array(features), np.array(labels), n)
+
+    return _read_csv(path, ["sample_id", "label"], parse_row, build)
 
 
 def write_soft_targets_json(path: str, soft: SoftTargets) -> None:

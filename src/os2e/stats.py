@@ -9,7 +9,8 @@ All distributions are plain float64 numpy arrays.  ``check_simplex_rows``,
 used here and by ``pipeline`` and ``training``, is the one check that rows are
 probability distributions: ingested data (files, scorer output) is accepted
 within ``INGEST_TOL`` (it carries rounding), internally produced tables are
-held to ``INTERNAL_TOL``.
+held to ``INTERNAL_TOL``.  ``check_labels`` is the one label-range check;
+both raise a ``RowError`` that carries the first bad row.
 """
 
 from __future__ import annotations
@@ -29,21 +30,43 @@ def _as_float_matrix(values) -> np.ndarray:
     return arr
 
 
+class RowError(ValueError):
+    """A rule broken by a row; ``row`` is the index of the first bad row."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 def check_simplex_rows(rows, tol: float, what: str) -> np.ndarray:
     """``rows`` as float64, once each row (along the last axis) is checked to
     hold entries >= 0 summing to 1 within ``tol``, comparisons that NaN and
-    inf fail; otherwise a ``ValueError`` naming ``what`` and the first bad row."""
+    inf fail; otherwise a ``RowError`` naming ``what`` and the first bad row."""
     rows = np.asarray(rows, dtype=np.float64)
     sums = rows.sum(axis=-1)
     ok = (rows >= 0).all(axis=-1) & (np.abs(sums - 1.0) <= tol)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         least = rows.reshape(-1, rows.shape[-1])[i].min(initial=np.inf)
-        raise ValueError(
+        raise RowError(
+            i,
             f"{what} {i} off simplex: sums to {float(sums.flat[i])!r}, "
-            f"least entry {float(least)!r}"
+            f"least entry {float(least)!r}",
         )
     return rows
+
+
+def check_labels(labels, n: int, what: str) -> np.ndarray:
+    """``labels`` as 1-D int64, once each is checked to lie in [0, ``n``);
+    otherwise a ``RowError`` naming ``what`` and the first bad row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-D sequence")
+    bad = np.flatnonzero((labels < 0) | (labels >= n))
+    if bad.size:
+        i = int(bad[0])
+        raise RowError(i, f"{what} {labels[i]} of row {i} out of range [0, {n})")
+    return labels
 
 
 @dataclass(eq=False)
@@ -92,18 +115,9 @@ class EventLabels:
     num_events: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a 1-D sequence")
+        self.labels = check_labels(self.labels, self.num_events, "event label")
         if self.num_events < 1:
             raise ValueError("num_events must be >= 1")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_events
-        ):
-            raise ValueError(
-                f"label out of range [0, {self.num_events}): "
-                f"min={self.labels.min()}, max={self.labels.max()}"
-            )
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_events)

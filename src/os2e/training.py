@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .network import (
     DEFAULT_MOMENTUM,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
-from .stats import INGEST_TOL, check_simplex_rows
+from .stats import INGEST_TOL, check_labels, check_simplex_rows
 
 ALPHA_OBJECT_DEFAULT = 0.125
 ALPHA_SCENE_DEFAULT = 0.25
@@ -79,14 +79,10 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = check_labels(self.labels, self.num_classes, "label")
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.shape[0] != self.labels.size:
             raise ValueError("one label per feature row required")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_classes
-        ):
-            raise ValueError(f"labels out of range [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return self.labels.size
@@ -94,15 +90,20 @@ class Dataset:
 
 @dataclass(eq=False)
 class SoftTargets:
-    """Per-sample teacher distributions over the selected concept classes."""
+    """Per-sample teacher distributions over the selected concept classes,
+    one concept id per column."""
 
     values: np.ndarray
-    concept_ids: list[int] = field(default_factory=list)
+    concept_ids: list[int]
 
     def __post_init__(self):
         if np.ndim(self.values) != 2:
             raise ValueError("soft targets must be a 2-D matrix")
         self.values = check_simplex_rows(self.values, INGEST_TOL, "soft target row")
+        if len(self.concept_ids) != self.values.shape[1]:
+            raise ValueError(
+                f"{len(self.concept_ids)} concept ids for {self.values.shape[1]} columns"
+            )
 
 
 @dataclass

@@ -76,8 +76,7 @@ class TestStatsCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "unnormalized scores" in err
-        assert "line 3" in err
+        assert f"{resp}: line 3: response row 1 off simplex" in err
 
     @pytest.mark.parametrize(
         "ids, row, first, second",
@@ -1054,6 +1053,73 @@ def test_non_finite_input_names_file_and_leaves_no_out_dir(
     where = f"{path}: " if line_no is None else f"{path}: line {line_no}: "
     assert where in err
     assert value in err.split(where, 1)[1]
+    assert not out.exists()
+
+
+def _drop_last_column(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+
+
+def _labels_with_empty_event(tmp_path):
+    gen_dir = tmp_path / "resp"
+    assert run(["gen", "--preset", "responses", "--seed", "0", "--out", str(gen_dir)]) == 0
+    labels = gen_dir / "labels.csv"
+    _set_last_cell(labels, 2, "9")  # events 0-3 and 9: events 4-8 are empty
+    args = ["stats", "--responses", str(gen_dir / "object_responses.csv"),
+            "--labels", str(labels)]
+    return args, [labels], "empty event class 4"
+
+
+def _soft_targets_for_fewer_samples(tmp_path):
+    args = _vectors(tmp_path)
+    train, soft = tmp_path / "vec" / "train.csv", tmp_path / "vec" / "soft_targets.json"
+    train.write_text("".join(train.read_text().splitlines(keepends=True)[:-1]))
+    args = ["train", "--mode", "knowledge", *args, "--soft-targets", str(soft)]
+    return args, [soft, train], "16 soft target rows for the 15 samples"
+
+
+def _narrow_test(tmp_path):
+    args = _vectors(tmp_path)
+    _drop_last_column(tmp_path / "vec" / "test.csv")
+    paths = [tmp_path / "vec" / "test.csv", tmp_path / "vec" / "train.csv"]
+    return ["train", "--mode", "init", *args], paths, "31 features per sample"
+
+
+def _narrow_aux(tmp_path):
+    args = _vectors(tmp_path)
+    aux = tmp_path / "vec" / "aux.csv"
+    _drop_last_column(aux)
+    args = ["train", "--mode", "data", *args, "--aux", str(aux)]
+    return args, [aux, tmp_path / "vec" / "train.csv"], "31 features per sample"
+
+
+def _source_of_other_width(tmp_path):
+    args = _vectors(tmp_path)
+    ckpt = tmp_path / "source.json"
+    cfg = NetworkConfig(input_dim=16, trunk=(8,), heads=(4,), dropout_rate=0.0)
+    io.write_checkpoint_json(str(ckpt), Checkpoint(cfg, init_params(cfg, seed=3)))
+    args = ["train", "--mode", "init", *args, "--source", str(ckpt)]
+    return args, [tmp_path / "vec" / "train.csv", ckpt], "takes 16"
+
+
+@pytest.mark.parametrize(
+    "bad_input",
+    [_labels_with_empty_event, _soft_targets_for_fewer_samples, _narrow_test,
+     _narrow_aux, _source_of_other_width],
+    ids=["stats_empty_event", "train_soft_rows", "train_narrow_test",
+         "train_narrow_aux", "train_source_width"],
+)
+def test_inputs_that_do_not_fit_each_other_name_files_before_any_output(
+    tmp_path, capsys, bad_input
+):
+    args, paths, fragment = bad_input(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"os2e {args[0]}: error: {paths[0]}: ")
+    assert all(str(path) in err for path in paths) and fragment in err
     assert not out.exists()
 
 

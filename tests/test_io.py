@@ -57,7 +57,8 @@ class TestResponseCsv:
         path.write_text(
             "image_id,class_0,class_1\nimg_0,0.5,0.5\nimg_1,0.9,0.3\n"
         )
-        with pytest.raises(io.ParseError, match="line 3.*unnormalized scores"):
+        where = f"{path}: line 3: response row 1 off simplex"
+        with pytest.raises(io.ParseError, match=re.escape(where)):
             io.read_response_csv(str(path))
 
     def test_non_numeric_cell_names_line(self, tmp_path):
@@ -366,7 +367,8 @@ def _checkpoint():
 
 
 # reader, its writer and a valid artifact, then a missing key, a wrong
-# dimension and a wrongly typed value: (edit, the missing key or None)
+# dimension, a wrongly typed value and, for soft targets, too few concept ids:
+# (edit, the missing key or None)
 JSON_READERS = {
     "conditional": (
         io.read_conditional_json,
@@ -384,6 +386,7 @@ JSON_READERS = {
             (lambda d: d.pop("num_rows"), "num_rows"),
             (lambda d: d.update(num_concepts=d["num_concepts"] + 1), None),
             (lambda d: d.update(concept_ids=[[1]]), None),
+            (lambda d: d.update(concept_ids=d["concept_ids"][:3]), None),
         ],
     ),
     "selection": (
@@ -414,6 +417,9 @@ JSON_READERS = {
         ],
     ),
 }
+
+
+_JSON_EDITS = ["missing_key", "wrong_dim", "wrong_type", "wrong_id_count"]
 
 
 class TestJsonArtifacts:
@@ -447,11 +453,13 @@ class TestJsonArtifacts:
         path.write_text('{"subcommand": "train"}')
         assert io.read_run_mode(str(path)) == "unknown"
 
-    @pytest.mark.parametrize("reader", JSON_READERS)
     @pytest.mark.parametrize(
-        "case", (0, 1, 2), ids=["missing_key", "wrong_dim", "wrong_type"]
+        "case, reader",
+        [(case, reader) for reader, (_, _, edits) in JSON_READERS.items()
+         for case in range(len(edits))],
+        ids=lambda value: value if isinstance(value, str) else _JSON_EDITS[value],
     )
-    def test_malformed_names_file(self, tmp_path, reader, case):
+    def test_malformed_names_file(self, tmp_path, case, reader):
         read, write, edits = JSON_READERS[reader]
         edit, missing = edits[case]
         path = tmp_path / f"{reader}.json"
@@ -467,6 +475,22 @@ class TestJsonArtifacts:
             assert message == f"{path}: missing key '{missing}'"
 
 
+# a 20-class row that Python's sequential sum puts at 1 + 1e-6 and numpy's
+# sum at 1.0000010000000001, so it is off the simplex by the one rule
+_SPLIT_ROW = (
+    "0.05329242813796891,0.0267213204841746,0.00537939505970127,"
+    "0.020019507536642514,0.05830720963949724,0.007899465076458619,"
+    "0.04494342324549403,0.036621962383093766,0.04623123809300275,"
+    "0.01108068787405489,0.10129292236907732,0.052839836193411455,"
+    "0.09373386538074284,0.1088255241917821,0.03830868299058441,"
+    "0.053406339228367884,0.07798763260526162,0.04754817610479948,"
+    "0.0336547566970826,0.08190662670880174"
+)
+_SPLIT_CSV = (
+    "image_id," + ",".join(f"c{j}" for j in range(20)) + "\n"
+    "img_0," + ",".join(["1.0"] + ["0.0"] * 19) + "\n\nimg_1," + _SPLIT_ROW + "\n"
+)
+
 # reader, file content, the line the error names, and a fragment of it
 _RESP, _LABELS, _DATA = io.read_response_csv, io.read_labels_csv, io.read_dataset_csv
 MALFORMED_CSV = {
@@ -474,7 +498,7 @@ MALFORMED_CSV = {
     "resp_no_classes": (_RESP, "image_id\nimg_0\n", 1, "expected header"),
     "resp_wrong_header": (_RESP, "id,class_0\nimg_0,1.0\n", 1, "expected header"),
     "resp_no_rows": (_RESP, "image_id,class_0\n", 2, "no data rows"),
-    "resp_negative": (_RESP, "image_id,a,b\nimg_0,-0.5,1.5\n", 2, "unnormalized"),
+    "resp_negative": (_RESP, "image_id,a,b\nimg_0,-0.5,1.5\n", 2, "off simplex"),
     "labels_header": (_LABELS, "image_id,event\nimg_0,0\n", 1, "expected header"),
     "labels_extra_field": (_LABELS, "image_id,event_index\nimg_0,0,1\n", 2, "fields"),
     "labels_float": (_LABELS, "image_id,event_index\nimg_0,1.5\n", 2, "not an integer"),
@@ -486,6 +510,14 @@ MALFORMED_CSV = {
     "dataset_nan": (_DATA, "sample_id,label,x_0,x_1\ns_0,0,0.5,NaN\n", 2, "finite.*'NaN'"),
     "dataset_neg_inf": (_DATA, "sample_id,label,x_0\ns_0,0,-inf\n", 2, "finite.*'-inf'"),
     "resp_nan": (_RESP, "image_id,a,b\nimg_0,0.5,0.5\nimg_1,nan,1.0\n", 3, "finite.*'nan'"),
+    "resp_split_sum": (_RESP, _SPLIT_CSV, 4, "response row 1 off simplex: sums to 1.0000010"),
+    "labels_range_blank_line": (
+        _LABELS, "image_id,event_index\nimg_0,0\n\nimg_1,-1\n", 4, "label -1 .*out of range"
+    ),
+    "dataset_no_rows": (_DATA, "sample_id,label,x_0\n", 2, "no data rows"),
+    "dataset_range_blank_line": (
+        _DATA, "sample_id,label,x_0\ns_0,0,0.5\n\ns_1,-2,0.5\n", 4, "label -2 .*out of range"
+    ),
 }
 
 

@@ -334,7 +334,7 @@ class TestSoftTargets:
             [[np.nan, 1.0]], [[np.inf, 0.0]], [[1.0, -np.inf]],
         ):
             with pytest.raises(ValueError, match="soft target row [01] off simplex"):
-                SoftTargets(values=np.array(rows))
+                SoftTargets(values=np.array(rows), concept_ids=[0, 1])
 
 
 class TestTransferConfig:
@@ -459,7 +459,7 @@ def _array_holders():
         "Checkpoint": lambda: network.Checkpoint(net, network.init_params(net, 0)),
         "ForwardCache": lambda: forward(net, network.init_params(net, 0), np.ones((2, 3))),
         "Dataset": lambda: Dataset(np.zeros((2, 3)), [0, 1], 2),
-        "SoftTargets": lambda: SoftTargets(np.full((2, 2), 0.5)),
+        "SoftTargets": lambda: SoftTargets(np.full((2, 2), 0.5), [0, 1]),
         "EvalResult": lambda: evaluate(np.eye(2), [0, 1]),
         "ImageBuffer": lambda: pipeline.ImageBuffer(np.zeros((2, 2))),
         "ResponseMatrix": responses,
