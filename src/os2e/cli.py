@@ -261,7 +261,7 @@ _TRAIN_DEFAULTS = {
 def _check_widths(input_dim: int, where: str, inputs) -> None:
     """Each ``(path, dataset)`` of ``inputs`` must have the ``input_dim``
     features per sample of the network that ``where`` gives; the training
-    functions check no widths before they start, and name no file."""
+    functions check widths too, but name the set, not the file."""
     for path, ds in inputs:
         if ds.features.shape[1] != input_dim:
             raise ValueError(

@@ -157,6 +157,20 @@ def _key(d: dict, key: str, path: str, prefix: str = "", kind=object):
     return value
 
 
+def _matrix(key, name: str, rows: str, cols: str) -> np.ndarray:
+    """The flat float list at key ``name`` as a matrix of the integers at
+    keys ``rows`` by ``cols``; a list that does not fill them is a
+    ``ValueError`` naming all three keys."""
+    shape = int(key(rows)), int(key(cols))
+    values = np.array(key(name), dtype=np.float64)
+    if values.size != shape[0] * shape[1]:
+        raise ValueError(
+            f"'{name}' holds {values.size} values, not {rows} x {cols} = "
+            f"{shape[0]} x {shape[1]}"
+        )
+    return values.reshape(shape)
+
+
 def _read_object(path: str, build):
     """``build(d, key)`` of the JSON object ``d`` in ``path``, ``key`` being
     ``_key`` for this file; any other error of a malformed value (``"trunk": 5``,
@@ -244,9 +258,8 @@ def read_conditional_json(path: str) -> ConditionalTable:
     those that its ``counts`` give."""
 
     def build(d, key):
-        c, m = int(key("num_classes")), int(key("num_events"))
         table = ConditionalTable(
-            cond=np.array(key("cond"), dtype=np.float64).reshape(c, m),
+            cond=_matrix(key, "cond", "num_classes", "num_events"),
             counts=np.array(key("counts"), dtype=np.int64),
             class_ids=key("class_ids", kind=list),
         )
@@ -486,8 +499,7 @@ def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
 
 def read_soft_targets_json(path: str) -> SoftTargets:
     def build(d, key):
-        shape = int(key("num_rows")), int(key("num_concepts"))
-        values = np.array(key("values"), dtype=np.float64).reshape(shape)
+        values = _matrix(key, "values", "num_rows", "num_concepts")
         concept_ids = [int(c) for c in key("concept_ids")]
         return SoftTargets(values=values, concept_ids=concept_ids)
 

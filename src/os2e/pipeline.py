@@ -22,15 +22,18 @@ keeps crops must copy them.
 ``score_regions`` scores the images in chunks: as many images as keep one
 view's crops within ``CROP_STACK_BYTES``, and always at least one.  For each
 chunk and view it streams the view in bands of output rows, as many as keep a
-band of the chunk within ``CROP_STACK_BYTES`` (at least one row): ``_resize``
-computes only the band, from only the source rows it reads, and each crop's
-rows in the band are written, mean-subtracted, straight into the call's one
-crop stack, image-major.  No whole resized view is ever held; a view at the
-images' own size is one band cut from their pixels, only read.  Each stream
-is then called once on the stack.  At paper scale a chunk is one image, so 12
-calls score its 54 default regions; at desk scale (base 32, crop 16, one
-channel) a chunk is 14 images, and each view of 64x64 images is one band.  A
-view mixes checked pixels, so it is not checked again.
+band of the chunk within ``CROP_STACK_BYTES`` (at least one row).  Once per
+call it builds a plan for each resized view (its column and row taps and
+weights, which every band of every chunk slices) and one set of band buffers
+that all views share.  ``_resize_band`` computes a band into those buffers,
+from only the source rows it reads; the mean is subtracted once on the band,
+and each crop's rows in it are copied into the call's one crop stack,
+image-major.  No whole resized view is ever held; a view at the images' own
+size has no plan and is cut from their pixels, only read, minus the mean.
+Each stream is then called once on the stack.  At paper scale a chunk is one
+image, so 12 calls score its 54 default regions; at desk scale (base 32, crop
+16, one channel) a chunk is 14 images, and each view of 64x64 images is one
+band.  A view mixes checked pixels, so it is not checked again.
 
 Scorers see batches of different sizes as the chunking changes, so a fused
 score is reproducible bitwise for a given stack and config, and within the
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +62,9 @@ DEFAULT_MEAN_PIXEL = 0.5
 
 # the most bytes of crops one scorer call receives: the crops of one view for
 # a chunk of images; one image's crops may take more, and are then the chunk.
-# Also the most bytes of one band of a view resized for the chunk, or one row.
+# Also the most bytes of one band of a view resized for the chunk, or one row:
+# the call's band buffers (output, column pass and temporaries) each hold
+# about one band.
 CROP_STACK_BYTES = 256 * 1024
 
 
@@ -146,16 +152,108 @@ class CropConfig:
         return len(self.ratio_modes) * len(self.scale_factors) * self.grid**2
 
 
-def _taps(src: int, target: int, lo: int = 0, hi: int | None = None):
-    """Bilinear taps of output positions ``lo:hi`` (default all) along one
-    axis of ``src`` pixels resampled to ``target``: the two source indices
-    and the weight of the second.  Half-pixel-center convention, clamped at
-    the borders; each position is computed alone, so any range gives the
-    same bytes as the same positions of the whole axis."""
-    coords = (np.arange(lo, target if hi is None else hi) + 0.5) * (src / target) - 0.5
+def _taps(src: int, target: int):
+    """Bilinear taps of every output position along one axis of ``src``
+    pixels resampled to ``target``: the two source indices and the weight of
+    the second.  Half-pixel-center convention, clamped at the borders."""
+    coords = (np.arange(target) + 0.5) * (src / target) - 0.5
     coords = np.clip(coords, 0.0, src - 1.0)
     i0 = np.floor(coords).astype(np.int64)
     return i0, np.minimum(i0 + 1, src - 1), coords - i0
+
+
+class _ViewPlan(NamedTuple):
+    """One resized view's bilinear taps, built once per ``score_regions``
+    call; each band slices the row taps.
+
+    - ``band``: output rows per band;
+    - ``y0``, ``y1``: the two source rows of every output row, and ``wy``,
+      ``wyc`` their (target_h, 1) weights ``w`` and ``1 - w``;
+    - ``x0``, ``x1``: the two flat indices ``x * C + ch`` of every output
+      value of a row into a source row flattened to ``W * C`` values, and
+      ``wx``, ``wxc`` their weights ``w`` and ``1 - w``;
+    - ``src_rows``: the most source rows that any ``band`` consecutive output
+      rows read.
+    """
+
+    band: int
+    y0: np.ndarray
+    y1: np.ndarray
+    wy: np.ndarray
+    wyc: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    wx: np.ndarray
+    wxc: np.ndarray
+    src_rows: int
+
+
+def _plan(
+    h: int, w: int, c: int, target_h: int, target_w: int, band: int
+) -> _ViewPlan:
+    """The plan of an HxWxC image resized to ``target_h`` x ``target_w`` in
+    bands of at most ``band`` rows."""
+    y0, y1, wy = _taps(h, target_h)
+    x0, x1, wx = _taps(w, target_w)
+    ch = np.arange(c)
+    wx = np.repeat(wx, c)
+    band = min(band, target_h)
+    src_rows = int((y1[band - 1 :] - y0[: target_h - band + 1]).max()) + 1
+    return _ViewPlan(
+        band, y0, y1, wy[:, None], 1.0 - wy[:, None],
+        (x0[:, None] * c + ch).ravel(), (x1[:, None] * c + ch).ravel(), wx, 1.0 - wx,
+        src_rows,
+    )
+
+
+def _band_buffers(k: int, plans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat float64 buffers for the column pass, the output and the
+    temporaries of a band of ``k`` images under any of ``plans``."""
+    cols = max((p.src_rows * len(p.wx) for p in plans), default=0)
+    out = max((p.band * len(p.wx) for p in plans), default=0)
+    return np.empty(k * cols), np.empty(k * out), np.empty(k * max(cols, out))
+
+
+def _resize_band(
+    plan: _ViewPlan, src: np.ndarray, r0: int, r1: int, buffers
+) -> np.ndarray:
+    """Output rows ``r0:r1`` (at most ``plan.band``) of the view ``plan``
+    resamples the (k, H, W * C) images ``src`` to, as a (k, r1 - r0,
+    target_w * C) view of ``buffers``' output buffer.
+
+    Separable, one gather per axis for all images at once: interpolate
+    columns on only the source rows the band reads, from the upper tap of
+    row ``r0`` to the lower tap of row ``r1 - 1``, then gather the band's
+    rows from them.  Each pass gathers with ``np.take(..., out=...)`` and
+    computes ``a * (1 - w) + b * w`` in place on the gathers, which are
+    contiguous: the column pass indexes rows flattened to ``W * C`` values
+    with its weights repeated per channel.
+    Each output pixel is the same arithmetic on the same four source pixels
+    whatever the band and the number of images, so bands put together are
+    the whole view byte for byte.
+    """
+    cols_buf, out_buf, tmp_buf = buffers
+    k, width = len(src), len(plan.wx)
+    y0, y1 = plan.y0[r0:r1], plan.y1[r0:r1]
+    top = int(y0[0])
+    rows = src[:, top : int(y1[-1]) + 1]
+    shape = (k, rows.shape[1], width)
+    cols = cols_buf[: math.prod(shape)].reshape(shape)
+    tmp = tmp_buf[: cols.size].reshape(shape)
+    np.take(rows, plan.x0, axis=2, out=cols, mode="clip")
+    cols *= plan.wxc
+    np.take(rows, plan.x1, axis=2, out=tmp, mode="clip")
+    tmp *= plan.wx
+    cols += tmp
+    shape = (k, r1 - r0, width)
+    out = out_buf[: math.prod(shape)].reshape(shape)
+    tmp = tmp_buf[: out.size].reshape(shape)
+    np.take(cols, y0 - top, axis=1, out=out, mode="clip")
+    out *= plan.wyc[r0:r1]
+    np.take(cols, y1 - top, axis=1, out=tmp, mode="clip")
+    tmp *= plan.wy[r0:r1]
+    out += tmp
+    return out
 
 
 def _resize(
@@ -164,40 +262,16 @@ def _resize(
     """Output rows ``r0:r1`` (default all) of the bilinear resample of the
     HxWxC image(s) in ``px``, shape (..., H, W, C), input unchanged: a new
     (..., r1 - r0, target_w, C) array, or a slice of ``px`` (``px`` itself
-    for all rows) when the target size is its own.
-
-    Separable, one gather per axis for all images at once: interpolate
-    columns on only the source rows the band reads, from the upper tap of
-    row ``r0`` to the lower tap of row ``r1 - 1``, then gather the band's
-    rows from them.  Each pass computes ``a * (1 - w) + b * w`` in place on
-    its gathers, which are contiguous and, in the column pass, flattened to
-    ``(..., rows, target_w * c)`` with the weights repeated per channel, so
-    every ufunc runs one long contiguous loop.  Each output pixel is the same
-    arithmetic on the same four source pixels whatever the band and the
-    number of images, so bands put together are the whole view byte for
-    byte.
+    for all rows) when the target size is its own.  One band of a one-off
+    plan, through the band routine ``score_regions`` uses.
     """
     *lead, h, w, c = px.shape
     r1 = target_h if r1 is None else r1
     if (target_h, target_w) == (h, w):
         return px if (r0, r1) == (0, h) else px[..., r0:r1, :, :]
-    y0, y1, wy = _taps(h, target_h, r0, r1)
-    x0, x1, wx = _taps(w, target_w)
-    top = int(y0[0])
-    rows = px[..., top : int(y1[-1]) + 1, :, :]
-    flat = (*lead, -1, target_w * c)
-    wx = np.repeat(wx, c)
-    cols = np.take(rows, x0, axis=-2).reshape(flat)
-    cols *= 1.0 - wx
-    tmp = np.take(rows, x1, axis=-2).reshape(flat)
-    tmp *= wx
-    cols += tmp
-    wy = wy[:, None]
-    out = np.take(cols, y0 - top, axis=-2)
-    out *= 1.0 - wy
-    tmp = np.take(cols, y1 - top, axis=-2)
-    tmp *= wy
-    out += tmp
+    src = px.reshape(-1, h, w * c)
+    plan = _plan(h, w, c, target_h, target_w, r1 - r0)
+    out = _resize_band(plan, src, r0, r1, _band_buffers(len(src), [plan]))
     return out.reshape(*lead, r1 - r0, target_w, c)
 
 
@@ -289,6 +363,17 @@ def score_regions(
     side = config.crop_side
     image_crop_bytes = per_view * side * side * channels * pixels.itemsize
     chunk = min(n, max(1, CROP_STACK_BYTES // image_crop_bytes))
+    # one plan per resized view and one set of band buffers, for the call
+    plans = [
+        None
+        if (rh, rw) == (height, width)
+        else _plan(
+            height, width, channels, rh, rw,
+            max(1, CROP_STACK_BYTES // (chunk * rw * channels * pixels.itemsize)),
+        )
+        for _, _, rh, rw in views
+    ]
+    buffers = _band_buffers(chunk, [p for p in plans if p is not None])
     # the call's one crop stack: written here, lent to the scorers read-only
     crops = np.empty((chunk * per_view, side, side, channels))
     lent = crops.view()
@@ -297,26 +382,31 @@ def score_regions(
     for start in range(0, n, chunk):
         block = pixels[start : start + chunk]
         k = len(block)
+        src = block.reshape(k, height, width * channels)
         cells_of = crops[: k * per_view].reshape(k, per_view, side, side, channels)
         stack = lent[: k * per_view]
-        for v, (_, _, rh, rw) in enumerate(views):
+        for v, ((_, _, rh, rw), plan) in enumerate(zip(views, plans)):
             cells = slice(v * per_view, (v + 1) * per_view)
             corners = offsets[cells].tolist()
-            if (rh, rw) == (height, width):
-                band = rh  # cut from the pixels: nothing to hold
-            else:
-                band = max(1, CROP_STACK_BYTES // (k * rw * channels * pixels.itemsize))
-            for r0 in range(0, rh, band):
-                r1 = min(r0 + band, rh)
-                strip = _resize(block, rh, rw, r0, r1)
+            if plan is None:  # cut from the pixels: nothing to hold
                 for cell, (top, left) in enumerate(corners):
-                    lo, hi = max(top, r0), min(top + side, r1)
-                    if lo < hi:
-                        np.subtract(
-                            strip[:, lo - r0 : hi - r0, left : left + side],
-                            mean,
-                            out=cells_of[:, cell, lo - top : hi - top],
-                        )
+                    np.subtract(
+                        block[:, top : top + side, left : left + side],
+                        mean,
+                        out=cells_of[:, cell],
+                    )
+            else:
+                for r0 in range(0, rh, plan.band):
+                    r1 = min(r0 + plan.band, rh)
+                    band = _resize_band(plan, src, r0, r1, buffers)
+                    band = band.reshape(k, r1 - r0, rw, channels)
+                    band -= mean
+                    for cell, (top, left) in enumerate(corners):
+                        lo, hi = max(top, r0), min(top + side, r1)
+                        if lo < hi:
+                            cells_of[:, cell, lo - top : hi - top] = band[
+                                :, lo - r0 : hi - r0, left : left + side
+                            ]
             obj = _check_scorer_output(scorers["object"](stack), k * per_view, m)
             if m is None:
                 m = obj.shape[1]

@@ -244,6 +244,12 @@ def _run_training(
     soft: SoftTargets | None = None,
     aux: Dataset | None = None,
 ) -> TrainReport:
+    for name, ds in (("train", train), ("test", test), ("aux", aux)):
+        if ds is not None and ds.features.shape[1:] != (net.input_dim,):
+            raise ValueError(
+                f"{name} set: features of shape {ds.features.shape}, but the "
+                f"network takes {net.input_dim} per sample"
+            )
     t_start = time.perf_counter()
     velocity = np.zeros_like(params.values)
     grad = params.zeros_like()

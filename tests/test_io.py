@@ -454,6 +454,34 @@ class TestJsonArtifacts:
         assert io.read_run_mode(str(path)) == "unknown"
 
     @pytest.mark.parametrize(
+        "reader, write, key, dims",
+        [
+            (io.read_conditional_json,
+             lambda path: io.write_conditional_json(path, _conditional_table()),
+             "cond", ("num_classes", "num_events")),
+            (io.read_soft_targets_json,
+             lambda path: io.write_soft_targets_json(path, _soft_targets()),
+             "values", ("num_rows", "num_concepts")),
+        ],
+        ids=["conditional_cond", "soft_targets_values"],
+    )
+    def test_dropped_matrix_value_names_file_key_and_dims(
+        self, tmp_path, reader, write, key, dims
+    ):
+        path = tmp_path / "table.json"
+        write(str(path))
+        payload = json.loads(path.read_text())
+        payload[key] = payload[key][:-1]
+        path.write_text(json.dumps(payload))
+        rows, cols = (payload[dim] for dim in dims)
+        message = (
+            f"{path}: '{key}' holds {rows * cols - 1} values, not "
+            f"{dims[0]} x {dims[1]} = {rows} x {cols}"
+        )
+        with pytest.raises(io.ParseError, match=re.escape(message)):
+            reader(str(path))
+
+    @pytest.mark.parametrize(
         "case, reader",
         [(case, reader) for reader, (_, _, edits) in JSON_READERS.items()
          for case in range(len(edits))],

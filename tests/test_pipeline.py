@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import fixture_path
 
+from os2e import pipeline
 from os2e.network import NetworkConfig, forward, init_params
 from os2e.pipeline import (
     CROP_STACK_BYTES,
@@ -705,6 +706,29 @@ class TestBatchedImages:
 
 
 class TestWorkingMemory:
+    @pytest.mark.parametrize(
+        "shape, config, resized",
+        [((1, *PAPER_SHAPES[0], 3), CropConfig(), 5), ((40, 64, 64, 1), DESK, 4)],
+        ids=["paper_bands", "desk_chunks"],
+    )
+    def test_taps_once_per_resized_view_and_axis_per_call(
+        self, monkeypatch, shape, config, resized
+    ):
+        # the paper-scale image's resized views are 7 to 32 bands each and
+        # the desk stack is 3 chunks: no band or chunk computes its own taps
+        calls = []
+        taps = pipeline._taps
+
+        def counting_taps(*args):
+            calls.append(args)
+            return taps(*args)
+
+        monkeypatch.setattr(pipeline, "_taps", counting_taps)
+        pixels = np.random.default_rng(36).random(shape)
+        ok = constant_scorer([1.0, 0.0])
+        score_regions(pixels, config, {"object": ok, "scene": ok})
+        assert len(calls) == 2 * resized
+
     def test_paper_scale_image_peak_below_16_mib(self):
         # the call's one 9 x 224 x 224 x 3 crop stack takes 10.3 MiB and a
         # band with its temporaries about 1 MiB; holding a whole 512 x 682

@@ -387,6 +387,25 @@ class TestDataTransfer:
         with pytest.raises(ValueError, match="empty aux dataset"):
             data_transfer_train(source, train, test, empty, quick_config())
 
+    @pytest.mark.parametrize("narrow", ["train", "test", "aux"])
+    def test_wrong_width_set_named_before_first_evaluation(self, narrow, monkeypatch):
+        config, truth, train, test, soft, source = benchmark_parts(seed=12)
+        sets = {"train": train, "test": test, "aux": gen_aux_dataset(config, truth)}
+        ds = sets[narrow]
+        sets[narrow] = Dataset(ds.features[:, :-1], ds.labels, ds.num_classes)
+
+        def refuse(*args):
+            raise AssertionError("evaluated before the widths were checked")
+
+        monkeypatch.setattr(training, "_evaluate_point", refuse)
+        width = config.feature_dim
+        message = (
+            rf"{narrow} set: features of shape \(\d+, {width - 1}\), "
+            f"but the network takes {width} per sample"
+        )
+        with pytest.raises(ValueError, match=message):
+            data_transfer_train(source, *sets.values(), quick_config())
+
     def test_runs_and_improves(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=13)
         aux = gen_aux_dataset(config, truth)
