@@ -436,6 +436,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
+    if not os.path.isdir(args.run_dir):
+        raise ValueError(f"{args.run_dir}: not a directory")
     conditional_path = None
     runs = []  # (mode, report.json path, eval records)
     for root, dirs, files in os.walk(args.run_dir):
@@ -512,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int)
     p.add_argument("--n-test", type=int)
     p.add_argument("--config")
-    p.add_argument("--out", "--out-dir", dest="out", required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("stats", help="estimate conditional/posterior tables")

@@ -1,17 +1,18 @@
 """Planted-concept synthetic data generators for the benchmark suite.
 
 Every generator is a pure function of (config, seed).  The common structure:
-each event class owns a small disjoint "signature" of concept classes, and
-samples of that event express those concepts (peaked response rows, indicator
-feature patterns, or an intensity-coded blob).  The hidden signatures come
-back as a frozen :class:`PlantedTruth` so selection-recovery and transfer
-benchmarks can score themselves against ground truth.
+each event class owns a small "signature" of concept classes, disjoint from
+every other event's (``GeneratorConfig`` rejects sizes too small for that),
+and samples of that event express those concepts (peaked response rows,
+indicator feature patterns, or an intensity-coded blob).  The hidden
+signatures come back as a frozen :class:`PlantedTruth` so selection-recovery
+and transfer benchmarks can score themselves against ground truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,11 @@ _STREAM_SOURCE = 8
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Sizes, noise and seed of a generated dataset.  Each event's signature
+    is ``signature_sparsity`` object and as many scene classes, disjoint from
+    every other event's, so ``num_events * signature_sparsity`` may not exceed
+    ``min(num_objects, num_scenes)``."""
+
     num_events: int = 4
     num_objects: int = 20
     num_scenes: int = 12
@@ -52,8 +58,13 @@ class GeneratorConfig:
             raise ValueError("all counts must be >= 1")
         if min(self.n_train, self.n_test, self.n_aux) < 1:
             raise ValueError("sample counts must be >= 1")
-        if not 1 <= self.signature_sparsity <= min(self.num_objects, self.num_scenes):
-            raise ValueError("sparsity must be in [1, min(num_objects, num_scenes)]")
+        classes = min(self.num_objects, self.num_scenes)
+        if not 1 <= self.num_events * self.signature_sparsity <= classes:
+            raise ValueError(
+                "disjoint signatures need 1 <= num_events * signature_sparsity <= "
+                f"min(num_objects, num_scenes), got {self.num_events} * "
+                f"{self.signature_sparsity} and {classes}"
+            )
         for name in ("concentration", "noise_sigma"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -79,26 +90,11 @@ class PlantedTruth:
 def _draw_signatures(
     rng: np.random.Generator, num_events: int, num_classes: int, sparsity: int
 ) -> list[list[int]]:
-    if num_events * sparsity <= num_classes:
-        perm = rng.permutation(num_classes)
-        return [
-            sorted(int(c) for c in perm[e * sparsity : (e + 1) * sparsity])
-            for e in range(num_events)
-        ]
-    # not enough classes for disjoint signatures; fall back to distinct sets
-    if math.comb(num_classes, sparsity) < num_events:
-        raise ValueError(
-            f"cannot draw {num_events} distinct signatures of size {sparsity} "
-            f"from {num_classes} classes"
-        )
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    while len(out) < num_events:
-        sig = tuple(sorted(int(c) for c in rng.choice(num_classes, size=sparsity, replace=False)))
-        if sig not in seen:
-            seen.add(sig)
-            out.append(list(sig))
-    return out
+    perm = rng.permutation(num_classes)
+    return [
+        sorted(int(c) for c in perm[e * sparsity : (e + 1) * sparsity])
+        for e in range(num_events)
+    ]
 
 
 def make_truth(config: GeneratorConfig) -> PlantedTruth:
@@ -388,13 +384,13 @@ BENCHMARK_TRUNK = (64,)
 BENCHMARK_SOURCE_KIND = "vocabulary"
 
 
-def benchmark_transfer_config(mode: str, seed: int, **overrides) -> TransferConfig:
+def benchmark_transfer_config(mode: str, seed: int) -> TransferConfig:
     """Settings shared by the mode-comparison benchmark runs: the
     ``TransferConfig`` defaults with dropout 0.5.  ``mode`` names the trainer
     the caller runs and must be one of ``TRANSFER_MODES``."""
     if mode not in TRANSFER_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return replace(TransferConfig(dropout_rate=0.5, seed=seed), **overrides)
+    return TransferConfig(dropout_rate=0.5, seed=seed)
 
 
 def preset_image_benchmark(seed: int = 0) -> GeneratorConfig:

@@ -195,14 +195,9 @@ def _read_object(path: str, build):
 # ---------------------------------------------------------------------------
 
 
-def write_response_csv(
-    path: str, matrix: ResponseMatrix, image_ids: list[str] | None = None
-) -> None:
-    if image_ids is None:
-        image_ids = [f"img_{i}" for i in range(matrix.num_images)]
-    if len(image_ids) != matrix.num_images:
-        raise ValueError("one image id per row required")
-    rows = ([image_id, *row] for image_id, row in zip(image_ids, matrix.values.tolist()))
+def write_response_csv(path: str, matrix: ResponseMatrix) -> None:
+    """One row per image, its id ``img_<i>``."""
+    rows = ([f"img_{i}", *row] for i, row in enumerate(matrix.values.tolist()))
     _write_csv(path, ["image_id", *matrix.class_ids], rows)
 
 
@@ -223,16 +218,16 @@ def write_labels_csv(
     _write_csv(path, ["image_id", "event_index"], rows)
 
 
-def read_labels_csv(
-    path: str, num_events: int | None = None
-) -> tuple[EventLabels, list[str]]:
+def read_labels_csv(path: str) -> tuple[EventLabels, list[str]]:
+    """The labels, over as many events as the largest label gives, and
+    their image ids."""
+
     def parse_row(cells):
         return cells[0], _numbers(cells[1:], int)[0]
 
     def build(header, rows):
         image_ids, values = zip(*rows)
-        n = max(1, max(values) + 1) if num_events is None else num_events
-        return EventLabels(np.array(values), n), list(image_ids)
+        return EventLabels(np.array(values), max(1, max(values) + 1)), list(image_ids)
 
     return _read_csv(path, ["image_id", "event_index"], parse_row, build, exact=True)
 

@@ -359,9 +359,9 @@ def soft_target_loss(
     cache: ForwardCache,
     targets,
     direction: str = SOFT_TARGET_AS_DISTRIBUTION,
-    head: int = 1,
 ) -> tuple[float, np.ndarray]:
-    """Imitation loss between a softmax head q and frozen teacher rows f.
+    """Imitation loss between the softmax of head 1, q, and frozen teacher
+    rows f.
 
     Default direction treats f as the target distribution, -sum f log q,
     which reduces to cross-entropy when f is one-hot.  ``target_in_log``
@@ -370,12 +370,12 @@ def soft_target_loss(
     simplex: ``training.SoftTargets`` checks that once, when it is built.
     """
     f = np.asarray(targets, dtype=np.float64)
-    q = _computed(cache.head_prob, head)
+    q = _computed(cache.head_prob, 1)
     if f.shape != q.shape:
         raise ValueError(f"target shape {f.shape} vs head output {q.shape}")
     b = cache.batch_size
     if direction == SOFT_TARGET_AS_DISTRIBUTION:
-        logq = cache.head_logprob[head]
+        logq = cache.head_logprob[1]
         loss = -float((f * logq).sum(axis=1).sum() / b)
         grad = (q - f) / b
     elif direction == SOFT_TARGET_IN_LOG:

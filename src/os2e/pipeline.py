@@ -107,18 +107,6 @@ class ImageBuffer:
             raise ValueError(f"expected HxWxC pixels, got shape {px.shape}")
         self.pixels = check_images(px[None])[0]
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
 
 @dataclass(frozen=True)
 class CropConfig:
@@ -312,11 +300,6 @@ def generate_regions(
     for mode in config.ratio_modes:
         for scale in config.scale_factors:
             rh, rw = resized_dims(height, width, mode, scale, config.base_side)
-            if min(rh, rw) < config.crop_side:
-                raise ValueError(
-                    f"image too small after resize: {rh}x{rw} for crop "
-                    f"{config.crop_side}"
-                )
             views.append((mode, scale, rh, rw))
             rows = grid_offsets(rh, config.crop_side, config.grid)
             cols = grid_offsets(rw, config.crop_side, config.grid)
@@ -439,11 +422,8 @@ def classify_image(
     image: ImageBuffer,
     config: CropConfig,
     scorers: dict[str, object],
-    mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``classify_images`` on one image: its (M,) scores and (R, M) fused
-    region scores."""
-    scores, fused = classify_images(
-        image.pixels[None], config, scorers, mean_pixel=mean_pixel
-    )
+    """``classify_images`` on one image, at the default mean pixel: its (M,)
+    scores and (R, M) fused region scores."""
+    scores, fused = classify_images(image.pixels[None], config, scorers)
     return scores[0], fused[0]

@@ -170,15 +170,11 @@ class TrainReport:
 
 @dataclass(eq=False)
 class EvalResult:
-    """Accuracy and per-class AP; a class without positives has a NaN AP,
-    is skipped, and is left out of the mean."""
+    """Accuracy and per-class AP; a class without positives has a NaN AP
+    and is left out of the mean."""
 
     accuracy: float
     average_precision: np.ndarray
-
-    @property
-    def skipped_classes(self) -> list[int]:
-        return np.flatnonzero(np.isnan(self.average_precision)).tolist()
 
     @property
     def mean_ap(self) -> float:
@@ -192,8 +188,7 @@ def evaluate(scores, labels) -> EvalResult:
     Accuracy takes the argmax per row (lowest index on ties).  AP for a class
     ranks all samples by descending class score (ties by sample index) and
     averages precision at each positive's rank.  Classes without positives
-    get a NaN AP: the result's ``skipped_classes`` and ``mean_ap`` are read
-    off ``average_precision``.
+    get a NaN AP, which the result's ``mean_ap`` leaves out.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 from conftest import fixture_path
 
-from os2e.cli import run
+from os2e.cli import main, run
 from os2e import io, pipeline
 from os2e.datagen import gen_image_dataset, make_truth, preset_image_benchmark
 from os2e.network import (
@@ -864,6 +865,16 @@ class TestReportCommand:
         assert f"--top-k must be >= 1, got {top_k}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_run_dir_not_a_directory_named_before_any_output(self, tmp_path, capsys, kind):
+        run_dir = tmp_path / "no_such_dir"
+        if kind == "file":
+            run_dir.write_text("")
+        out = tmp_path / "rep"
+        assert run(["report", "--run-dir", str(run_dir), "--out", str(out)]) == 1
+        assert f"{run_dir}: not a directory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_dir_warns_exit_zero(self, tmp_path, capsys):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
@@ -967,6 +978,58 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, bad_input):
     assert run([*args, "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _settings_list(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    return ["gen", "--config", str(cfg)]
+
+
+# name -> (the arguments but --out, the error message)
+REJECTIONS = {
+    "config_list": (_settings_list, "cfg.json: expected a JSON object of settings"),
+    "data_without_aux": (
+        lambda t: ["train", "--mode", "data", *_vectors(t)], "data mode needs --aux"
+    ),
+    "schedule_negative": (
+        lambda t: ["train", *_vectors(t), "--schedule", "-1"], "k_iters must be >= 0"
+    ),
+    "dropout_one": (
+        lambda t: ["train", *_vectors(t), "--dropout", "1.0"], "dropout_rate must be in [0, 1)"
+    ),
+    "trunk_zero": (
+        lambda t: ["train", *_vectors(t), "--trunk", "0"], "trunk widths must be >= 1"
+    ),
+    "crop_side_zero": (
+        lambda t: ["infer", *_images_and_checkpoint(t), "--crop-side", "0"],
+        "crop_side must be >= 1",
+    ),
+    "ratio_mode_unknown": (
+        lambda t: ["infer", *_images_and_checkpoint(t), "--ratio-modes", "foo"],
+        "unknown ratio mode 'foo'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_bad_setting_rejected_before_any_output(tmp_path, capsys, case):
+    args, message = REJECTIONS[case]
+    args = args(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_exits_with_the_run_status(tmp_path, monkeypatch):
+    out = tmp_path / "resp"
+    monkeypatch.setattr(sys, "argv", ["os2e", "gen", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert (out / "labels.csv").exists()
 
 
 def _set_last_cell(path, line_no, value):

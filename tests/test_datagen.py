@@ -210,6 +210,13 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError, match="sparsity"):
             GeneratorConfig(num_objects=4, num_scenes=4, signature_sparsity=5)
 
+    def test_too_few_classes_for_disjoint_signatures_named(self):
+        # 7 events x 2 classes overflow the 12 scene classes; 6 x 2 fill them
+        with pytest.raises(ValueError, match=r"min\(num_objects, num_scenes\), got 7 \* 2 and 12"):
+            GeneratorConfig(num_events=7)
+        truth = make_truth(GeneratorConfig(num_events=6))
+        assert sorted(c for sig in truth.scene_signatures for c in sig) == list(range(12))
+
     def test_counts_guard(self):
         with pytest.raises(ValueError, match="counts"):
             GeneratorConfig(num_events=0)
@@ -217,8 +224,8 @@ class TestGeneratorConfig:
 
 class TestBenchmarkTransferConfig:
     def test_library_defaults_with_half_dropout(self):
-        config = benchmark_transfer_config("data", seed=3, beta=0.25)
-        assert config == replace(TransferConfig(), dropout_rate=0.5, seed=3, beta=0.25)
+        config = benchmark_transfer_config("data", seed=3)
+        assert config == replace(TransferConfig(), dropout_rate=0.5, seed=3)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):

@@ -73,15 +73,15 @@ class TestLabelsCsv:
         labels = EventLabels(np.array([0, 2, 1, 1]), 3)
         path = str(tmp_path / "labels.csv")
         io.write_labels_csv(path, labels)
-        loaded, ids = io.read_labels_csv(path, num_events=3)
+        loaded, ids = io.read_labels_csv(path)
         np.testing.assert_array_equal(loaded.labels, labels.labels)
         assert loaded.num_events == 3
 
     def test_out_of_range_label_names_line(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("image_id,event_index\nimg_0,0\nimg_1,5\n")
+        path.write_text("image_id,event_index\nimg_0,0\nimg_1,-1\n")
         with pytest.raises(io.ParseError, match="line 3.*out of range"):
-            io.read_labels_csv(str(path), num_events=2)
+            io.read_labels_csv(str(path))
 
 
 class TestTableJson:

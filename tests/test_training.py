@@ -83,7 +83,6 @@ class TestEvaluate:
         scores = np.random.default_rng(0).random((5, 3))
         labels = np.array([0, 0, 1, 1, 0])
         result = evaluate(scores, labels)
-        assert result.skipped_classes == [2]
         assert np.isnan(result.average_precision[2])
         assert np.isfinite(result.mean_ap)
 
