@@ -7,7 +7,8 @@ Every subcommand reads and checks all of its inputs (``gen`` generates all of
 its data) before it creates its output directory, so a failed run leaves none
 behind, and writes a ``resolved_config.json`` there with the fully-explicit
 settings of the run, so any output can be reproduced bit for bit.  File
-formats live in ``io``.
+formats live in ``io``.  ``train`` leaves the rules that pair its inputs to
+``training``, and names the files of the inputs its ``PairingError`` names.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _layer_config(args: argparse.Namespace, defaults: dict, fallback=None) -> di
     if getattr(args, "config", None):
         resolved.update(_read_settings(args.config, defaults, fallback))
     for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
     return resolved
@@ -186,7 +187,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    responses, response_ids = io.read_response_csv(args.responses, kind=args.kind)
+    responses, response_ids = io.read_response_csv(args.responses)
     labels, label_ids = io.read_labels_csv(args.labels)
     if response_ids != label_ids:
         pairs = itertools.zip_longest(response_ids, label_ids, fillvalue="(none)")
@@ -207,12 +208,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     io.write_posterior_json(os.path.join(out, "posterior.json"), posterior)
     _write_resolved_config(
         out,
-        {
-            "subcommand": "stats",
-            "responses": args.responses,
-            "labels": args.labels,
-            "kind": args.kind,
-        },
+        {"subcommand": "stats", "responses": args.responses, "labels": args.labels},
     )
     return 0
 
@@ -258,20 +254,11 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _check_widths(input_dim: int, where: str, inputs) -> None:
-    """Each ``(path, dataset)`` of ``inputs`` must have the ``input_dim``
-    features per sample of the network that ``where`` gives; the training
-    functions check widths too, but name the set, not the file."""
-    for path, ds in inputs:
-        if ds.features.shape[1] != input_dim:
-            raise ValueError(
-                f"{path}: {ds.features.shape[1]} features per sample, but the "
-                f"network from {where} takes {input_dim}"
-            )
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _layer_config(args, _TRAIN_DEFAULTS)
+    mode = resolved["mode"]
+    if mode == "probe" and args.source:
+        raise ValueError("--source: the probe trains from no trunk, so it takes no source")
     train = io.read_dataset_csv(args.train)
     test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
     # each value takes the type of its field's default: a config file's
@@ -287,47 +274,43 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "setting 'trunk' must be comma-separated integer widths, "
             f"got {resolved['trunk']!r}"
         ) from None
+    if mode == "probe":  # init transfer from no trunk on l2-normalized rows
+        train, test = (
+            training.Dataset(training.probe_features(ds.features), ds.labels, ds.num_classes)
+            for ds in (train, test)
+        )
+        trunk = ()
 
-    if resolved["mode"] == "probe":
-        _check_widths(train.features.shape[1], args.train, [(args.test, test)])
-        features = training.probe_features(train.features)
-        test_features = training.probe_features(test.features)
-        probe_train = training.Dataset(features, train.labels, train.num_classes)
-        probe_test = training.Dataset(test_features, test.labels, test.num_classes)
-        report = training.linear_probe_train(probe_train, probe_test, config)
+    if args.source:
+        source = io.read_checkpoint_json(args.source)
     else:
-        if args.source:
-            source = io.read_checkpoint_json(args.source)
-        else:
-            net = NetworkConfig(
-                input_dim=train.features.shape[1],
-                trunk=trunk,
-                heads=(train.num_classes,),
-                dropout_rate=0.0,
-            )
-            source = Checkpoint(config=net, params=init_params(net, config.seed))
-        inputs = [(args.train, train), (args.test, test)]
-        if resolved["mode"] == "knowledge":
-            if not args.soft_targets:
-                raise ValueError("knowledge mode needs --soft-targets")
-            soft = io.read_soft_targets_json(args.soft_targets)
-            if len(soft.values) != len(train):
-                raise ValueError(
-                    f"{args.soft_targets}: {len(soft.values)} soft target rows for "
-                    f"the {len(train)} samples of {args.train}"
-                )
-        elif resolved["mode"] == "data":
-            if not args.aux:
-                raise ValueError("data mode needs --aux")
-            aux = io.read_dataset_csv(args.aux)
-            inputs.append((args.aux, aux))
-        _check_widths(source.config.input_dim, args.source or args.train, inputs)
-        if resolved["mode"] == "init":
-            report = training.init_transfer_train(source, train, test, config)
-        elif resolved["mode"] == "knowledge":
-            report = training.knowledge_transfer_train(source, train, test, soft, config)
-        else:
-            report = training.data_transfer_train(source, train, test, aux, config)
+        net = NetworkConfig(
+            input_dim=train.features.shape[1],
+            trunk=trunk,
+            heads=(train.num_classes,),
+            dropout_rate=0.0,
+        )
+        source = Checkpoint(config=net, params=init_params(net, config.seed))
+    trainer, extra = training.init_transfer_train, ()
+    if mode == "knowledge":
+        if not args.soft_targets:
+            raise ValueError("knowledge mode needs --soft-targets")
+        trainer = training.knowledge_transfer_train
+        extra = (io.read_soft_targets_json(args.soft_targets),)
+    elif mode == "data":
+        if not args.aux:
+            raise ValueError("data mode needs --aux")
+        trainer, extra = training.data_transfer_train, (io.read_dataset_csv(args.aux),)
+    try:
+        report = trainer(source, train, test, *extra, config)
+    except training.PairingError as exc:
+        # the roles are the file arguments' names; a fresh source takes the
+        # train set's width
+        fresh = f"a fresh network sized to {args.train}"
+        files = {**vars(args), "source": args.source or fresh}
+        first, *others = exc.inputs
+        named = ", ".join(f"{name}: {files[name]}" for name in others)
+        raise ValueError(f"{files[first]}: {exc} ({named})") from None
 
     out = io.ensure_dir(args.out)
     io.write_checkpoint_json(os.path.join(out, "checkpoint.json"), report.checkpoint)
@@ -520,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="estimate conditional/posterior tables")
     p.add_argument("--responses", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--kind", choices=("object", "scene"), default="object")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_stats)
 

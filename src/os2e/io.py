@@ -201,10 +201,10 @@ def write_response_csv(path: str, matrix: ResponseMatrix) -> None:
     _write_csv(path, ["image_id", *matrix.class_ids], rows)
 
 
-def read_response_csv(path: str, kind: str = "object") -> tuple[ResponseMatrix, list[str]]:
+def read_response_csv(path: str) -> tuple[ResponseMatrix, list[str]]:
     def build(header, rows):
         image_ids, values = zip(*rows)
-        return ResponseMatrix(np.array(values), header[1:], kind), list(image_ids)
+        return ResponseMatrix(np.array(values), header[1:]), list(image_ids)
 
     return _read_csv(path, ["image_id"], lambda cells: (cells[0], _numbers(cells[1:])), build)
 

@@ -135,10 +135,6 @@ class CropConfig:
             if mode not in RATIO_MODES:
                 raise ValueError(f"unknown ratio mode {mode!r}")
 
-    @property
-    def region_count(self) -> int:
-        return len(self.ratio_modes) * len(self.scale_factors) * self.grid**2
-
 
 def _taps(src: int, target: int):
     """Bilinear taps of every output position along one axis of ``src``

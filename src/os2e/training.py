@@ -1,4 +1,4 @@
-"""Transfer-mode trainers, the linear probe, and the evaluation protocol.
+"""Transfer-mode trainers and the evaluation protocol.
 
 Three ways to adapt a source network to an event dataset:
 
@@ -10,8 +10,10 @@ Three ways to adapt a source network to an event dataset:
   concept-labeled dataset whose loss (weight beta) flows through the shared
   trunk via its own head.
 
-Each of ``TRANSFER_MODES`` has its own entry point (``probe`` is
-``linear_probe_train``), so the call picks the mode.
+Each mode has its own entry point, so the call picks the mode; the linear
+probe (``probe`` of ``TRANSFER_MODES``) is ``init`` from a source with no
+trunk, on rows l2-normalized by ``probe_features``.  Only the trainers check
+that their inputs pair up, and raise a ``PairingError`` if not.
 
 All modes share one loop, and it alone composes their losses from the
 network's primitives: event cross-entropy, plus alpha times the imitation
@@ -69,6 +71,17 @@ _STREAM_DROPOUT = 3
 _STREAM_AUX_DROPOUT = 4
 
 
+class PairingError(ValueError):
+    """A set whose width is not the source network's, or soft targets that
+    are not one row per training sample.  ``inputs`` names the inputs at
+    fault (``train``, ``test``, ``aux``, ``soft_targets``, ``source``), the
+    faulty one first."""
+
+    def __init__(self, message: str, inputs: tuple[str, ...]):
+        super().__init__(message)
+        self.inputs = inputs
+
+
 @dataclass(eq=False)
 class Dataset:
     """Integer-labelled samples in one float64 array, a row per label:
@@ -112,8 +125,9 @@ class TransferConfig:
 
     The entry point picks the mode: ``knowledge_transfer_train`` reads
     ``alpha`` and ``soft_direction``, ``data_transfer_train`` reads ``beta``,
-    and the others read neither.  The lr decay factor and the momentum are
-    the module constants ``LR_DECAY_DEFAULT`` and ``DEFAULT_MOMENTUM``.
+    and ``init_transfer_train`` reads neither.  The lr decay factor and the
+    momentum are the module constants ``LR_DECAY_DEFAULT`` and
+    ``DEFAULT_MOMENTUM``.
     """
 
     alpha: float = ALPHA_OBJECT_DEFAULT
@@ -241,9 +255,10 @@ def _run_training(
 ) -> TrainReport:
     for name, ds in (("train", train), ("test", test), ("aux", aux)):
         if ds is not None and ds.features.shape[1:] != (net.input_dim,):
-            raise ValueError(
+            raise PairingError(
                 f"{name} set: features of shape {ds.features.shape}, but the "
-                f"network takes {net.input_dim} per sample"
+                f"network takes {net.input_dim} per sample",
+                (name, "source"),
             )
     t_start = time.perf_counter()
     velocity = np.zeros_like(params.values)
@@ -337,9 +352,10 @@ def knowledge_transfer_train(
 ) -> TrainReport:
     """Fine-tune with an imitation head supervised by frozen soft targets."""
     if soft.values.shape[0] != len(train):
-        raise ValueError(
-            f"missing soft target row: {soft.values.shape[0]} rows for "
-            f"{len(train)} training samples"
+        raise PairingError(
+            f"{soft.values.shape[0]} soft target rows for the {len(train)} "
+            "samples of the train set",
+            ("soft_targets", "train"),
         )
     net = _target_net(source, (train.num_classes, soft.values.shape[1]), config)
     params = init_params(net, config.seed, source.params)
@@ -371,22 +387,3 @@ def probe_features(values) -> np.ndarray:
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return arr / safe
-
-
-def linear_probe_train(
-    train: Dataset, test: Dataset, config: TransferConfig
-) -> TrainReport:
-    """Train a bare affine+softmax classifier on frozen, l2-normalized features."""
-    for ds in (train, test):
-        norms = np.linalg.norm(ds.features, axis=1)
-        off = np.abs(norms - 1.0) > 1e-6
-        if np.any(off & (norms != 0.0)):
-            raise ValueError("probe features must be l2-normalized rows")
-    net = NetworkConfig(
-        input_dim=train.features.shape[1],
-        trunk=(),
-        heads=(train.num_classes,),
-        dropout_rate=config.dropout_rate,
-    )
-    params = init_params(net, config.seed)
-    return _run_training(net, params, train, test, config)

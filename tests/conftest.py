@@ -1,7 +1,7 @@
 """Shared test helpers: data fixtures, the finite-difference gradient
 checker, kink-free gradient-check cases, the per-step parameter recorder of
-the training loop, a plain reference training loop, and planted-data helpers
-that only tests use."""
+the training loop, the linear probe, a plain reference training loop, and
+planted-data helpers that only tests use."""
 
 import os
 
@@ -13,6 +13,7 @@ from os2e.network import (
     DEFAULT_MOMENTUM,
     SOFT_TARGET_AS_DISTRIBUTION,
     SOFT_TARGET_IN_LOG,
+    Checkpoint,
     NetworkConfig,
     backward,
     cross_entropy_loss,
@@ -194,6 +195,17 @@ def _reference_step_grad(net, params, x, rng, losses):
         if i > 0:
             d_h = d_pre @ params.view(f"trunk{i}.W").T
     return grad.values
+
+
+def probe_train(train, test, config):
+    """The linear probe as ``os2e train --mode probe`` runs it: init transfer
+    from a fresh source with no trunk, on rows already l2-normalized."""
+    net = NetworkConfig(
+        input_dim=train.features.shape[1], trunk=(), heads=(train.num_classes,),
+        dropout_rate=0.0,
+    )
+    source = Checkpoint(config=net, params=init_params(net, config.seed))
+    return training.init_transfer_train(source, train, test, config)
 
 
 def reference_training(net, params, train, config, soft=None, aux=None):

@@ -18,6 +18,7 @@ from conftest import (
     make_blob_scorer,
     param_steps,
     preset_high_concentration,
+    probe_train,
     view_of,
 )
 
@@ -74,7 +75,6 @@ from os2e.training import (
     evaluate,
     init_transfer_train,
     knowledge_transfer_train,
-    linear_probe_train,
     probe_features,
 )
 
@@ -234,7 +234,7 @@ class TestCriterion4DegenerateWeights:
 
 class TestCriterion5ShippedConstants:
     def test_shipped_defaults(self):
-        assert CropConfig().region_count == 54
+        assert len(generate_regions(256, 256, CropConfig())[1]) == 54
         assert len(CropConfig().scale_factors) == 3
         assert len(CropConfig().ratio_modes) == 2
         assert CropConfig().grid == 3
@@ -313,7 +313,7 @@ class TestCriterion8ProbeCombination:
         train = Dataset(features[:n_train], labels[:n_train], 4)
         test = Dataset(features[n_train:], labels[n_train:], 4)
         tc = TransferConfig(k_iters=120, batch_size=32, dropout_rate=0.0, seed=seed)
-        return linear_probe_train(train, test, tc).final.test_map
+        return probe_train(train, test, tc).final.test_map
 
     def test_probe_combination(self):
         start = time.perf_counter()

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import fixture_path
+from conftest import fixture_path, probe_train
 
 from os2e.cli import main, run
 from os2e import io, pipeline
@@ -19,6 +19,7 @@ from os2e.network import (
     init_params,
 )
 from os2e.pipeline import CropConfig, ImageBuffer, classify_image, generate_regions
+from os2e.training import Dataset, TransferConfig, probe_features
 
 
 def read_json(path):
@@ -269,10 +270,34 @@ class TestTrainCommand:
         assert report["records"][-1]["iteration"] == 15
 
     def test_probe_mode(self, tmp_path):
+        # --trunk 8 is ignored: the probe is init transfer from a source with
+        # no trunk, on the l2-normalized rows
         gen_dir = self.gen_data(tmp_path)
         out = str(tmp_path / "p")
         assert run(self.common_args(gen_dir, out, ["--mode", "probe"])) == 0
         assert os.path.exists(os.path.join(out, "report.csv"))
+        train, test = (
+            Dataset(probe_features(ds.features), ds.labels, ds.num_classes)
+            for ds in (io.read_dataset_csv(os.path.join(gen_dir, "train.csv")),
+                       io.read_dataset_csv(os.path.join(gen_dir, "test.csv")))
+        )
+        config = TransferConfig(k_iters=6, batch_size=8, dropout_rate=0.0, seed=7)
+        report = probe_train(train, test, config)
+        assert report.checkpoint.config.trunk == ()
+        expected = tmp_path / "expected.json"
+        io.write_checkpoint_json(str(expected), report.checkpoint)
+        assert (tmp_path / "p" / "checkpoint.json").read_bytes() == expected.read_bytes()
+
+    def test_probe_with_source_named_before_any_output(self, tmp_path, capsys):
+        gen_dir = self.gen_data(tmp_path)
+        ckpt = tmp_path / "source.json"
+        cfg = NetworkConfig(input_dim=32, trunk=(8,), heads=(4,), dropout_rate=0.0)
+        io.write_checkpoint_json(str(ckpt), Checkpoint(cfg, init_params(cfg, seed=3)))
+        out = tmp_path / "p"
+        args = ["--mode", "probe", "--source", str(ckpt)]
+        assert run(self.common_args(gen_dir, str(out), args)) == 1
+        assert "--source: the probe trains from no trunk" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_knowledge_without_targets_fails(self, tmp_path, capsys):
         gen_dir = self.gen_data(tmp_path)
@@ -1146,7 +1171,12 @@ def _narrow_test(tmp_path):
     args = _vectors(tmp_path)
     _drop_last_column(tmp_path / "vec" / "test.csv")
     paths = [tmp_path / "vec" / "test.csv", tmp_path / "vec" / "train.csv"]
-    return ["train", "--mode", "init", *args], paths, "31 features per sample"
+    return ["train", "--mode", "init", *args], paths, ", 31), but the network takes 32 per"
+
+
+def _narrow_probe_test(tmp_path):
+    args, paths, fragment = _narrow_test(tmp_path)
+    return ["train", *args[1:], "--mode", "probe"], paths, fragment
 
 
 def _narrow_aux(tmp_path):
@@ -1154,7 +1184,7 @@ def _narrow_aux(tmp_path):
     aux = tmp_path / "vec" / "aux.csv"
     _drop_last_column(aux)
     args = ["train", "--mode", "data", *args, "--aux", str(aux)]
-    return args, [aux, tmp_path / "vec" / "train.csv"], "31 features per sample"
+    return args, [aux, tmp_path / "vec" / "train.csv"], ", 31), but the network takes 32 per"
 
 
 def _source_of_other_width(tmp_path):
@@ -1169,9 +1199,9 @@ def _source_of_other_width(tmp_path):
 @pytest.mark.parametrize(
     "bad_input",
     [_labels_with_empty_event, _soft_targets_for_fewer_samples, _narrow_test,
-     _narrow_aux, _source_of_other_width],
+     _narrow_probe_test, _narrow_aux, _source_of_other_width],
     ids=["stats_empty_event", "train_soft_rows", "train_narrow_test",
-         "train_narrow_aux", "train_source_width"],
+         "train_narrow_probe_test", "train_narrow_aux", "train_source_width"],
 )
 def test_inputs_that_do_not_fit_each_other_name_files_before_any_output(
     tmp_path, capsys, bad_input

@@ -189,7 +189,6 @@ class TestResizeBilinear:
 
 class TestGeometry:
     def test_default_config_54_regions(self):
-        assert CropConfig().region_count == 54
         views, offsets = generate_regions(300, 400, CropConfig())
         assert len(views) == 6
         assert offsets.shape == (54, 2) and offsets.dtype == np.int64
@@ -204,7 +203,7 @@ class TestGeometry:
             (mode, scale) for mode in config.ratio_modes for scale in config.scale_factors
         ]
         per_view = config.grid**2
-        assert len(offsets) == len(views) * per_view == config.region_count
+        assert len(offsets) == len(views) * per_view == 2 * 2 * 4**2
         for r, (top, left) in enumerate(offsets.tolist()):
             mode, scale, rh, rw = views[r // per_view]
             assert (rh, rw) == resized_dims(*shape, mode, scale, config.base_side)

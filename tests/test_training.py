@@ -3,7 +3,7 @@ schedules, determinism, and the probe."""
 
 import numpy as np
 import pytest
-from conftest import param_steps, reference_training, view_of
+from conftest import param_steps, probe_train, reference_training, view_of
 
 from os2e.datagen import (
     gen_aux_dataset,
@@ -32,7 +32,6 @@ from os2e.training import (
     evaluate,
     init_transfer_train,
     knowledge_transfer_train,
-    linear_probe_train,
     probe_features,
 )
 
@@ -304,7 +303,7 @@ class TestReferenceLoop:
         if mode == "probe":
             train = Dataset(probe_features(train.features), train.labels, train.num_classes)
             test = Dataset(probe_features(test.features), test.labels, test.num_classes)
-            report = linear_probe_train(train, test, tc)
+            report = probe_train(train, test, tc)
             net = report.checkpoint.config
             start = training.init_params(net, tc.seed)
         else:
@@ -362,8 +361,10 @@ class TestKnowledgeTransfer:
     def test_missing_soft_target_row_rejected(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=10)
         short = SoftTargets(values=soft.values[:-1], concept_ids=soft.concept_ids)
-        with pytest.raises(ValueError, match="missing soft target row"):
+        message = f"{len(train) - 1} soft target rows for the {len(train)} samples"
+        with pytest.raises(training.PairingError, match=message) as caught:
             knowledge_transfer_train(source, train, test, short, quick_config())
+        assert caught.value.inputs == ("soft_targets", "train")
 
     def test_one_hot_soft_targets_act_as_labels(self):
         # teacher rows that are exact one-hots make the imitation loss a
@@ -402,8 +403,9 @@ class TestDataTransfer:
             rf"{narrow} set: features of shape \(\d+, {width - 1}\), "
             f"but the network takes {width} per sample"
         )
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(training.PairingError, match=message) as caught:
             data_transfer_train(source, *sets.values(), quick_config())
+        assert caught.value.inputs == (narrow, "source")
 
     def test_runs_and_improves(self):
         config, truth, train, test, soft, source = benchmark_parts(seed=13)
@@ -423,7 +425,7 @@ class TestLinearProbe:
         features = probe_features(protos[labels])
         train = Dataset(features[:60], labels[:60], 2)
         test = Dataset(features[60:], labels[60:], 2)
-        report = linear_probe_train(train, test, quick_config(k_iters=80))
+        report = probe_train(train, test, quick_config(k_iters=80))
         assert report.final.test_accuracy == 1.0
 
     def test_shuffled_labels_give_chance_accuracy(self):
@@ -431,17 +433,12 @@ class TestLinearProbe:
         rng = np.random.default_rng(15)
         shuffled = train.labels.copy()
         rng.shuffle(shuffled)
-        probe_train = Dataset(probe_features(train.features), shuffled, 4)
-        probe_test = Dataset(probe_features(test.features), test.labels, 4)
-        report = linear_probe_train(
-            probe_train, probe_test, quick_config(seed=15, k_iters=150)
+        shuffled_train = Dataset(probe_features(train.features), shuffled, 4)
+        shuffled_test = Dataset(probe_features(test.features), test.labels, 4)
+        report = probe_train(
+            shuffled_train, shuffled_test, quick_config(seed=15, k_iters=150)
         )
         assert abs(report.final.test_accuracy - 0.25) <= 0.1
-
-    def test_rejects_unnormalized_rows(self):
-        train = Dataset(np.full((4, 3), 2.0), [0, 1, 0, 1], 2)
-        with pytest.raises(ValueError, match="l2-normalized"):
-            linear_probe_train(train, train, quick_config())
 
 
 class TestProbeFeatures:
