@@ -5,10 +5,13 @@ a config file key that names no setting, or whose value has the wrong type or
 is not one of the flag's choices, is an error naming the file and the key.
 Every subcommand reads and checks all of its inputs (``gen`` generates all of
 its data) before it creates its output directory, so a failed run leaves none
-behind, and writes a ``resolved_config.json`` there with the fully-explicit
-settings of the run, so any output can be reproduced bit for bit.  File
-formats live in ``io``.  ``train`` leaves the rules that pair its inputs to
-``training``, and names the files of the inputs its ``PairingError`` names.
+behind.  Each handler returns the settings it resolved, and ``run`` alone
+writes the run's ``resolved_config.json`` once the handler succeeds: every
+argument but ``--out`` and ``--config``, overlaid by those settings, so any
+output can be reproduced bit for bit.  File formats live in ``io``.  ``train``
+rejects an input its mode does not read, leaves the rules that pair its
+inputs to ``training``, and names the files of the inputs its
+``PairingError`` names.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ from .network import (
     SOFT_TARGET_AS_DISTRIBUTION,
     SOFT_TARGET_IN_LOG,
 )
-
-
-def _write_resolved_config(out_dir: str, payload: dict) -> None:
-    io.write_json(os.path.join(out_dir, "resolved_config.json"), payload, sort_keys=True)
 
 
 def _typed_like(value, example) -> bool:
@@ -117,12 +116,6 @@ _GEN_DEFAULTS = {
 }
 
 
-def _generator_config(resolved: dict) -> datagen.GeneratorConfig:
-    preset = _PRESETS[resolved["preset"]](int(resolved["seed"]))
-    overrides = {k: v for k, v in resolved.items() if v is not None and _GEN_DEFAULTS[k] is None}
-    return dataclasses.replace(preset, **overrides)
-
-
 def _truth_payload(truth: datagen.PlantedTruth, teacher: np.ndarray | None) -> dict:
     """The planted signatures and, for the vectors preset, the frozen teacher
     behind its soft targets, whose bias is all zero."""
@@ -145,9 +138,11 @@ def _write_image_split(split_dir: str, ds: training.Dataset) -> None:
     io.write_labels_csv(os.path.join(split_dir, "labels.csv"), labels, image_ids=ids)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> dict:
     resolved = _layer_config(args, _GEN_DEFAULTS, datagen.GeneratorConfig())
-    config = _generator_config(resolved)
+    preset = _PRESETS[resolved["preset"]](resolved["seed"])
+    overrides = {k: v for k, v in resolved.items() if v is not None and _GEN_DEFAULTS[k] is None}
+    config = dataclasses.replace(preset, **overrides)
     truth, teacher = datagen.make_truth(config), None
 
     # every output is generated before the output directory is created
@@ -177,8 +172,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         write(os.path.join(out, name), value)
     manifest = {"preset": resolved["preset"], "files": [name for name, _, _ in files]}
     io.write_json(os.path.join(out, "manifest.json"), manifest)
-    _write_resolved_config(out, {"subcommand": "gen", **resolved})
-    return 0
+    # the preset-derived settings as the generator took them
+    return {key: getattr(config, key, value) for key, value in resolved.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> dict:
     responses, response_ids = io.read_response_csv(args.responses)
     labels, label_ids = io.read_labels_csv(args.labels)
     if response_ids != label_ids:
@@ -206,11 +201,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     out = io.ensure_dir(args.out)
     io.write_conditional_json(os.path.join(out, "conditional.json"), table)
     io.write_posterior_json(os.path.join(out, "posterior.json"), posterior)
-    _write_resolved_config(
-        out,
-        {"subcommand": "stats", "responses": args.responses, "labels": args.labels},
-    )
-    return 0
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +209,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
+def _cmd_select(args: argparse.Namespace) -> dict:
     table = io.read_conditional_json(args.table)
     posterior = stats.bayes_posterior(table)
     problem = selection.SelectionProblem.from_posterior(posterior, k=args.k, lam=args.lam)
@@ -228,11 +219,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     io.write_selection_report_csv(
         os.path.join(out, "selection_report.csv"), result, problem
     )
-    _write_resolved_config(
-        out,
-        {"subcommand": "select", "table": args.table, "k": args.k, "lam": args.lam},
-    )
-    return 0
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -250,56 +237,64 @@ _TRANSFER_DEFAULTS = training.TransferConfig()
 _TRAIN_DEFAULTS = {
     "mode": "init",
     **{key: getattr(_TRANSFER_DEFAULTS, name) for key, name in _TRANSFER_FIELDS.items()},
-    "trunk": "64",
+    "trunk": None,
+}
+_FRESH_TRUNK = (64,)  # the widths of a fresh source when no trunk is given
+
+# train mode -> (what it trains from, the input it needs, the other optional
+# inputs it reads); giving it any other input is an error
+_MODE_INPUTS = {
+    "init": ("init mode trains on the train set alone", None, ("source", "trunk")),
+    "knowledge": ("knowledge mode adds soft targets", "soft_targets", ("source", "trunk")),
+    "data": ("data mode adds an auxiliary set", "aux", ("source", "trunk")),
+    "probe": ("the probe trains from no trunk on the train set alone", None, ()),
 }
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    resolved = _layer_config(args, _TRAIN_DEFAULTS)
+def _cmd_train(args: argparse.Namespace) -> dict:
+    resolved = _layer_config(args, _TRAIN_DEFAULTS, argparse.Namespace(trunk=_FRESH_TRUNK))
     mode = resolved["mode"]
-    if mode == "probe" and args.source:
-        raise ValueError("--source: the probe trains from no trunk, so it takes no source")
-    train = io.read_dataset_csv(args.train)
-    test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
     # each value takes the type of its field's default: a config file's
     # int 0 sets dropout_rate to 0.0
     config = training.TransferConfig(**{
         name: type(getattr(_TRANSFER_DEFAULTS, name))(resolved[key])
         for key, name in _TRANSFER_FIELDS.items()
     })
-    try:
-        trunk = tuple(int(w) for w in str(resolved["trunk"]).split(",") if w)
-    except ValueError:
-        raise ValueError(
-            "setting 'trunk' must be comma-separated integer widths, "
-            f"got {resolved['trunk']!r}"
-        ) from None
+    why, needs, reads = _MODE_INPUTS[mode]
+    given = {"source": args.source, "trunk": resolved["trunk"],
+             "soft_targets": args.soft_targets, "aux": args.aux}
+    for name, value in given.items():
+        if value is not None and name not in (needs, *reads):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag}: {why}, so it takes no {flag}")
+    if args.source and resolved["trunk"] is not None:
+        raise ValueError("--trunk: a --source checkpoint brings its own trunk")
+    if needs and not given[needs]:
+        raise ValueError(f"{mode} mode needs --{needs.replace('_', '-')}")
+    train = io.read_dataset_csv(args.train)
+    test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
     if mode == "probe":  # init transfer from no trunk on l2-normalized rows
         train, test = (
             training.Dataset(training.probe_features(ds.features), ds.labels, ds.num_classes)
             for ds in (train, test)
         )
-        trunk = ()
 
     if args.source:
         source = io.read_checkpoint_json(args.source)
     else:
+        trunk = () if mode == "probe" else resolved["trunk"]
         net = NetworkConfig(
             input_dim=train.features.shape[1],
-            trunk=trunk,
+            trunk=_FRESH_TRUNK if trunk is None else trunk,
             heads=(train.num_classes,),
             dropout_rate=0.0,
         )
         source = Checkpoint(config=net, params=init_params(net, config.seed))
     trainer, extra = training.init_transfer_train, ()
     if mode == "knowledge":
-        if not args.soft_targets:
-            raise ValueError("knowledge mode needs --soft-targets")
         trainer = training.knowledge_transfer_train
         extra = (io.read_soft_targets_json(args.soft_targets),)
     elif mode == "data":
-        if not args.aux:
-            raise ValueError("data mode needs --aux")
         trainer, extra = training.data_transfer_train, (io.read_dataset_csv(args.aux),)
     try:
         report = trainer(source, train, test, *extra, config)
@@ -316,19 +311,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     io.write_checkpoint_json(os.path.join(out, "checkpoint.json"), report.checkpoint)
     io.write_report_json(os.path.join(out, "report.json"), report, "checkpoint.json")
     io.write_report_csv(os.path.join(out, "report.csv"), report.records)
-    _write_resolved_config(
-        out,
-        {
-            "subcommand": "train",
-            **resolved,
-            "train": args.train,
-            "test": args.test,
-            "source": args.source,
-            "soft_targets": args.soft_targets,
-            "aux": args.aux,
-        },
-    )
-    return 0
+    return {**resolved, "trunk": report.checkpoint.config.trunk}
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +342,7 @@ def _checkpoint_scorer(ckpt: Checkpoint):
 _CROP_DEFAULTS = dataclasses.asdict(pipeline.CropConfig())
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
+def _cmd_infer(args: argparse.Namespace) -> dict:
     config = pipeline.CropConfig(**_layer_config(args, _CROP_DEFAULTS))
     names = sorted(f for f in os.listdir(args.image_dir) if f.endswith(".npy"))
     if not names:
@@ -393,22 +376,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     out = io.ensure_dir(args.out)
     io.write_region_specs_json(os.path.join(out, "region_specs.json"), sizes, config)
     io.write_scores_csv(os.path.join(out, "scores.csv"), list(holder), np.concatenate(rows))
-    _write_resolved_config(
-        out,
-        {
-            "subcommand": "infer",
-            "checkpoint_o": args.checkpoint_o,
-            "checkpoint_s": args.checkpoint_s,
-            "image_dir": args.image_dir,
-            "base_side": config.base_side,
-            "crop_side": config.crop_side,
-            "scales": list(config.scale_factors),
-            "ratio_modes": list(config.ratio_modes),
-            "grid": config.grid,
-            "mean_pixel": args.mean_pixel,
-        },
-    )
-    return 0
+    return dataclasses.asdict(config)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +384,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> dict:
     if args.top_k < 1:
         raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
     if not os.path.isdir(args.run_dir):
@@ -461,10 +429,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"warning: {w}", file=sys.stderr)
     summary = {"produced": produced, "warnings": warnings}
     io.write_json(os.path.join(out, "report_summary.json"), summary)
-    _write_resolved_config(
-        out, {"subcommand": "report", "run_dir": args.run_dir, "top_k": args.top_k}
-    )
-    return 0
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +437,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
+def _comma_list(kind):
+    """An argparse type: a comma-separated list, each item parsed by ``kind``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--soft-direction", choices=_CHOICES["soft_direction"])
-    p.add_argument("--trunk", help="comma-separated widths for a fresh source")
+    p.add_argument("--trunk", type=_comma_list(int), help="widths of a fresh source")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)
@@ -540,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crop-config", dest="config", help="JSON file of CropConfig fields")
     p.add_argument("--base-side", type=int)
     p.add_argument("--crop-side", type=int)
-    p.add_argument("--scales", dest="scale_factors", type=_comma_floats)
-    p.add_argument("--ratio-modes", type=lambda text: text.split(","))
+    p.add_argument("--scales", dest="scale_factors", type=_comma_list(float))
+    p.add_argument("--ratio-modes", type=_comma_list(str))
     p.add_argument("--grid", type=int)
     p.add_argument("--mean-pixel", type=float, default=pipeline.DEFAULT_MEAN_PIXEL)
     p.add_argument("--out", required=True)
@@ -563,10 +533,14 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        settings = args.handler(args)
+        record = {k: v for k, v in vars(args).items() if k not in ("handler", "out", "config")}
+        record.update(settings)
+        io.write_json(os.path.join(args.out, "resolved_config.json"), record, sort_keys=True)
     except (ValueError, OSError, KeyError) as exc:
         print(f"os2e {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -1,8 +1,10 @@
 """End-to-end CLI: subcommands, error paths, reproducibility, artifacts."""
 
+import builtins
 import dataclasses
 import json
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -11,7 +13,13 @@ from conftest import fixture_path, probe_train
 
 from os2e.cli import main, run
 from os2e import io, pipeline
-from os2e.datagen import gen_image_dataset, make_truth, preset_image_benchmark
+from os2e.datagen import (
+    gen_image_dataset,
+    make_truth,
+    preset_image_benchmark,
+    preset_responses,
+    preset_vector_benchmark,
+)
 from os2e.network import (
     Checkpoint,
     NetworkConfig,
@@ -193,6 +201,21 @@ class TestGenCommand:
         assert str(cfg) in err and "'seed'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "preset, make",
+        [("responses", preset_responses), ("vectors", preset_vector_benchmark),
+         ("images", preset_image_benchmark)],
+    )
+    def test_record_gives_the_preset_values_taken(self, tmp_path, preset, make):
+        out = tmp_path / "g"
+        assert run(["gen", "--preset", preset, "--seed", "3", "--out", str(out)]) == 0
+        config = make(3)
+        assert read_json(out / "resolved_config.json") == {
+            "subcommand": "gen", "preset": preset, "seed": 3,
+            "concentration": config.concentration, "noise_sigma": config.noise_sigma,
+            "n_train": config.n_train, "n_test": config.n_test,
+        }
+
     def test_null_override_keeps_preset_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"concentration": None, "n_test": 3}))
@@ -210,30 +233,88 @@ class TestTrainCommand:
              "--n-test", "24", "--out", gen_dir])
         return gen_dir
 
-    def common_args(self, gen_dir, out, extra=()):
+    def common_args(self, gen_dir, out, extra=(), trunk=("--trunk", "8")):
         return [
             "train", "--train", os.path.join(gen_dir, "train.csv"),
             "--test", os.path.join(gen_dir, "test.csv"),
             "--schedule", "6", "--batch-size", "8", "--dropout", "0.0",
-            "--trunk", "8", "--seed", "7", "--out", out, *extra,
+            *trunk, "--seed", "7", "--out", out, *extra,
         ]
 
     @pytest.mark.parametrize("trunk", ["a", "8,x"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_trunk_named_before_any_output(self, tmp_path, capsys, trunk, source):
+        # a flag fails in argparse, as --scales does; a config file's trunk
+        # is a list of ints, as its scale_factors is a list of numbers
         gen_dir = self.gen_data(tmp_path)
         out = tmp_path / "t"
         args = self.common_args(gen_dir, str(out), ["--mode", "init"])
         if source == "flag":
             args[args.index("--trunk") + 1] = trunk
+            assert run(args) == 2
+            err = capsys.readouterr().err
+            assert "argument --trunk" in err and repr(trunk) in err
         else:
             del args[args.index("--trunk") : args.index("--trunk") + 2]
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"trunk": trunk}))
-            args += ["--config", str(cfg)]
+            assert run([*args, "--config", str(cfg)]) == 1
+            assert f"{cfg}: setting 'trunk' must have the type of" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_trunk_is_a_list_of_widths(self, tmp_path):
+        gen_dir = self.gen_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trunk": [16, 8]}))
+        out = tmp_path / "t"
+        assert run(self.common_args(gen_dir, str(out), ["--config", str(cfg)], trunk=())) == 0
+        assert read_json(out / "checkpoint.json")["config"]["trunk"] == [16, 8]
+        assert read_json(out / "resolved_config.json")["trunk"] == [16, 8]
+
+    @pytest.mark.parametrize(
+        "mode, extra, message",
+        [
+            ("init", ["--aux", "aux.csv"],
+             "--aux: init mode trains on the train set alone, so it takes no --aux"),
+            ("knowledge", ["--soft-targets", "soft_targets.json", "--aux", "aux.csv"],
+             "--aux: knowledge mode adds soft targets, so it takes no --aux"),
+            ("probe", ["--aux", "aux.csv"],
+             "--aux: the probe trains from no trunk on the train set alone"),
+            ("init", ["--soft-targets", "soft_targets.json"],
+             "--soft-targets: init mode trains on the train set alone"),
+            ("data", ["--aux", "aux.csv", "--soft-targets", "soft_targets.json"],
+             "--soft-targets: data mode adds an auxiliary set, so it takes no --soft-targets"),
+            ("probe", ["--soft-targets", "soft_targets.json"],
+             "--soft-targets: the probe trains from no trunk"),
+            ("probe", ["--trunk", "8"],
+             "--trunk: the probe trains from no trunk on the train set alone, so it "
+             "takes no --trunk"),
+            ("probe", ["--config", "trunk.json"], "--trunk: the probe trains from no trunk"),
+            ("init", ["--source", "source.json", "--trunk", "8"],
+             "--trunk: a --source checkpoint brings its own trunk"),
+            ("data", ["--aux", "aux.csv", "--source", "source.json", "--config", "trunk.json"],
+             "--trunk: a --source checkpoint brings its own trunk"),
+        ],
+        ids=["aux_init", "aux_knowledge", "aux_probe", "soft_targets_init",
+             "soft_targets_data", "soft_targets_probe", "trunk_probe", "trunk_probe_config",
+             "trunk_with_source", "trunk_config_with_source"],
+    )
+    def test_input_the_mode_does_not_read_named_before_any_output(
+        self, tmp_path, capsys, mode, extra, message
+    ):
+        # the run would ignore the input, yet its resolved_config.json would
+        # record it as used
+        gen_dir = self.gen_data(tmp_path)
+        with open(os.path.join(gen_dir, "trunk.json"), "w", encoding="utf-8") as fh:
+            json.dump({"trunk": [8]}, fh)
+        cfg = NetworkConfig(input_dim=32, trunk=(8,), heads=(4,), dropout_rate=0.0)
+        source = Checkpoint(cfg, init_params(cfg, seed=3))
+        io.write_checkpoint_json(os.path.join(gen_dir, "source.json"), source)
+        extra = [os.path.join(gen_dir, arg) if "." in arg else arg for arg in extra]
+        out = tmp_path / "t"
+        args = self.common_args(gen_dir, str(out), ["--mode", mode, *extra], trunk=())
         assert run(args) == 1
-        err = capsys.readouterr().err
-        assert f"setting 'trunk' must be comma-separated integer widths, got {trunk!r}" in err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_init_deterministic_checkpoints(self, tmp_path):
@@ -270,11 +351,12 @@ class TestTrainCommand:
         assert report["records"][-1]["iteration"] == 15
 
     def test_probe_mode(self, tmp_path):
-        # --trunk 8 is ignored: the probe is init transfer from a source with
-        # no trunk, on the l2-normalized rows
+        # the probe is init transfer from a source with no trunk, on the
+        # l2-normalized rows, and its record gives that trunk
         gen_dir = self.gen_data(tmp_path)
         out = str(tmp_path / "p")
-        assert run(self.common_args(gen_dir, out, ["--mode", "probe"])) == 0
+        assert run(self.common_args(gen_dir, out, ["--mode", "probe"], trunk=())) == 0
+        assert read_json(os.path.join(out, "resolved_config.json"))["trunk"] == []
         assert os.path.exists(os.path.join(out, "report.csv"))
         train, test = (
             Dataset(probe_features(ds.features), ds.labels, ds.num_classes)
@@ -295,7 +377,7 @@ class TestTrainCommand:
         io.write_checkpoint_json(str(ckpt), Checkpoint(cfg, init_params(cfg, seed=3)))
         out = tmp_path / "p"
         args = ["--mode", "probe", "--source", str(ckpt)]
-        assert run(self.common_args(gen_dir, str(out), args)) == 1
+        assert run(self.common_args(gen_dir, str(out), args, trunk=())) == 1
         assert "--source: the probe trains from no trunk" in capsys.readouterr().err
         assert not out.exists()
 
@@ -628,8 +710,8 @@ class TestInferCommand:
                     "--out", str(out)]) == 0
         resolved = read_json(out / "resolved_config.json")
         crop = {key: resolved.pop(key)
-                for key in ("base_side", "crop_side", "scales", "ratio_modes", "grid")}
-        assert crop == {"base_side": 32, "crop_side": 16, "scales": [1.0, 1.5],
+                for key in ("base_side", "crop_side", "scale_factors", "ratio_modes", "grid")}
+        assert crop == {"base_side": 32, "crop_side": 16, "scale_factors": [1.0, 1.5],
                         "ratio_modes": ["square", "aspect_preserving"], "grid": 2}
         assert sorted(resolved) == ["checkpoint_o", "checkpoint_s", "image_dir",
                                     "mean_pixel", "subcommand"]
@@ -910,12 +992,12 @@ class TestReportCommand:
         assert summary["produced"] == []
 
 
-def _vectors(tmp_path):
+def _vectors(tmp_path, trunk=("--trunk", "8")):
     gen_dir = tmp_path / "vec"
     assert run(["gen", "--preset", "vectors", "--seed", "4", "--n-train", "16",
                 "--n-test", "16", "--out", str(gen_dir)]) == 0
     return ["--train", str(gen_dir / "train.csv"), "--test", str(gen_dir / "test.csv"),
-            "--schedule", "4", "--batch-size", "8", "--trunk", "8"]
+            "--schedule", "4", "--batch-size", "8", *trunk]
 
 
 def _images_and_checkpoint(tmp_path):
@@ -1048,6 +1130,42 @@ def test_bad_setting_rejected_before_any_output(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def _readme_commands(prefix):
+    """The README walkthrough's commands that start with ``prefix``, each as
+    the argument list after ``os2e``."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI walkthrough", 1)[1].split("```\n")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith(prefix)]
+
+
+def test_readme_train_runs_record_only_what_they_read(tmp_path, monkeypatch):
+    # every file a train run's resolved_config.json names was opened, and
+    # its trunk is the trunk of the checkpoint the run wrote
+    monkeypatch.chdir(tmp_path)
+    (gen,) = _readme_commands("os2e gen --preset vectors")
+    assert run(gen) == 0
+    opened = set()
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.add(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    trains = _readme_commands("os2e train")
+    assert [argv[argv.index("--mode") + 1] for argv in trains] == ["init", "knowledge", "data"]
+    for argv in trains:
+        opened.clear()
+        assert run(argv) == 0
+        out = argv[argv.index("--out") + 1]
+        record = read_json(os.path.join(out, "resolved_config.json"))
+        files = [record[key] for key in ("train", "test", "source", "soft_targets", "aux")]
+        assert {path for path in files if path is not None} <= opened
+        assert record["trunk"] == read_json(os.path.join(out, "checkpoint.json"))["config"]["trunk"]
+
+
 def test_main_exits_with_the_run_status(tmp_path, monkeypatch):
     out = tmp_path / "resp"
     monkeypatch.setattr(sys, "argv", ["os2e", "gen", "--out", str(out)])
@@ -1106,7 +1224,7 @@ def _nonfinite_soft_targets(tmp_path, value):
 
 
 def _nonfinite_source(tmp_path, value):
-    args = _vectors(tmp_path)
+    args = _vectors(tmp_path, trunk=())  # the source sets the trunk
     ckpt = tmp_path / "source.json"
     cfg = NetworkConfig(input_dim=32, trunk=(8,), heads=(4,), dropout_rate=0.0)
     io.write_checkpoint_json(str(ckpt), Checkpoint(cfg, init_params(cfg, seed=3)))
@@ -1167,16 +1285,15 @@ def _soft_targets_for_fewer_samples(tmp_path):
     return args, [soft, train], "16 soft target rows for the 15 samples"
 
 
-def _narrow_test(tmp_path):
-    args = _vectors(tmp_path)
+def _narrow_test(tmp_path, mode="init", trunk=("--trunk", "8")):
+    args = _vectors(tmp_path, trunk)
     _drop_last_column(tmp_path / "vec" / "test.csv")
     paths = [tmp_path / "vec" / "test.csv", tmp_path / "vec" / "train.csv"]
-    return ["train", "--mode", "init", *args], paths, ", 31), but the network takes 32 per"
+    return ["train", "--mode", mode, *args], paths, ", 31), but the network takes 32 per"
 
 
 def _narrow_probe_test(tmp_path):
-    args, paths, fragment = _narrow_test(tmp_path)
-    return ["train", *args[1:], "--mode", "probe"], paths, fragment
+    return _narrow_test(tmp_path, mode="probe", trunk=())
 
 
 def _narrow_aux(tmp_path):
@@ -1188,7 +1305,7 @@ def _narrow_aux(tmp_path):
 
 
 def _source_of_other_width(tmp_path):
-    args = _vectors(tmp_path)
+    args = _vectors(tmp_path, trunk=())  # the source sets the trunk
     ckpt = tmp_path / "source.json"
     cfg = NetworkConfig(input_dim=16, trunk=(8,), heads=(4,), dropout_rate=0.0)
     io.write_checkpoint_json(str(ckpt), Checkpoint(cfg, init_params(cfg, seed=3)))

@@ -45,7 +45,9 @@ def _train(mode, **inputs):
     """``train`` in ``mode`` on the walkthrough's vectors; ``inputs`` maps an
     input flag's name to its file under the walkthrough root."""
     files = {"train": "vec/train.csv", "test": "vec/test.csv", **inputs}
-    args = ["train", "--mode", mode, "--schedule", "2", "--trunk", "8"]
+    args = ["train", "--mode", mode, "--schedule", "2"]
+    if "source" not in inputs:  # a source sets the trunk
+        args += ["--trunk", "8"]
     for flag, name in files.items():
         args += [f"--{flag.replace('_', '-')}", name]
     return args
