@@ -7,11 +7,12 @@ Every subcommand reads and checks all of its inputs (``gen`` generates all of
 its data) before it creates its output directory, so a failed run leaves none
 behind.  Each handler returns the settings it resolved, and ``run`` alone
 writes the run's ``resolved_config.json`` once the handler succeeds: every
-argument but ``--out`` and ``--config``, overlaid by those settings, so any
-output can be reproduced bit for bit.  File formats live in ``io``.  ``train``
-rejects an input its mode does not read, leaves the rules that pair its
-inputs to ``training``, and names the files of the inputs its
-``PairingError`` names.
+argument but ``--out`` and ``--config``, overlaid by those settings, each
+of which given back as its flag repeats the run (``scale_factors`` is
+``--scales``; ``trunk``, the trained one, is given back only for a fresh
+non-probe source).  File formats live in ``io``.  ``train`` rejects an
+input its mode does not read, leaves the rules that pair its inputs to
+``training``, and names the files of the inputs its ``PairingError`` names.
 """
 
 from __future__ import annotations
@@ -117,14 +118,12 @@ _GEN_DEFAULTS = {
 
 
 def _truth_payload(truth: datagen.PlantedTruth, teacher: np.ndarray | None) -> dict:
-    """The planted signatures and, for the vectors preset, the frozen teacher
-    behind its soft targets, whose bias is all zero."""
+    """The planted signatures and, for the vectors preset, the weights of the
+    bias-free frozen teacher behind its soft targets."""
     return {
         "object_signatures": truth.object_signatures,
         "scene_signatures": truth.scene_signatures,
-        "teacher_concepts": [] if teacher is None else truth.planted_objects(),
         "teacher_weights": None if teacher is None else teacher.tolist(),
-        "teacher_bias": None if teacher is None else [0.0] * teacher.shape[1],
     }
 
 
@@ -263,14 +262,15 @@ def _cmd_train(args: argparse.Namespace) -> dict:
     why, needs, reads = _MODE_INPUTS[mode]
     given = {"source": args.source, "trunk": resolved["trunk"],
              "soft_targets": args.soft_targets, "aux": args.aux}
+    flag = {name: "--" + name.replace("_", "-") for name in given}
+    where = {**flag, "trunk": flag["trunk"] if args.trunk else f"{args.config}: setting 'trunk'"}
     for name, value in given.items():
         if value is not None and name not in (needs, *reads):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag}: {why}, so it takes no {flag}")
+            raise ValueError(f"{where[name]}: {why}, so it takes no {flag[name]}")
     if args.source and resolved["trunk"] is not None:
-        raise ValueError("--trunk: a --source checkpoint brings its own trunk")
+        raise ValueError(f"{where['trunk']}: a --source checkpoint brings its own trunk")
     if needs and not given[needs]:
-        raise ValueError(f"{mode} mode needs --{needs.replace('_', '-')}")
+        raise ValueError(f"{mode} mode needs {flag[needs]}")
     train = io.read_dataset_csv(args.train)
     test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
     if mode == "probe":  # init transfer from no trunk on l2-normalized rows
@@ -309,7 +309,7 @@ def _cmd_train(args: argparse.Namespace) -> dict:
 
     out = io.ensure_dir(args.out)
     io.write_checkpoint_json(os.path.join(out, "checkpoint.json"), report.checkpoint)
-    io.write_report_json(os.path.join(out, "report.json"), report, "checkpoint.json")
+    io.write_report_json(os.path.join(out, "report.json"), report)
     io.write_report_csv(os.path.join(out, "report.csv"), report.records)
     return {**resolved, "trunk": report.checkpoint.config.trunk}
 

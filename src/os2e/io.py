@@ -15,11 +15,13 @@ free-form files only, so each artifact is opened by exactly one public
 function.  ``posterior.json`` is written for inspection and read by nothing.
 An image file is a float64 ``.npy`` array: one HxWxC image, whose id is the
 file stem, or an NxHxWxC stack, whose images have the ids ``<stem>_0000``,
-``<stem>_0001``, ...; it is checked on read and round-trips bitwise.
+``<stem>_0001``, ...; it is checked on read and round-trips bitwise.  Each
+write fills a temporary file beside its target, then ``os.replace``s it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -49,8 +51,23 @@ def _cell(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
+@contextlib.contextmanager
+def _replacing(path: str, mode: str = "w"):
+    """A temporary file beside ``path``, opened in ``mode``: it replaces
+    ``path`` once written, and an error removes it, leaving ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_cell, row)) + "\n")
@@ -121,7 +138,7 @@ def _numbers(cells: list[str], kind=float) -> list:
 
 
 def _write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=sort_keys)
         fh.write("\n")
 
@@ -289,7 +306,6 @@ def write_selection_json(path: str, result: SelectionResult) -> None:
             "selected": [int(i) for i in result.selected],
             "step_costs": result.step_costs,
             "energy": result.energy,
-            "indicator": [int(h) for h in result.indicator],
         },
     )
 
@@ -300,7 +316,6 @@ def read_selection_json(path: str) -> SelectionResult:
             selected=[int(i) for i in key("selected")],
             step_costs=[float(x) for x in key("step_costs")],
             energy=float(key("energy")),
-            indicator=np.array(key("indicator"), dtype=np.int8),
         )
 
     return _read_object(path, build)
@@ -408,13 +423,12 @@ def _checkpoint_from(d: dict, key) -> Checkpoint:
     return Checkpoint(config=config, params=params)
 
 
-def write_report_json(path: str, report: TrainReport, checkpoint_path: str) -> None:
+def write_report_json(path: str, report: TrainReport) -> None:
     _write_json(
         path,
         {
             "type": "train_report",
             "records": [asdict(r) for r in report.records],
-            "checkpoint": checkpoint_path,
             "wall_clock_s": report.wall_clock_s,
         },
     )
@@ -518,7 +532,7 @@ def write_image(path: str, pixels: np.ndarray) -> list[str]:
     """One HxWxC image or an NxHxWxC stack as a ``.npy`` file, written as
     given (``read_image`` checks it); returns the ids ``read_image`` gives
     its images."""
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         np.save(fh, pixels, allow_pickle=False)
     return _image_ids(path, pixels.ndim, len(pixels))
 

@@ -74,32 +74,24 @@ class SelectionResult:
     selected: list[int]
     step_costs: list[float]
     energy: float
-    indicator: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("selected indices must be distinct")
-        self.indicator = np.asarray(self.indicator, dtype=np.int8)
-        if int(self.indicator.sum()) != len(self.selected) or np.any(
-            self.indicator[self.selected] != 1
-        ):
-            raise ValueError("indicator must mark exactly the selected classes")
 
 
-def energy(problem: SelectionProblem, indicator) -> float:
-    """Subset energy: sum of unary costs plus lam times all ordered-pair correlations.
+def energy(problem: SelectionProblem, selected) -> float:
+    """Subset energy of K class indices: sum of unary costs plus lam times all
+    ordered-pair correlations.
 
     Each unordered pair contributes twice (the double sum runs over ordered
-    pairs).
+    pairs).  The indices are summed in ascending order, whatever their order.
     """
-    h = np.asarray(indicator)
-    if h.shape != (problem.num_classes,):
-        raise ValueError("indicator must have one entry per class")
-    sel = np.where(h != 0)[0]
-    if sel.size != problem.k:
-        raise ValueError(
-            f"constraint violated: {sel.size} selected, expected {problem.k}"
-        )
+    sel, n, c = np.sort(selected), len(selected), problem.num_classes
+    if n != problem.k:
+        raise ValueError(f"constraint violated: {n} selected, expected {problem.k}")
+    if (sel[1:] == sel[:-1]).any() or sel[0] < 0 or sel[-1] >= c:
+        raise ValueError(f"selected indices must be distinct and in [0, {c}), got {selected}")
     unary = float(problem.phi[sel].sum())
     rows = problem.posterior.post[sel]
     gram = rows @ rows.T
@@ -134,18 +126,12 @@ def greedy_select(problem: SelectionProblem) -> SelectionResult:
         step_costs.append(float(costs[pick]))
         remaining[pick] = False
         corr_sum += post @ post[pick]
-    indicator = np.zeros(problem.num_classes, dtype=np.int8)
-    indicator[selected] = 1
-    return SelectionResult(
-        selected=selected,
-        step_costs=step_costs,
-        energy=energy(problem, indicator),
-        indicator=indicator,
-    )
+    return SelectionResult(selected, step_costs, energy(problem, selected))
 
 
-def exhaustive_select(problem: SelectionProblem) -> tuple[np.ndarray, float]:
-    """Enumerate every K-subset and return the exact energy minimizer.
+def exhaustive_select(problem: SelectionProblem) -> tuple[list[int], float]:
+    """Enumerate every K-subset and return the exact energy minimizer, its
+    class indices in ascending order, and its energy.
 
     Guarded to small instances.  Subset energies sum one Gram matrix pair by
     pair; ``energy`` reports the winner's.  Ties break toward the
@@ -164,6 +150,5 @@ def exhaustive_select(problem: SelectionProblem) -> tuple[np.ndarray, float]:
     for a, b in itertools.combinations(range(k), 2):
         pair += gram[subsets[:, a], subsets[:, b]]
     energies = problem.phi[subsets].sum(axis=1) + problem.lam * (2.0 * pair)
-    best = np.zeros(c, dtype=np.int8)
-    best[subsets[np.argmin(energies)]] = 1
+    best = subsets[np.argmin(energies)].tolist()
     return best, energy(problem, best)

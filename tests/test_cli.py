@@ -150,11 +150,12 @@ class TestGenCommand:
         # the teacher in truth.json scores the train rows into soft_targets.json
         train = io.read_dataset_csv(os.path.join(out, "train.csv"))
         soft = io.read_soft_targets_json(os.path.join(out, "soft_targets.json"))
-        logits = train.features @ np.array(truth["teacher_weights"]) + truth["teacher_bias"]
+        logits = train.features @ np.array(truth["teacher_weights"])
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, soft.values, rtol=1e-12, atol=0)
-        assert soft.concept_ids == truth["teacher_concepts"]
+        assert soft.concept_ids == sorted({c for sig in truth["object_signatures"] for c in sig})
+        assert set(truth) == {"object_signatures", "scene_signatures", "teacher_weights"}
 
     def test_images_preset_files(self, tmp_path):
         out = str(tmp_path / "i")
@@ -170,8 +171,8 @@ class TestGenCommand:
             _, label_ids = io.read_labels_csv(os.path.join(out, split, "labels.csv"))
             assert ids == label_ids == ["img_0000", "img_0001"]
         truth = read_json(os.path.join(out, "truth.json"))
-        teacher = [truth[k] for k in ("teacher_weights", "teacher_bias", "teacher_concepts")]
-        assert teacher == [None, None, []]
+        assert truth["teacher_weights"] is None
+        assert set(truth) == {"object_signatures", "scene_signatures", "teacher_weights"}
 
     @pytest.mark.parametrize("preset", ["responses", "vectors", "images"])
     @pytest.mark.parametrize(
@@ -289,11 +290,12 @@ class TestTrainCommand:
             ("probe", ["--trunk", "8"],
              "--trunk: the probe trains from no trunk on the train set alone, so it "
              "takes no --trunk"),
-            ("probe", ["--config", "trunk.json"], "--trunk: the probe trains from no trunk"),
+            ("probe", ["--config", "trunk.json"],
+             "trunk.json: setting 'trunk': the probe trains from no trunk"),
             ("init", ["--source", "source.json", "--trunk", "8"],
              "--trunk: a --source checkpoint brings its own trunk"),
             ("data", ["--aux", "aux.csv", "--source", "source.json", "--config", "trunk.json"],
-             "--trunk: a --source checkpoint brings its own trunk"),
+             "trunk.json: setting 'trunk': a --source checkpoint brings its own trunk"),
         ],
         ids=["aux_init", "aux_knowledge", "aux_probe", "soft_targets_init",
              "soft_targets_data", "soft_targets_probe", "trunk_probe", "trunk_probe_config",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 from io import BytesIO
 
@@ -152,6 +153,7 @@ class TestSelectionFiles:
         jpath = str(tmp_path / "sel.json")
         io.write_selection_json(jpath, result)
         loaded = io.read_selection_json(jpath)
+        assert list(io.read_json(jpath)) == ["type", "selected", "step_costs", "energy"]
         assert loaded.selected == result.selected
         assert loaded.energy == result.energy
         cpath = tmp_path / "report.csv"
@@ -327,8 +329,9 @@ class TestReportFiles:
         tc = TransferConfig(k_iters=8, batch_size=8, dropout_rate=0.0, seed=4)
         report = init_transfer_train(source, train, test, tc)
         json_path = str(tmp_path / "report.json")
-        io.write_report_json(json_path, report, "checkpoint.json")
+        io.write_report_json(json_path, report)
         assert io.read_report_json(json_path) == report.records
+        assert list(io.read_json(json_path)) == ["type", "records", "wall_clock_s"]
         path = tmp_path / "report.csv"
         io.write_report_csv(str(path), report.records)
         lines = path.read_text().splitlines()
@@ -393,8 +396,8 @@ JSON_READERS = {
         io.read_selection_json,
         lambda path: io.write_selection_json(path, _selection_result()),
         [
-            (lambda d: d.pop("indicator"), "indicator"),
-            (lambda d: d.update(indicator=[d["indicator"]]), None),
+            (lambda d: d.pop("selected"), "selected"),
+            (lambda d: d.update(selected=[d["selected"]]), None),
             (lambda d: d.update(energy="low"), None),
         ],
     ),
@@ -409,7 +412,7 @@ JSON_READERS = {
     ),
     "report": (
         io.read_report_json,
-        lambda path: io.write_report_json(path, _records_report(), "checkpoint.json"),
+        lambda path: io.write_report_json(path, _records_report()),
         [
             (lambda d: d["records"][1].pop("test_map"), "records[1].test_map"),
             (lambda d: d.update(records=d["records"][0]), None),
@@ -766,3 +769,34 @@ class TestRegionSpecsJson:
             "height", "width", "resized_height", "resized_width",
         ]
         assert size["specs"][0]["height"] == 16
+
+
+# one writer per way a file is written: CSV, JSON and .npy image
+_WRITERS = {
+    "csv": lambda path: io.write_marginals_csv(path, ["c0", "c1"], np.array([0.25, 0.75])),
+    "json": lambda path: io.write_json(path, {"a": 1}),
+    "image": lambda path: io.write_image(path, np.zeros((2, 3, 1))),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", list(_WRITERS))
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch, kind):
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        path = tmp_path / f"out.{kind}"
+        with pytest.raises(OSError, match="interrupted"):
+            _WRITERS[kind](str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", list(_WRITERS))
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"out.{kind}"
+        path.write_bytes(b"old")
+        monkeypatch.setattr(os, "replace", lambda src, dst: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            _WRITERS[kind](str(path))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old"

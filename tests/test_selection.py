@@ -1,6 +1,8 @@
 """Selection: greedy vs exhaustive oracle, energy accounting, tie-breaks."""
 
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from os2e.stats import PosteriorTable, bayes_posterior, conditional_entropy, est
 from os2e.selection import (
     DEFAULT_LAMBDA,
     SelectionProblem,
+    SelectionResult,
     energy,
     exhaustive_select,
     greedy_select,
@@ -41,9 +44,7 @@ def pairwise_correlation(posterior, i, j):
 def pair_term(posterior, i, j, lam=DEFAULT_LAMBDA):
     """What ``energy`` adds to the unary costs of the 2-subset {i, j}."""
     problem = SelectionProblem.from_posterior(posterior, k=2, lam=lam)
-    indicator = np.zeros(problem.num_classes, dtype=np.int8)
-    indicator[[i, j]] = 1
-    return energy(problem, indicator) - problem.phi[i] - problem.phi[j]
+    return energy(problem, [i, j]) - problem.phi[i] - problem.phi[j]
 
 
 def brute_force_select(problem):
@@ -51,11 +52,9 @@ def brute_force_select(problem):
     in enumeration order, keeping the first minimum."""
     best, best_energy = None, np.inf
     for subset in itertools.combinations(range(problem.num_classes), problem.k):
-        indicator = np.zeros(problem.num_classes, dtype=np.int8)
-        indicator[list(subset)] = 1
-        e = energy(problem, indicator)
+        e = energy(problem, list(subset))
         if e < best_energy:
-            best, best_energy = indicator, e
+            best, best_energy = list(subset), e
     return best, best_energy
 
 
@@ -111,31 +110,45 @@ class TestPairwiseCorrelation:
 class TestEnergy:
     def test_zero_case(self):
         problem = three_class_problem(k=2)
-        assert energy(problem, [1, 1, 0]) == 0.0
+        assert energy(problem, [0, 1]) == 0.0
 
     def test_ordered_pair_double_count(self):
         # identical uniform rows: phi = 1 bit each, psi = 0.5, so
         # E = 2 + 0.5 * (0.5 + 0.5) = 2.5 (each unordered pair counts twice)
         posterior = posterior_from_rows([[0.5, 0.5], [0.5, 0.5]])
         problem = SelectionProblem.from_posterior(posterior, k=2, lam=0.5)
-        assert energy(problem, [1, 1]) == 2.5
+        assert energy(problem, [0, 1]) == 2.5
 
     def test_single_class_no_pairs(self):
         problem = three_class_problem(k=1)
-        assert energy(problem, [0, 0, 1]) == problem.phi[2]
+        assert energy(problem, [2]) == problem.phi[2]
 
     def test_wrong_cardinality_rejected(self):
         problem = three_class_problem(k=2)
         with pytest.raises(ValueError, match="constraint violated"):
-            energy(problem, [1, 1, 1])
+            energy(problem, [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "selected", [[1, 1], [-1, 0], [0, 3]], ids=["duplicate", "negative", "out_of_range"]
+    )
+    def test_bad_index_rejected(self, selected):
+        # a negative index would otherwise wrap round to the last class
+        message = "selected indices must be distinct and in [0, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            energy(three_class_problem(k=2), selected)
+
+    def test_any_order_of_a_subset_gives_the_same_bits(self):
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            problem = random_problem(rng, c=12, k=4)
+            chosen = rng.choice(problem.num_classes, size=problem.k, replace=False)
+            assert energy(problem, chosen) == energy(problem, sorted(chosen))
 
     def test_matches_pairwise_sum(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             problem = random_problem(rng)
-            indicator = np.zeros(problem.num_classes, dtype=np.int8)
             chosen = rng.choice(problem.num_classes, size=problem.k, replace=False)
-            indicator[chosen] = 1
             expected = problem.phi[chosen].sum()
             for i in chosen:
                 for j in chosen:
@@ -143,7 +156,7 @@ class TestEnergy:
                         expected += problem.lam * pairwise_correlation(
                             problem.posterior, int(i), int(j)
                         )
-            np.testing.assert_allclose(energy(problem, indicator), expected, rtol=1e-12)
+            np.testing.assert_allclose(energy(problem, chosen), expected, rtol=1e-12)
 
 
 class TestAverageCorrelation:
@@ -183,6 +196,10 @@ class TestGreedySelect:
         assert result.selected == [0, 1]
         assert result.energy == 0.0
         assert result.step_costs == [0.0, 0.0]
+
+    def test_result_is_the_index_list_and_its_costs(self):
+        fields = [f.name for f in dataclasses.fields(SelectionResult)]
+        assert fields == ["selected", "step_costs", "energy"]
 
     def test_exhaustion_is_permutation(self):
         rng = np.random.default_rng(6)
@@ -242,7 +259,7 @@ class TestGreedySelect:
 class TestExhaustiveSelect:
     def test_three_class_instance(self):
         best, best_energy = exhaustive_select(three_class_problem(k=2))
-        assert best.tolist() == [1, 1, 0]
+        assert best == [0, 1]
         assert best_energy == 0.0
 
     def test_k_equals_c_single_candidate(self):
@@ -250,7 +267,7 @@ class TestExhaustiveSelect:
         problem = random_problem(rng, c=5)
         problem = SelectionProblem.from_posterior(problem.posterior, k=5)
         best, best_energy = exhaustive_select(problem)
-        assert best.tolist() == [1] * 5
+        assert best == [0, 1, 2, 3, 4]
         assert best_energy == energy(problem, best)
 
     def test_lambda_zero_picks_smallest_phi(self):
@@ -259,14 +276,21 @@ class TestExhaustiveSelect:
         problem = SelectionProblem.from_posterior(problem.posterior, k=3, lam=0.0)
         best, _ = exhaustive_select(problem)
         expected = np.argsort(problem.phi, kind="stable")[:3]
-        assert sorted(np.where(best)[0]) == sorted(expected)
+        assert best == sorted(expected)
 
     def test_matches_energy_loop_on_criterion_two_instances(self):
         for problem in criterion_two_problems():
             best, best_energy = exhaustive_select(problem)
             expected, expected_energy = brute_force_select(problem)
-            assert best.tolist() == expected.tolist()
+            assert best == expected
             assert best_energy == expected_energy
+
+    def test_returns_ascending_python_ints(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            best, _ = exhaustive_select(random_problem(rng))
+            assert type(best) is list and all(type(i) is int for i in best)
+            assert best == sorted(best)
 
     def test_guard_on_large_instance(self):
         rng = np.random.default_rng(18)
@@ -298,9 +322,7 @@ class TestExhaustiveSelect:
             randoms = []
             for _ in range(50):
                 pick = rng.choice(problem.num_classes, size=problem.k, replace=False)
-                indicator = np.zeros(problem.num_classes, dtype=np.int8)
-                indicator[pick] = 1
-                randoms.append(energy(problem, indicator))
+                randoms.append(energy(problem, pick))
             assert greedy_energy <= np.mean(randoms) + 1e-9
 
 
