@@ -10,9 +10,11 @@ writes the run's ``resolved_config.json`` once the handler succeeds: every
 argument but ``--out`` and ``--config``, overlaid by those settings, each
 of which given back as its flag repeats the run (``scale_factors`` is
 ``--scales``; ``trunk``, the trained one, is given back only for a fresh
-non-probe source).  File formats live in ``io``.  ``train`` rejects an
-input its mode does not read, leaves the rules that pair its inputs to
-``training``, and names the files of the inputs its ``PairingError`` names.
+non-probe source).  File formats live in ``io``.  An input or setting the
+run does not read (``_MODE_INPUTS``; ``concentration`` outside the responses
+preset) is an error naming its flag or file and key, and is recorded as null.
+``train`` leaves the rules that pair its inputs to ``training``, and names
+the files of the inputs its ``PairingError`` names.
 """
 
 from __future__ import annotations
@@ -34,15 +36,6 @@ from .network import (
     SOFT_TARGET_AS_DISTRIBUTION,
     SOFT_TARGET_IN_LOG,
 )
-
-
-def _typed_like(value, example) -> bool:
-    """Whether a JSON value has the type of ``example``: a list for a tuple,
-    an int or float for a float, and never a bool (no setting is one)."""
-    if isinstance(example, tuple):
-        return isinstance(value, list) and all(_typed_like(v, example[0]) for v in value)
-    kinds = (int, float) if isinstance(example, float) else type(example)
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 _PRESETS = {
@@ -78,7 +71,7 @@ def _read_settings(path: str, defaults: dict, fallback=None) -> dict:
             if value is None:
                 continue
             example = getattr(fallback, key)
-        if not _typed_like(value, example):
+        if not io.typed_like(value, example):
             raise ValueError(
                 f"{path}: setting {key!r} must have the type of {example!r}, got {value!r}"
             )
@@ -91,16 +84,27 @@ def _read_settings(path: str, defaults: dict, fallback=None) -> dict:
     return settings
 
 
-def _layer_config(args: argparse.Namespace, defaults: dict, fallback=None) -> dict:
-    """defaults < config file < explicit flags."""
-    resolved = dict(defaults)
+def _layer_config(args: argparse.Namespace, defaults: dict, fallback=None):
+    """defaults < config file < explicit flags, and where each argument or
+    setting given came from: its flag, or ``<file>: setting '<key>'`` for a
+    non-null value in the config file."""
+    resolved, where = dict(defaults), {}
     if getattr(args, "config", None):
-        resolved.update(_read_settings(args.config, defaults, fallback))
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+        settings = _read_settings(args.config, defaults, fallback)
+        resolved.update(settings)
+        where = {k: f"{args.config}: setting {k!r}" for k, v in settings.items() if v is not None}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    resolved.update((key, value) for key, value in flags.items() if key in defaults)
+    return resolved, {**where, **{key: "--" + key.replace("_", "-") for key in flags}}
+
+
+def _unread(where: dict, names, why: str) -> dict:
+    """``names`` as null settings; one that the run was given is an error
+    naming where it came from: ``why`` the run does not read it."""
+    for key in names:
+        if key in where:
+            raise ValueError(f"{where[key]}: {why}, so it takes no --{key.replace('_', '-')}")
+    return dict.fromkeys(names)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +142,12 @@ def _write_image_split(split_dir: str, ds: training.Dataset) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> dict:
-    resolved = _layer_config(args, _GEN_DEFAULTS, datagen.GeneratorConfig())
+    resolved, where = _layer_config(args, _GEN_DEFAULTS, datagen.GeneratorConfig())
     preset = _PRESETS[resolved["preset"]](resolved["seed"])
     overrides = {k: v for k, v in resolved.items() if v is not None and _GEN_DEFAULTS[k] is None}
     config = dataclasses.replace(preset, **overrides)
+    unread = () if resolved["preset"] == "responses" else ("concentration",)
+    nulls = _unread(where, unread, f"the {resolved['preset']} preset draws no response rows")
     truth, teacher = datagen.make_truth(config), None
 
     # every output is generated before the output directory is created
@@ -172,7 +178,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
     manifest = {"preset": resolved["preset"], "files": [name for name, _, _ in files]}
     io.write_json(os.path.join(out, "manifest.json"), manifest)
     # the preset-derived settings as the generator took them
-    return {key: getattr(config, key, value) for key, value in resolved.items()}
+    return {**{key: getattr(config, key, value) for key, value in resolved.items()}, **nulls}
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +246,21 @@ _TRAIN_DEFAULTS = {
 }
 _FRESH_TRUNK = (64,)  # the widths of a fresh source when no trunk is given
 
-# train mode -> (what it trains from, the input it needs, the other optional
-# inputs it reads); giving it any other input is an error
+# train mode -> (what it trains from, the input it needs, the other inputs
+# and settings it reads); of _MODE_READS, any other one given is an error,
+# and it is recorded as null
 _MODE_INPUTS = {
     "init": ("init mode trains on the train set alone", None, ("source", "trunk")),
-    "knowledge": ("knowledge mode adds soft targets", "soft_targets", ("source", "trunk")),
-    "data": ("data mode adds an auxiliary set", "aux", ("source", "trunk")),
+    "knowledge": ("knowledge mode adds soft targets", "soft_targets",
+                  ("source", "trunk", "alpha", "soft_direction")),
+    "data": ("data mode adds an auxiliary set", "aux", ("source", "trunk", "beta")),
     "probe": ("the probe trains from no trunk on the train set alone", None, ()),
 }
+_MODE_READS = ("source", "trunk", "soft_targets", "aux", "alpha", "beta", "soft_direction")
 
 
 def _cmd_train(args: argparse.Namespace) -> dict:
-    resolved = _layer_config(args, _TRAIN_DEFAULTS, argparse.Namespace(trunk=_FRESH_TRUNK))
+    resolved, where = _layer_config(args, _TRAIN_DEFAULTS, argparse.Namespace(trunk=_FRESH_TRUNK))
     mode = resolved["mode"]
     # each value takes the type of its field's default: a config file's
     # int 0 sets dropout_rate to 0.0
@@ -260,17 +269,11 @@ def _cmd_train(args: argparse.Namespace) -> dict:
         for key, name in _TRANSFER_FIELDS.items()
     })
     why, needs, reads = _MODE_INPUTS[mode]
-    given = {"source": args.source, "trunk": resolved["trunk"],
-             "soft_targets": args.soft_targets, "aux": args.aux}
-    flag = {name: "--" + name.replace("_", "-") for name in given}
-    where = {**flag, "trunk": flag["trunk"] if args.trunk else f"{args.config}: setting 'trunk'"}
-    for name, value in given.items():
-        if value is not None and name not in (needs, *reads):
-            raise ValueError(f"{where[name]}: {why}, so it takes no {flag[name]}")
-    if args.source and resolved["trunk"] is not None:
-        raise ValueError(f"{where['trunk']}: a --source checkpoint brings its own trunk")
-    if needs and not given[needs]:
-        raise ValueError(f"{mode} mode needs {flag[needs]}")
+    nulls = _unread(where, [name for name in _MODE_READS if name not in (needs, *reads)], why)
+    if args.source:
+        _unread(where, ["trunk"], "a --source checkpoint brings its own trunk")
+    if needs and needs not in where:
+        raise ValueError(f"{mode} mode needs --{needs.replace('_', '-')}")
     train = io.read_dataset_csv(args.train)
     test = io.read_dataset_csv(args.test, num_classes=train.num_classes)
     if mode == "probe":  # init transfer from no trunk on l2-normalized rows
@@ -311,7 +314,7 @@ def _cmd_train(args: argparse.Namespace) -> dict:
     io.write_checkpoint_json(os.path.join(out, "checkpoint.json"), report.checkpoint)
     io.write_report_json(os.path.join(out, "report.json"), report)
     io.write_report_csv(os.path.join(out, "report.csv"), report.records)
-    return {**resolved, "trunk": report.checkpoint.config.trunk}
+    return {**resolved, **nulls, "trunk": report.checkpoint.config.trunk}
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,7 @@ _CROP_DEFAULTS = dataclasses.asdict(pipeline.CropConfig())
 
 
 def _cmd_infer(args: argparse.Namespace) -> dict:
-    config = pipeline.CropConfig(**_layer_config(args, _CROP_DEFAULTS))
+    config = pipeline.CropConfig(**_layer_config(args, _CROP_DEFAULTS)[0])
     names = sorted(f for f in os.listdir(args.image_dir) if f.endswith(".npy"))
     if not names:
         raise ValueError(f"{args.image_dir}: no .npy images found")

@@ -8,13 +8,16 @@ reader builds checks rules (simplex rows, labels in range); either error is a
 ``ParseError`` naming the file and the 1-based line, for a rule the line of
 the ``stats.RowError``'s row.  Every JSON artifact is written by
 ``_write_json`` and read through ``_read_object``: a file that is not a JSON
-object, or a wrongly typed or shaped value, raises ``ParseError`` starting
-with ``<file>: ``, and a missing key one reading ``<file>: missing key
-'<key>'``.  The public ``read_json``/``write_json`` are for the CLI's
-free-form files only, so each artifact is opened by exactly one public
-function.  ``posterior.json`` is written for inspection and read by nothing.
-An image file is a float64 ``.npy`` array: one HxWxC image, whose id is the
-file stem, or an NxHxWxC stack, whose images have the ids ``<stem>_0000``,
+object, or a wrongly typed or shaped value (a float, bool or string in an
+integer field), raises ``ParseError`` starting with ``<file>: ``, and a
+missing key one reading ``<file>: missing key '<key>'``.  An artifact
+writes no key a reader could recompute (a matrix is a flat row-major list
+shaped by its id lists), and a reader ignores the keys it does not read.
+The public ``read_json``/``write_json`` are for the CLI's free-form files
+only, so each artifact is opened by exactly one public function.
+``posterior.json`` is written for inspection and read by nothing.  An image
+file is a float64 ``.npy`` array: one HxWxC image, whose id is the file
+stem, or an NxHxWxC stack, whose images have the ids ``<stem>_0000``,
 ``<stem>_0001``, ...; it is checked on read and round-trips bitwise.  Each
 write fills a temporary file beside its target, then ``os.replace``s it.
 """
@@ -162,42 +165,51 @@ def read_json(path: str):
     return _read_json(path)
 
 
-def _key(d: dict, key: str, path: str, prefix: str = "", kind=object):
+def typed_like(value, example) -> bool:
+    """Whether a JSON value has the type of ``example``: a list of values
+    typed like its first item for a list or tuple that has one, an int or
+    float for a float, and never a bool."""
+    if isinstance(example, (list, tuple)) and example:
+        return isinstance(value, list) and all(typed_like(v, example[0]) for v in value)
+    kinds = (int, float) if isinstance(example, float) else type(example)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _key(d: dict, key: str, path: str, prefix: str = "", like=None):
     try:
         value = d[key]
     except KeyError:
         raise ParseError(f"{path}: missing key '{prefix}{key}'") from None
-    if not isinstance(value, kind):
+    if like is not None and not typed_like(value, like):
         raise ParseError(
-            f"{path}: '{prefix}{key}' must be a {kind.__name__}, got {value!r}"
+            f"{path}: '{prefix}{key}' must have the type of {like!r}, got {value!r}"
         )
     return value
 
 
-def _matrix(key, name: str, rows: str, cols: str) -> np.ndarray:
-    """The flat float list at key ``name`` as a matrix of the integers at
-    keys ``rows`` by ``cols``; a list that does not fill them is a
-    ``ValueError`` naming all three keys."""
-    shape = int(key(rows)), int(key(cols))
+def _matrix(key, name: str, cols: str, rows: str = "") -> np.ndarray:
+    """The flat float list at key ``name`` as rows of one value per entry of
+    the list at key ``cols``, one row per entry of the list at key ``rows``
+    if given; a list that does not fill them is a ``ValueError`` naming them."""
     values = np.array(key(name), dtype=np.float64)
-    if values.size != shape[0] * shape[1]:
-        raise ValueError(
-            f"'{name}' holds {values.size} values, not {rows} x {cols} = "
-            f"{shape[0]} x {shape[1]}"
-        )
-    return values.reshape(shape)
+    width = len(key(cols, like=[]))
+    height = len(key(rows, like=[])) if rows else values.size // max(width, 1)
+    if values.size != height * width:
+        want = f"len({rows}) x len({cols}) = {height} x " if rows else f"rows of len({cols}) = "
+        raise ValueError(f"'{name}' holds {values.size} values, not {want}{width}")
+    return values.reshape(height, width)
 
 
 def _read_object(path: str, build):
     """``build(d, key)`` of the JSON object ``d`` in ``path``, ``key`` being
     ``_key`` for this file; any other error of a malformed value (``"trunk": 5``,
-    a ``cond`` that does not fill its dims) becomes a ``ParseError`` naming it."""
+    a ``cond`` that does not fill its id lists) becomes a ``ParseError`` naming it."""
     d = _read_json(path)
     if not isinstance(d, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(d).__name__}")
 
-    def key(name, holder=d, prefix="", kind=object):
-        return _key(holder, name, path, prefix, kind)
+    def key(name, holder=d, prefix="", like=None):
+        return _key(holder, name, path, prefix, like)
 
     try:
         return build(d, key)
@@ -254,31 +266,20 @@ def write_conditional_json(path: str, table: ConditionalTable) -> None:
         path,
         {
             "type": "conditional_table",
-            "num_classes": table.num_classes,
-            "num_events": table.num_events,
             "cond": table.cond.ravel().tolist(),
-            "prior": table.prior.tolist(),
             "counts": table.counts.tolist(),
-            "total": table.total,
             "class_ids": table.class_ids,
         },
     )
 
 
 def read_conditional_json(path: str) -> ConditionalTable:
-    """The table in ``path``; its ``total`` and ``prior`` must equal, exactly,
-    those that its ``counts`` give."""
-
     def build(d, key):
-        table = ConditionalTable(
-            cond=_matrix(key, "cond", "num_classes", "num_events"),
-            counts=np.array(key("counts"), dtype=np.int64),
-            class_ids=key("class_ids", kind=list),
+        return ConditionalTable(
+            cond=_matrix(key, "cond", "counts", "class_ids"),
+            counts=np.array(key("counts", like=[0]), dtype=np.int64),
+            class_ids=key("class_ids", like=[]),
         )
-        for name, want in (("total", table.total), ("prior", table.prior.tolist())):
-            if not np.array_equal(key(name), want):
-                raise ParseError(f"{path}: '{name}' disagrees with counts ({want!r})")
-        return table
 
     return _read_object(path, build)
 
@@ -288,11 +289,8 @@ def write_posterior_json(path: str, table: PosteriorTable) -> None:
         path,
         {
             "type": "posterior_table",
-            "num_classes": table.num_classes,
-            "num_events": table.num_events,
             "post": table.post.ravel().tolist(),
             "marginal": table.marginal.tolist(),
-            "undefined_mask": [bool(b) for b in table.undefined_mask],
             "class_ids": table.class_ids,
         },
     )
@@ -313,7 +311,7 @@ def write_selection_json(path: str, result: SelectionResult) -> None:
 def read_selection_json(path: str) -> SelectionResult:
     def build(d, key):
         return SelectionResult(
-            selected=[int(i) for i in key("selected")],
+            selected=key("selected", like=[0]),
             step_costs=[float(x) for x in key("step_costs")],
             energy=float(key("energy")),
         )
@@ -388,24 +386,24 @@ def read_checkpoint_json(path: str) -> Checkpoint:
 
 
 def _checkpoint_from(d: dict, key) -> Checkpoint:
-    c = key("config", kind=dict)
+    c = key("config", like={})
     for prefix, holder, known in (("", d, _CHECKPOINT_KEYS), ("config.", c, _CONFIG_KEYS)):
         for name, value in holder.items():
             if name not in known and value is not None:
                 raise ValueError(f"unknown key '{prefix}{name}' is set")
     config = NetworkConfig(
-        input_dim=int(key("input_dim", c, "config.")),
-        trunk=tuple(key("trunk", c, "config.", list)),
-        heads=tuple(key("heads", c, "config.", list)),
+        input_dim=key("input_dim", c, "config.", 0),
+        trunk=tuple(key("trunk", c, "config.", [0])),
+        heads=tuple(key("heads", c, "config.", [0])),
         dropout_rate=float(key("dropout_rate", c, "config.")),
     )
     layout = [
         (
             key("name", entry, f"layout[{i}]."),
-            int(key("offset", entry, f"layout[{i}].")),
-            tuple(key("shape", entry, f"layout[{i}].", list)),
+            key("offset", entry, f"layout[{i}].", 0),
+            tuple(key("shape", entry, f"layout[{i}].", [0])),
         )
-        for i, entry in enumerate(key("layout", kind=list))
+        for i, entry in enumerate(key("layout", like=[]))
     ]
     for i, (got, want) in enumerate(zip_longest(layout, build_layout(config))):
         if got != want:
@@ -413,7 +411,7 @@ def _checkpoint_from(d: dict, key) -> Checkpoint:
     params = ParamStore(
         values=np.array(key("values"), dtype=np.float64),
         layout=layout,
-        rng_seed=int(key("seed")),
+        rng_seed=key("seed", like=0),
     )
     bad = np.flatnonzero(~np.isfinite(params.values))
     if bad.size:  # the entries tile values in order: the first ending past i holds i
@@ -439,11 +437,12 @@ def read_report_json(path: str) -> list[EvalRecord]:
 
     def build(d, key):
         records = []
-        for i, r in enumerate(key("records", kind=list)):
+        for i, r in enumerate(key("records", like=[])):
             if not isinstance(r, dict) or not set(r) <= set(_RECORD_KEYS):
                 raise ValueError(f"records[{i}] must be an object of {_RECORD_KEYS}")
-            iteration, *values = (key(k, r, f"records[{i}].") for k in _RECORD_KEYS)
-            records.append(EvalRecord(int(iteration), *map(float, values)))
+            prefix = f"records[{i}]."
+            values = (float(key(k, r, prefix)) for k in _RECORD_KEYS[1:])
+            records.append(EvalRecord(key("iteration", r, prefix, 0), *values))
         if not records:
             raise ValueError("a train report needs at least one record")
         return records
@@ -456,7 +455,7 @@ def read_run_mode(path: str) -> str:
     when the run has none (every setting but the mode is ignored)."""
 
     def build(d, key):
-        return key("mode", kind=str) if "mode" in d else "unknown"
+        return key("mode", like="init") if "mode" in d else "unknown"
 
     return _read_object(path, build)
 
@@ -498,8 +497,6 @@ def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
         path,
         {
             "type": "soft_targets",
-            "num_rows": int(soft.values.shape[0]),
-            "num_concepts": int(soft.values.shape[1]),
             "values": soft.values.ravel().tolist(),
             "concept_ids": [int(c) for c in soft.concept_ids],
         },
@@ -508,9 +505,8 @@ def write_soft_targets_json(path: str, soft: SoftTargets) -> None:
 
 def read_soft_targets_json(path: str) -> SoftTargets:
     def build(d, key):
-        values = _matrix(key, "values", "num_rows", "num_concepts")
-        concept_ids = [int(c) for c in key("concept_ids")]
-        return SoftTargets(values=values, concept_ids=concept_ids)
+        values = _matrix(key, "values", "concept_ids")
+        return SoftTargets(values=values, concept_ids=key("concept_ids", like=[0]))
 
     return _read_object(path, build)
 

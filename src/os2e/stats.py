@@ -160,10 +160,6 @@ class ConditionalTable:
         return self.counts / self.counts.sum()
 
     @property
-    def num_classes(self) -> int:
-        return self.cond.shape[0]
-
-    @property
     def num_events(self) -> int:
         return self.cond.shape[1]
 
@@ -197,10 +193,6 @@ class PosteriorTable:
     @property
     def num_classes(self) -> int:
         return self.post.shape[0]
-
-    @property
-    def num_events(self) -> int:
-        return self.post.shape[1]
 
 
 def estimate_conditional(

@@ -130,8 +130,11 @@ class TestStatsCommand:
         assert code == 0
         table = io.read_conditional_json(os.path.join(out, "conditional.json"))
         assert table.num_events == 4
+        assert set(read_json(os.path.join(out, "conditional.json"))) == {
+            "type", "cond", "counts", "class_ids"}
         posterior = read_json(os.path.join(out, "posterior.json"))
-        assert posterior["num_classes"] == 20
+        assert set(posterior) == {"type", "post", "marginal", "class_ids"}
+        assert len(posterior["class_ids"]) == 20
 
 
 class TestGenCommand:
@@ -210,10 +213,12 @@ class TestGenCommand:
     def test_record_gives_the_preset_values_taken(self, tmp_path, preset, make):
         out = tmp_path / "g"
         assert run(["gen", "--preset", preset, "--seed", "3", "--out", str(out)]) == 0
+        # only the responses preset reads the concentration
         config = make(3)
+        concentration = config.concentration if preset == "responses" else None
         assert read_json(out / "resolved_config.json") == {
             "subcommand": "gen", "preset": preset, "seed": 3,
-            "concentration": config.concentration, "noise_sigma": config.noise_sigma,
+            "concentration": concentration, "noise_sigma": config.noise_sigma,
             "n_train": config.n_train, "n_test": config.n_test,
         }
 
@@ -296,10 +301,29 @@ class TestTrainCommand:
              "--trunk: a --source checkpoint brings its own trunk"),
             ("data", ["--aux", "aux.csv", "--source", "source.json", "--config", "trunk.json"],
              "trunk.json: setting 'trunk': a --source checkpoint brings its own trunk"),
+            ("init", ["--alpha", "2"],
+             "--alpha: init mode trains on the train set alone, so it takes no --alpha"),
+            ("init", ["--beta", "2"], "--beta: init mode trains on the train set alone"),
+            ("init", ["--soft-direction", "target_in_log"],
+             "--soft-direction: init mode trains on the train set alone, so it takes no "
+             "--soft-direction"),
+            ("knowledge", ["--soft-targets", "soft_targets.json", "--beta", "2"],
+             "--beta: knowledge mode adds soft targets, so it takes no --beta"),
+            ("data", ["--aux", "aux.csv", "--alpha", "2"],
+             "--alpha: data mode adds an auxiliary set, so it takes no --alpha"),
+            ("data", ["--aux", "aux.csv", "--config", "weights.json"],
+             "weights.json: setting 'alpha': data mode adds an auxiliary set, so it "
+             "takes no --alpha"),
+            ("data", ["--aux", "aux.csv", "--soft-direction", "target_in_log"],
+             "--soft-direction: data mode adds an auxiliary set"),
+            ("probe", ["--config", "weights.json"],
+             "weights.json: setting 'alpha': the probe trains from no trunk"),
         ],
         ids=["aux_init", "aux_knowledge", "aux_probe", "soft_targets_init",
              "soft_targets_data", "soft_targets_probe", "trunk_probe", "trunk_probe_config",
-             "trunk_with_source", "trunk_config_with_source"],
+             "trunk_with_source", "trunk_config_with_source", "alpha_init", "beta_init",
+             "soft_direction_init", "beta_knowledge", "alpha_data", "alpha_config_data",
+             "soft_direction_data", "alpha_config_probe"],
     )
     def test_input_the_mode_does_not_read_named_before_any_output(
         self, tmp_path, capsys, mode, extra, message
@@ -309,6 +333,8 @@ class TestTrainCommand:
         gen_dir = self.gen_data(tmp_path)
         with open(os.path.join(gen_dir, "trunk.json"), "w", encoding="utf-8") as fh:
             json.dump({"trunk": [8]}, fh)
+        with open(os.path.join(gen_dir, "weights.json"), "w", encoding="utf-8") as fh:
+            json.dump({"alpha": 0.25}, fh)
         cfg = NetworkConfig(input_dim=32, trunk=(8,), heads=(4,), dropout_rate=0.0)
         source = Checkpoint(cfg, init_params(cfg, seed=3))
         io.write_checkpoint_json(os.path.join(gen_dir, "source.json"), source)
@@ -944,7 +970,7 @@ class TestReportCommand:
         "resolved, message",
         [
             ([1, 2], "expected a JSON object, got list"),
-            ({"mode": 5}, "'mode' must be a str, got 5"),
+            ({"mode": 5}, "'mode' must have the type of 'init', got 5"),
         ],
         ids=["list", "int_mode"],
     )
@@ -1095,9 +1121,26 @@ def _settings_list(tmp_path):
     return ["gen", "--config", str(cfg)]
 
 
+def _concentration_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"concentration": 50.0}))
+    return ["gen", "--preset", "images", "--config", str(cfg)]
+
+
 # name -> (the arguments but --out, the error message)
 REJECTIONS = {
     "config_list": (_settings_list, "cfg.json: expected a JSON object of settings"),
+    # only the responses preset reads it: the others would write the same
+    # files as without it, and record it
+    "concentration_vectors": (
+        lambda t: ["gen", "--preset", "vectors", "--concentration", "50"],
+        "--concentration: the vectors preset draws no response rows, so it takes no "
+        "--concentration",
+    ),
+    "concentration_config_images": (
+        _concentration_file,
+        "cfg.json: setting 'concentration': the images preset draws no response rows",
+    ),
     "data_without_aux": (
         lambda t: ["train", "--mode", "data", *_vectors(t)], "data mode needs --aux"
     ),
@@ -1143,8 +1186,9 @@ def _readme_commands(prefix):
 
 
 def test_readme_train_runs_record_only_what_they_read(tmp_path, monkeypatch):
-    # every file a train run's resolved_config.json names was opened, and
-    # its trunk is the trunk of the checkpoint the run wrote
+    # every file a train run's resolved_config.json names was opened, its
+    # trunk is the trunk of the checkpoint the run wrote, and a weight or
+    # direction its mode does not read is null
     monkeypatch.chdir(tmp_path)
     (gen,) = _readme_commands("os2e gen --preset vectors")
     assert run(gen) == 0
@@ -1166,6 +1210,12 @@ def test_readme_train_runs_record_only_what_they_read(tmp_path, monkeypatch):
         files = [record[key] for key in ("train", "test", "source", "soft_targets", "aux")]
         assert {path for path in files if path is not None} <= opened
         assert record["trunk"] == read_json(os.path.join(out, "checkpoint.json"))["config"]["trunk"]
+        weights = {key: record[key] for key in ("alpha", "beta", "soft_direction")}
+        assert weights == {
+            "init": {"alpha": None, "beta": None, "soft_direction": None},
+            "knowledge": {"alpha": 0.125, "beta": None, "soft_direction": "target_as_distribution"},
+            "data": {"alpha": None, "beta": 0.5, "soft_direction": None},
+        }[argv[argv.index("--mode") + 1]]
 
 
 def test_main_exits_with_the_run_status(tmp_path, monkeypatch):

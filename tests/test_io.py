@@ -91,6 +91,7 @@ class TestTableJson:
         table = estimate_conditional(objects, labels)
         path = str(tmp_path / "cond.json")
         io.write_conditional_json(path, table)
+        assert list(io.read_json(path)) == ["type", "cond", "counts", "class_ids"]
         loaded = io.read_conditional_json(path)
         np.testing.assert_array_equal(loaded.cond, table.cond)
         np.testing.assert_array_equal(loaded.prior, table.prior)
@@ -103,21 +104,19 @@ class TestTableJson:
         path = str(tmp_path / "post.json")
         io.write_posterior_json(path, posterior)
         d = io.read_json(path)
-        post = np.array(d["post"]).reshape(d["num_classes"], d["num_events"])
+        assert list(d) == ["type", "post", "marginal", "class_ids"]
+        post = np.array(d["post"]).reshape(len(d["class_ids"]), -1)
         assert post.tobytes() == posterior.post.tobytes()
         assert np.array(d["marginal"]).tobytes() == posterior.marginal.tobytes()
-        np.testing.assert_array_equal(d["undefined_mask"], posterior.undefined_mask)
 
     @pytest.mark.parametrize(
-        "counts, total", [([-1, 5], 4), ([-2, -2], -4), ([0, 0], 0)],
+        "counts", [[-1, 5], [-2, -2], [0, 0]],
         ids=["one_negative", "all_negative", "zero_total"],
     )
-    def test_negative_counts_or_zero_total_name_file(self, tmp_path, counts, total):
-        # the first two priors are counts / total exactly and sum to 1
+    def test_negative_counts_or_zero_total_name_file(self, tmp_path, counts):
         path = tmp_path / "cond.json"
         payload = io.read_json(fixture_path("three_class_conditional.json"))
-        payload.update(counts=counts, total=total)
-        payload["prior"] = [c / total for c in counts] if total else [0.5, 0.5]
+        payload["counts"] = counts
         path.write_text(json.dumps(payload))
         with pytest.raises(io.ParseError, match=re.escape(f"{path}: counts must be >= 0")):
             io.read_conditional_json(str(path))
@@ -127,15 +126,28 @@ class TestTableJson:
         [("prior", [0.25, 0.75]), ("prior", [0.5, 0.5, 0.0]), ("total", 5)],
         ids=["prior_off", "prior_length", "total_off"],
     )
-    def test_prior_or_total_disagreeing_with_counts_names_file_and_key(
-        self, tmp_path, key, value
-    ):
+    def test_old_prior_and_total_are_ignored(self, tmp_path, key, value):
+        # a file written while the table carried its prior and total loads
+        # whatever they say: both come from counts
         path = tmp_path / "cond.json"
         payload = io.read_json(fixture_path("three_class_conditional.json"))
         payload[key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(io.ParseError, match=re.escape(f"{path}: '{key}'")):
-            io.read_conditional_json(str(path))
+        table = io.read_conditional_json(str(path))
+        assert (table.prior.tolist(), table.total) == ([0.5, 0.5], 4)
+
+    def test_old_layout_loads_to_the_same_table(self, tmp_path):
+        # the fixture still carries num_classes, num_events, prior and total
+        old_path = fixture_path("three_class_conditional.json")
+        old = io.read_conditional_json(old_path)
+        payload = io.read_json(old_path)
+        assert {"num_classes", "num_events", "prior", "total"} < set(payload)
+        path = str(tmp_path / "cond.json")
+        io.write_conditional_json(path, old)
+        new = io.read_conditional_json(path)
+        assert new.cond.tobytes() == old.cond.tobytes() == np.array(payload["cond"]).tobytes()
+        assert new.counts.tobytes() == old.counts.tobytes()
+        assert new.class_ids == old.class_ids == payload["class_ids"]
 
     def test_malformed_json_names_file(self, tmp_path):
         path = tmp_path / "cond.json"
@@ -378,7 +390,7 @@ JSON_READERS = {
         lambda path: io.write_conditional_json(path, _conditional_table()),
         [
             (lambda d: d.pop("cond"), "cond"),
-            (lambda d: d.update(num_events=5), None),
+            (lambda d: d.update(counts=[*d["counts"], 1]), None),
             (lambda d: d.update(class_ids=5), None),
         ],
     ),
@@ -386,8 +398,8 @@ JSON_READERS = {
         io.read_soft_targets_json,
         lambda path: io.write_soft_targets_json(path, _soft_targets()),
         [
-            (lambda d: d.pop("num_rows"), "num_rows"),
-            (lambda d: d.update(num_concepts=d["num_concepts"] + 1), None),
+            (lambda d: d.pop("concept_ids"), "concept_ids"),
+            (lambda d: d.update(concept_ids=[*d["concept_ids"], 99]), None),
             (lambda d: d.update(concept_ids=[[1]]), None),
             (lambda d: d.update(concept_ids=d["concept_ids"][:3]), None),
         ],
@@ -456,33 +468,68 @@ class TestJsonArtifacts:
         path.write_text('{"subcommand": "train"}')
         assert io.read_run_mode(str(path)) == "unknown"
 
+    # 20 classes x 4 events, and 64 rows of 8 concepts; the soft targets'
+    # row count is checked against the train set by training
     @pytest.mark.parametrize(
-        "reader, write, key, dims",
+        "reader, write, key, dropped, message",
         [
             (io.read_conditional_json,
              lambda path: io.write_conditional_json(path, _conditional_table()),
-             "cond", ("num_classes", "num_events")),
+             "cond", 1, "'cond' holds 79 values, not len(class_ids) x len(counts) = 20 x 4"),
             (io.read_soft_targets_json,
              lambda path: io.write_soft_targets_json(path, _soft_targets()),
-             "values", ("num_rows", "num_concepts")),
+             "values", 1, "'values' holds 511 values, not rows of len(concept_ids) = 8"),
+            (io.read_conditional_json,
+             lambda path: io.write_conditional_json(path, _conditional_table()),
+             "cond", 4, "'cond' holds 76 values, not len(class_ids) x len(counts) = 20 x 4"),
         ],
-        ids=["conditional_cond", "soft_targets_values"],
+        ids=["conditional_cond", "soft_targets_values", "conditional_cond_row"],
     )
     def test_dropped_matrix_value_names_file_key_and_dims(
-        self, tmp_path, reader, write, key, dims
+        self, tmp_path, reader, write, key, dropped, message
     ):
         path = tmp_path / "table.json"
         write(str(path))
         payload = json.loads(path.read_text())
-        payload[key] = payload[key][:-1]
+        payload[key] = payload[key][:-dropped]
         path.write_text(json.dumps(payload))
-        rows, cols = (payload[dim] for dim in dims)
-        message = (
-            f"{path}: '{key}' holds {rows * cols - 1} values, not "
-            f"{dims[0]} x {dims[1]} = {rows} x {cols}"
-        )
-        with pytest.raises(io.ParseError, match=re.escape(message)):
+        with pytest.raises(io.ParseError, match=re.escape(f"{path}: {message}")):
             reader(str(path))
+
+    @pytest.mark.parametrize(
+        "reader, edit, key",
+        [
+            ("conditional", lambda d: d.update(counts=[2.9] * len(d["counts"])), "counts"),
+            ("conditional", lambda d: d.update(counts=[str(c) for c in d["counts"]]), "counts"),
+            ("conditional", lambda d: d.update(counts=[True, *d["counts"][1:]]), "counts"),
+            ("selection", lambda d: d.update(selected=[i + 0.2 for i in d["selected"]]),
+             "selected"),
+            ("soft_targets", lambda d: d.update(concept_ids=[float(c) for c in d["concept_ids"]]),
+             "concept_ids"),
+            ("checkpoint", lambda d: d.update(seed=12.9), "seed"),
+            ("checkpoint", lambda d: d["config"].update(input_dim=4.0), "config.input_dim"),
+            ("checkpoint", lambda d: d["config"].update(trunk=[3.7]), "config.trunk"),
+            ("checkpoint", lambda d: d["config"].update(heads=[True, 1]), "config.heads"),
+            ("checkpoint", lambda d: d["layout"][1].update(offset=12.0), "layout[1].offset"),
+            ("checkpoint", lambda d: d["layout"][0].update(shape=["4", 3]), "layout[0].shape"),
+            ("report", lambda d: d["records"][1].update(iteration=8.5), "records[1].iteration"),
+        ],
+        ids=["counts_float", "counts_str", "counts_bool", "selected_float",
+             "concept_id_float", "seed_float", "input_dim_float", "trunk_float",
+             "heads_bool", "offset_float", "shape_str", "iteration_float"],
+    )
+    def test_integer_field_that_is_no_json_integer_names_file_and_key(
+        self, tmp_path, reader, edit, key
+    ):
+        # int() would truncate 2.9 to 2 and read "2" and true as integers
+        read, write, _ = JSON_READERS[reader]
+        path = tmp_path / f"{reader}.json"
+        write(str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(io.ParseError, match=re.escape(f"{path}: '{key}' must have the type")):
+            read(str(path))
 
     @pytest.mark.parametrize(
         "case, reader",
@@ -631,9 +678,23 @@ class TestSoftTargetsJson:
         _, _, soft = gen_vector_dataset(config, truth)
         path = str(tmp_path / "soft.json")
         io.write_soft_targets_json(path, soft)
+        assert list(io.read_json(path)) == ["type", "values", "concept_ids"]
         loaded = io.read_soft_targets_json(path)
         assert loaded.values.tobytes() == soft.values.tobytes()
         assert loaded.concept_ids == soft.concept_ids
+
+    def test_old_layout_loads_to_the_same_values(self, tmp_path):
+        # written while soft_targets.json carried num_rows and num_concepts
+        old_path = fixture_path("old_soft_targets.json")
+        payload = io.read_json(old_path)
+        old = io.read_soft_targets_json(old_path)
+        assert old.values.shape == (payload["num_rows"], payload["num_concepts"])
+        path = str(tmp_path / "soft.json")
+        io.write_soft_targets_json(path, old)
+        new = io.read_soft_targets_json(path)
+        assert new.values.tobytes() == old.values.tobytes()
+        assert old.values.tobytes() == np.array(payload["values"]).reshape(3, 2).tobytes()
+        assert new.concept_ids == old.concept_ids == payload["concept_ids"]
 
     def test_off_simplex_row_names_file(self, tmp_path):
         path = tmp_path / "soft.json"
@@ -649,7 +710,7 @@ class TestSoftTargetsJson:
         path = tmp_path / "soft.json"
         io.write_soft_targets_json(str(path), _soft_targets())
         payload = json.loads(path.read_text())
-        width = payload["num_concepts"]
+        width = len(payload["concept_ids"])
         payload["values"][:width] = [float("nan")] * width  # row 0 all NaN
         path.write_text(json.dumps(payload))
         assert "NaN" in path.read_text()
