@@ -7,12 +7,14 @@ field counts, finite number or integer cells, a data row) and the type a
 reader builds checks rules (simplex rows, labels in range); either error is a
 ``ParseError`` naming the file and the 1-based line, for a rule the line of
 the ``stats.RowError``'s row.  Every JSON artifact is written by
-``_write_json`` and read through ``_read_object``: a file that is not a JSON
-object, or a wrongly typed or shaped value (a float, bool or string in an
-integer field), raises ``ParseError`` starting with ``<file>: ``, and a
+``_write_json``, which rejects a NaN or inf, and read through
+``_read_object``: a file that is not a JSON object, or a wrongly typed or
+shaped value (a float, bool or string in an integer field, a bool or string
+in a float field), raises ``ParseError`` starting with ``<file>: ``, and a
 missing key one reading ``<file>: missing key '<key>'``.  An artifact
 writes no key a reader could recompute (a matrix is a flat row-major list
-shaped by its id lists), and a reader ignores the keys it does not read.
+shaped by its id lists, a checkpoint's layout is ``build_layout`` of its
+config), and a reader ignores the keys it does not read.
 The public ``read_json``/``write_json`` are for the CLI's free-form files
 only, so each artifact is opened by exactly one public function.
 ``posterior.json`` is written for inspection and read by nothing.  An image
@@ -29,15 +31,14 @@ import json
 import math
 import os
 from dataclasses import asdict, astuple, fields
-from itertools import zip_longest
 
 import numpy as np
 
-from .network import Checkpoint, NetworkConfig, ParamStore, build_layout
+from .network import Checkpoint, NetworkConfig, ParamStore, build_layout, param_count
 from .pipeline import CropConfig, check_images, generate_regions
 from .selection import SelectionProblem, SelectionResult
 from .stats import ConditionalTable, EventLabels, PosteriorTable, ResponseMatrix, RowError
-from .training import Dataset, EvalRecord, SoftTargets, TrainReport
+from .training import TRANSFER_MODES, Dataset, EvalRecord, SoftTargets, TrainReport
 
 
 class ParseError(ValueError):
@@ -141,8 +142,13 @@ def _numbers(cells: list[str], kind=float) -> list:
 
 
 def _write_json(path: str, payload: dict, sort_keys: bool = False) -> None:
+    """``payload`` as strict JSON: a NaN or inf, which ``json`` would write as
+    a ``NaN`` no JSON reader takes, is a ``ValueError`` naming ``path``."""
     with _replacing(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=sort_keys)
+        try:
+            json.dump(payload, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         fh.write("\n")
 
 
@@ -181,9 +187,12 @@ def _key(d: dict, key: str, path: str, prefix: str = "", like=None):
     except KeyError:
         raise ParseError(f"{path}: missing key '{prefix}{key}'") from None
     if like is not None and not typed_like(value, like):
-        raise ParseError(
-            f"{path}: '{prefix}{key}' must have the type of {like!r}, got {value!r}"
-        )
+        got = repr(value)
+        if isinstance(like, list) and like and isinstance(value, list):
+            # name the first bad entry: a checkpoint's values run to thousands
+            i = next(i for i, v in enumerate(value) if not typed_like(v, like[0]))
+            got = f"{value[i]!r} at index {i}"
+        raise ParseError(f"{path}: '{prefix}{key}' must have the type of {like!r}, got {got}")
     return value
 
 
@@ -191,7 +200,7 @@ def _matrix(key, name: str, cols: str, rows: str = "") -> np.ndarray:
     """The flat float list at key ``name`` as rows of one value per entry of
     the list at key ``cols``, one row per entry of the list at key ``rows``
     if given; a list that does not fill them is a ``ValueError`` naming them."""
-    values = np.array(key(name), dtype=np.float64)
+    values = np.array(key(name, like=[0.0]), dtype=np.float64)
     width = len(key(cols, like=[]))
     height = len(key(rows, like=[])) if rows else values.size // max(width, 1)
     if values.size != height * width:
@@ -312,8 +321,8 @@ def read_selection_json(path: str) -> SelectionResult:
     def build(d, key):
         return SelectionResult(
             selected=key("selected", like=[0]),
-            step_costs=[float(x) for x in key("step_costs")],
-            energy=float(key("energy")),
+            step_costs=[float(x) for x in key("step_costs", like=[0.0])],
+            energy=float(key("energy", like=0.0)),
         )
 
     return _read_object(path, build)
@@ -347,36 +356,28 @@ def write_marginals_csv(path: str, class_ids: list[str], marginal: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
+# a file written before the layout was left to ``build_layout`` holds a
+# ``layout`` list too, which nothing reads
 _CHECKPOINT_KEYS = ("type", "config", "seed", "layout", "values")
-_CONFIG_KEYS = ("input_dim", "trunk", "heads", "dropout_rate")
+_CONFIG_KEYS = tuple(f.name for f in fields(NetworkConfig))
 _RECORD_KEYS = tuple(f.name for f in fields(EvalRecord))
 
 
 def write_checkpoint_json(path: str, checkpoint: Checkpoint) -> None:
-    params = checkpoint.params
     _write_json(
         path,
         {
             "type": "checkpoint",
-            "config": {
-                "input_dim": checkpoint.config.input_dim,
-                "trunk": list(checkpoint.config.trunk),
-                "heads": list(checkpoint.config.heads),
-                "dropout_rate": checkpoint.config.dropout_rate,
-            },
-            "seed": params.rng_seed,
-            "layout": [
-                {"name": name, "offset": offset, "shape": list(shape)}
-                for name, offset, shape in params.layout
-            ],
-            "values": params.values.tolist(),
+            "config": asdict(checkpoint.config),
+            "seed": checkpoint.params.rng_seed,
+            "values": checkpoint.params.values.tolist(),
         },
     )
 
 
 def read_checkpoint_json(path: str) -> Checkpoint:
-    """Load a checkpoint whose layout must match its config and tile its
-    values, which must be finite.
+    """Load a checkpoint whose finite values fill the layout
+    ``network.build_layout`` gives its config.
 
     Keys the reader does not know must be null: files written while os2e had
     an input-normalization layer carry its unused settings and statistics as
@@ -395,27 +396,18 @@ def _checkpoint_from(d: dict, key) -> Checkpoint:
         input_dim=key("input_dim", c, "config.", 0),
         trunk=tuple(key("trunk", c, "config.", [0])),
         heads=tuple(key("heads", c, "config.", [0])),
-        dropout_rate=float(key("dropout_rate", c, "config.")),
+        dropout_rate=float(key("dropout_rate", c, "config.", 0.0)),
     )
-    layout = [
-        (
-            key("name", entry, f"layout[{i}]."),
-            key("offset", entry, f"layout[{i}].", 0),
-            tuple(key("shape", entry, f"layout[{i}].", [0])),
+    values = np.array(key("values", like=[0.0]), dtype=np.float64)
+    if values.size != param_count(config):
+        raise ValueError(
+            f"'values' holds {values.size} values, not the {param_count(config)} 'config' takes"
         )
-        for i, entry in enumerate(key("layout", like=[]))
-    ]
-    for i, (got, want) in enumerate(zip_longest(layout, build_layout(config))):
-        if got != want:
-            raise ValueError(f"layout entry {i} is {got}, config wants {want}")
-    params = ParamStore(
-        values=np.array(key("values"), dtype=np.float64),
-        layout=layout,
-        rng_seed=key("seed", like=0),
-    )
-    bad = np.flatnonzero(~np.isfinite(params.values))
+    layout = build_layout(config)
+    params = ParamStore(values, layout, rng_seed=key("seed", like=0))
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:  # the entries tile values in order: the first ending past i holds i
-        i, value = int(bad[0]), float(params.values[bad[0]])
+        i, value = int(bad[0]), float(values[bad[0]])
         name = next(name for name, offset, shape in layout if i < offset + math.prod(shape))
         raise ValueError(f"'values' must be finite, got {value!r} in layout entry '{name}'")
     return Checkpoint(config=config, params=params)
@@ -441,7 +433,7 @@ def read_report_json(path: str) -> list[EvalRecord]:
             if not isinstance(r, dict) or not set(r) <= set(_RECORD_KEYS):
                 raise ValueError(f"records[{i}] must be an object of {_RECORD_KEYS}")
             prefix = f"records[{i}]."
-            values = (float(key(k, r, prefix)) for k in _RECORD_KEYS[1:])
+            values = (float(key(k, r, prefix, 0.0)) for k in _RECORD_KEYS[1:])
             records.append(EvalRecord(key("iteration", r, prefix, 0), *values))
         if not records:
             raise ValueError("a train report needs at least one record")
@@ -451,11 +443,17 @@ def read_report_json(path: str) -> list[EvalRecord]:
 
 
 def read_run_mode(path: str) -> str:
-    """The ``mode`` string of a run's ``resolved_config.json``; ``"unknown"``
-    when the run has none (every setting but the mode is ignored)."""
+    """The ``mode`` of a run's ``resolved_config.json``, one of
+    ``TRANSFER_MODES``; ``"unknown"`` when the run has none (every setting
+    but the mode is ignored)."""
 
     def build(d, key):
-        return key("mode", like="init") if "mode" in d else "unknown"
+        if "mode" not in d:
+            return "unknown"
+        mode = key("mode", like="init")
+        if mode not in TRANSFER_MODES:
+            raise ValueError(f"'mode' must be one of {TRANSFER_MODES}, got {mode!r}")
+        return mode
 
     return _read_object(path, build)
 

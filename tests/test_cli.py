@@ -971,8 +971,13 @@ class TestReportCommand:
         [
             ([1, 2], "expected a JSON object, got list"),
             ({"mode": 5}, "'mode' must have the type of 'init', got 5"),
+            # the mode names a loss curve file, so an unknown one would name
+            # loss_curve_bogus_0.csv, or a file outside --out
+            ({"mode": "bogus"}, "'mode' must be one of ('init', 'knowledge', 'data', 'probe'), "
+             "got 'bogus'"),
+            ({"mode": "../../escaped"}, "'mode' must be one of"),
         ],
-        ids=["list", "int_mode"],
+        ids=["list", "int_mode", "unknown_mode", "path_mode"],
     )
     def test_malformed_resolved_config_names_file(
         self, tmp_path, capsys, resolved, message

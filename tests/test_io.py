@@ -18,7 +18,7 @@ from os2e.datagen import (
     preset_responses,
     preset_vector_benchmark,
 )
-from os2e.network import NetworkConfig, Checkpoint, init_params
+from os2e.network import NetworkConfig, Checkpoint, build_layout, init_params
 from os2e.pipeline import CropConfig
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import EventLabels, bayes_posterior, estimate_conditional
@@ -175,12 +175,17 @@ class TestSelectionFiles:
         assert len(lines) == 5
 
 
+# trunk0.W 4x3 @0, trunk0.b @12, head0.W 3x2 @15, head0.b @21: 23 values
+_CFG = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
+
+
 class TestCheckpointJson:
     def test_bitwise_round_trip(self, tmp_path):
         cfg = NetworkConfig(input_dim=6, trunk=(5,), heads=(3, 2), dropout_rate=0.25)
         params = init_params(cfg, seed=11)
         path = str(tmp_path / "ckpt.json")
         io.write_checkpoint_json(path, Checkpoint(cfg, params))
+        assert list(io.read_json(path)) == ["type", "config", "seed", "values"]
         loaded = io.read_checkpoint_json(path)
         assert loaded.config == cfg
         assert loaded.params.values.tobytes() == params.values.tobytes()
@@ -200,24 +205,12 @@ class TestCheckpointJson:
 
     @staticmethod
     def _edited_checkpoint(tmp_path, edit):
-        # trunk0.W 4x3 @0, trunk0.b @12, head0.W 3x2 @15, head0.b @21: 23 values
-        cfg = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
         path = tmp_path / "ckpt.json"
-        io.write_checkpoint_json(str(path), Checkpoint(cfg, init_params(cfg, seed=12)))
+        io.write_checkpoint_json(str(path), Checkpoint(_CFG, init_params(_CFG, seed=12)))
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
         return str(path)
-
-    def test_truncated_values_name_file_and_entry(self, tmp_path):
-        def truncate(payload):
-            payload["values"] = payload["values"][:-3]
-
-        path = self._edited_checkpoint(tmp_path, truncate)
-        with pytest.raises(
-            io.ParseError, match=re.escape(path) + r": layout entry 'head0.W' .* past the end of 20"
-        ):
-            io.read_checkpoint_json(path)
 
     @pytest.mark.parametrize(
         "index, value, entry",
@@ -236,38 +229,69 @@ class TestCheckpointJson:
         ):
             io.read_checkpoint_json(path)
 
-    def test_layout_config_mismatch_names_file_and_entry(self, tmp_path):
-        def widen_head(payload):
-            payload["config"]["heads"] = [3]
-
-        path = self._edited_checkpoint(tmp_path, widen_head)
-        with pytest.raises(
-            io.ParseError,
-            match=re.escape(path) + r": layout entry 2 is \('head0.W', 15, \(3, 2\)\), "
-            r"config wants \('head0.W', 15, \(3, 3\)\)",
-        ):
+    # the values each edited file holds, and the count its config takes
+    @pytest.mark.parametrize(
+        "edit, got, want",
+        [
+            (lambda d: d.update(values=d["values"][:-3]), 20, 23),
+            (lambda d: d["config"].update(heads=[3]), 23, 27),
+            (lambda d: d.update(values=d["values"][:-2]), 21, 23),
+            (lambda d: d["config"].update(trunk=[2]), 23, 16),
+        ],
+        ids=["truncated", "widened_heads", "dropped_last_layer", "narrowed_trunk"],
+    )
+    def test_unfilled_values_name_file_and_counts(self, tmp_path, edit, got, want):
+        path = self._edited_checkpoint(tmp_path, edit)
+        message = f"{path}: 'values' holds {got} values, not the {want} 'config' takes"
+        with pytest.raises(io.ParseError, match=re.escape(message) + "$"):
             io.read_checkpoint_json(path)
 
-    def test_missing_layout_entry_names_file_and_entry(self, tmp_path):
-        def drop_last(payload):
-            payload["layout"].pop()
-            payload["values"] = payload["values"][:-2]
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            [{"name": name, "offset": offset, "shape": list(shape)}
+             for name, offset, shape in build_layout(_CFG)],
+            5,
+            None,
+        ],
+        ids=["as_written_before", "int", "absent"],
+    )
+    def test_old_layout_is_ignored(self, tmp_path, layout):
+        # a file written while checkpoints carried their layout loads whatever
+        # it says: build_layout(config) gives it
+        def set_layout(payload):
+            if layout is not None:
+                payload["layout"] = layout
 
-        path = self._edited_checkpoint(tmp_path, drop_last)
-        with pytest.raises(
-            io.ParseError,
-            match=re.escape(path) + r": layout entry 3 is None, config wants \('head0.b'",
-        ):
-            io.read_checkpoint_json(path)
+        path = self._edited_checkpoint(tmp_path, set_layout)
+        loaded = io.read_checkpoint_json(path)
+        assert loaded.config == _CFG
+        assert loaded.params.rng_seed == 12
+        assert loaded.params.values.tobytes() == init_params(_CFG, seed=12).values.tobytes()
+        assert loaded.params.layout == build_layout(_CFG)
+
+    def test_old_checkpoint_loads_to_the_same_values(self, tmp_path):
+        # written while checkpoint.json carried a layout list
+        old_path = fixture_path("old_checkpoint.json")
+        payload = io.read_json(old_path)
+        old = io.read_checkpoint_json(old_path)
+        assert old.config == NetworkConfig(3, trunk=(2,), heads=(2, 2), dropout_rate=0.25)
+        assert old.params.rng_seed == payload["seed"] == 5
+        assert old.params.values.tobytes() == np.array(payload["values"]).tobytes()
+        path = str(tmp_path / "ckpt.json")
+        io.write_checkpoint_json(path, old)
+        del payload["layout"]
+        assert io.read_json(path) == payload
+        new = io.read_checkpoint_json(path)
+        assert new.config == old.config
+        assert new.params.values.tobytes() == old.params.values.tobytes()
 
     # where each dropped key lives in the payload
     MISSING_KEY_PARENTS = {
         "seed": (),
         "values": (),
-        "layout": (),
         "config": (),
         "config.heads": ("config",),
-        "layout[1].shape": ("layout", 1),
     }
 
     @pytest.mark.parametrize("key", MISSING_KEY_PARENTS)
@@ -286,7 +310,6 @@ class TestCheckpointJson:
     # a wrongly typed value, by the payload path that holds it
     WRONG_TYPES = {
         "trunk": (("config", "trunk"), 5),
-        "layout": (("layout",), 5),
         "config": (("config",), None),
         "input_dim": (("config", "input_dim"), 0),
     }
@@ -313,9 +336,8 @@ class TestCheckpointJson:
 
         path = self._edited_checkpoint(tmp_path, add_null_keys)
         loaded = io.read_checkpoint_json(path)
-        cfg = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
-        assert loaded.config == cfg
-        assert loaded.params.values.tobytes() == init_params(cfg, seed=12).values.tobytes()
+        assert loaded.config == _CFG
+        assert loaded.params.values.tobytes() == init_params(_CFG, seed=12).values.tobytes()
 
     @pytest.mark.parametrize("key", ["config.norm", "statistics"])
     def test_set_unknown_key_rejected(self, tmp_path, key):
@@ -377,8 +399,7 @@ def _soft_targets():
 
 
 def _checkpoint():
-    cfg = NetworkConfig(input_dim=4, trunk=(3,), heads=(2,), dropout_rate=0.0)
-    return Checkpoint(cfg, init_params(cfg, seed=12))
+    return Checkpoint(_CFG, init_params(_CFG, seed=12))
 
 
 # reader, its writer and a valid artifact, then a missing key, a wrong
@@ -510,18 +531,29 @@ class TestJsonArtifacts:
             ("checkpoint", lambda d: d["config"].update(input_dim=4.0), "config.input_dim"),
             ("checkpoint", lambda d: d["config"].update(trunk=[3.7]), "config.trunk"),
             ("checkpoint", lambda d: d["config"].update(heads=[True, 1]), "config.heads"),
-            ("checkpoint", lambda d: d["layout"][1].update(offset=12.0), "layout[1].offset"),
-            ("checkpoint", lambda d: d["layout"][0].update(shape=["4", 3]), "layout[0].shape"),
             ("report", lambda d: d["records"][1].update(iteration=8.5), "records[1].iteration"),
+            # float fields take any JSON number, but no bool or string
+            ("checkpoint", lambda d: d["values"].__setitem__(3, "0.5"), "values"),
+            ("checkpoint", lambda d: d["values"].__setitem__(0, True), "values"),
+            ("checkpoint", lambda d: d["config"].update(dropout_rate="0.5"),
+             "config.dropout_rate"),
+            ("selection", lambda d: d.update(energy="22.5"), "energy"),
+            ("selection", lambda d: d["step_costs"].__setitem__(0, True), "step_costs"),
+            ("conditional", lambda d: d["cond"].__setitem__(5, str(d["cond"][5])), "cond"),
+            ("soft_targets", lambda d: d["values"].__setitem__(0, str(d["values"][0])),
+             "values"),
+            ("report", lambda d: d["records"][1].update(test_map="0.5"), "records[1].test_map"),
         ],
         ids=["counts_float", "counts_str", "counts_bool", "selected_float",
              "concept_id_float", "seed_float", "input_dim_float", "trunk_float",
-             "heads_bool", "offset_float", "shape_str", "iteration_float"],
+             "heads_bool", "iteration_float", "values_str", "values_bool", "dropout_rate_str",
+             "energy_str", "step_cost_bool", "cond_str", "soft_value_str", "test_map_str"],
     )
     def test_integer_field_that_is_no_json_integer_names_file_and_key(
         self, tmp_path, reader, edit, key
     ):
-        # int() would truncate 2.9 to 2 and read "2" and true as integers
+        # and a float field that is no JSON number: int() would truncate 2.9
+        # to 2 and read "2" and true as integers, float() "0.5" and true as numbers
         read, write, _ = JSON_READERS[reader]
         path = tmp_path / f"{reader}.json"
         write(str(path))
@@ -530,6 +562,16 @@ class TestJsonArtifacts:
         path.write_text(json.dumps(payload))
         with pytest.raises(io.ParseError, match=re.escape(f"{path}: '{key}' must have the type")):
             read(str(path))
+
+    def test_bad_list_entry_is_named_not_echoed(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        io.write_checkpoint_json(str(path), _checkpoint())
+        payload = json.loads(path.read_text())
+        payload["values"][3] = "0.5"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: 'values' must have the type of [0.0], got '0.5' at index 3"
+        with pytest.raises(io.ParseError, match=re.escape(message) + "$"):
+            io.read_checkpoint_json(str(path))
 
     @pytest.mark.parametrize(
         "case, reader",
@@ -850,6 +892,17 @@ class TestAtomicWrites:
         path = tmp_path / f"out.{kind}"
         with pytest.raises(OSError, match="interrupted"):
             _WRITERS[kind](str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_not_written(self, tmp_path, value):
+        # json would write NaN or Infinity, which no JSON reader takes,
+        # read_checkpoint_json included
+        ckpt = _checkpoint()
+        ckpt.params.values[5] = value
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            io.write_checkpoint_json(str(path), ckpt)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", list(_WRITERS))
