@@ -313,7 +313,6 @@ def _cmd_train(args: argparse.Namespace) -> dict:
     out = io.ensure_dir(args.out)
     io.write_checkpoint_json(os.path.join(out, "checkpoint.json"), report.checkpoint)
     io.write_report_json(os.path.join(out, "report.json"), report)
-    io.write_report_csv(os.path.join(out, "report.csv"), report.records)
     return {**resolved, **nulls, "trunk": report.checkpoint.config.trunk}
 
 

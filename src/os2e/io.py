@@ -14,7 +14,8 @@ in a float field), raises ``ParseError`` starting with ``<file>: ``, and a
 missing key one reading ``<file>: missing key '<key>'``.  An artifact
 writes no key a reader could recompute (a matrix is a flat row-major list
 shaped by its id lists, a checkpoint's layout is ``build_layout`` of its
-config), and a reader ignores the keys it does not read.
+config, region specs state the crop side once and each view once, beside
+its crops' offsets), and a reader ignores the keys it does not read.
 The public ``read_json``/``write_json`` are for the CLI's free-form files
 only, so each artifact is opened by exactly one public function.
 ``posterior.json`` is written for inspection and read by nothing.  An image
@@ -171,12 +172,20 @@ def read_json(path: str):
     return _read_json(path)
 
 
+# what a float list may hold, tested as one set of item types per list
+_NUMBER_TYPES = frozenset((int, float, np.float64))
+
+
 def typed_like(value, example) -> bool:
     """Whether a JSON value has the type of ``example``: a list of values
     typed like its first item for a list or tuple that has one, an int or
     float for a float, and never a bool."""
     if isinstance(example, (list, tuple)) and example:
-        return isinstance(value, list) and all(typed_like(v, example[0]) for v in value)
+        if not isinstance(value, list):
+            return False
+        if isinstance(example[0], float):
+            return {type(v) for v in value} <= _NUMBER_TYPES
+        return all(typed_like(v, example[0]) for v in value)
     kinds = (int, float) if isinstance(example, float) else type(example)
     return isinstance(value, kinds) and not isinstance(value, bool)
 
@@ -554,23 +563,20 @@ def read_image(path: str) -> tuple[list[str], np.ndarray]:
 def write_region_specs_json(
     path: str, sizes: list[tuple[int, int]], config: CropConfig
 ) -> None:
-    """One entry per image size, in the given order: height, width, and the
-    spec of each of its crops in ``generate_regions`` order."""
-    per_view, side = config.grid**2, config.crop_side
+    """The ``crop_side`` of every crop, and one entry per image size, in the
+    given order: its height, width and ``generate_regions`` views, each with
+    the ``(top, left)`` offsets of its crops in grid row-major order."""
     entries = []
     for h, w in sizes:
         views, offsets = generate_regions(h, w, config)
-        specs = []
-        for r, (top, left) in enumerate(offsets.tolist()):
-            mode, scale, rh, rw = views[r // per_view]
-            row, col = divmod(r % per_view, config.grid)
-            specs.append({
-                "ratio_mode": mode, "scale_factor": scale, "grid_row": row,
-                "grid_col": col, "top": top, "left": left, "height": side,
-                "width": side, "resized_height": rh, "resized_width": rw,
-            })
-        entries.append({"height": h, "width": w, "specs": specs})
-    _write_json(path, {"type": "region_specs", "sizes": entries})
+        per_view = offsets.reshape(len(views), -1, 2).tolist()
+        entries.append({"height": h, "width": w, "views": [
+            {"ratio_mode": mode, "scale_factor": scale, "resized_height": rh,
+             "resized_width": rw, "offsets": cells}
+            for (mode, scale, rh, rw), cells in zip(views, per_view)
+        ]})
+    payload = {"type": "region_specs", "crop_side": config.crop_side, "sizes": entries}
+    _write_json(path, payload)
 
 
 def write_scores_csv(path: str, image_ids: list[str], scores: np.ndarray) -> None:

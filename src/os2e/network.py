@@ -79,8 +79,8 @@ class NetworkConfig:
 class ParamStore:
     """All learnable weights in one flat vector.
 
-    ``layout`` maps each weight/bias to its (offset, shape) slice of
-    ``values``; the entries must tile ``values`` contiguously from offset 0.
+    ``layout`` is ``build_layout`` of the network's config: the (offset,
+    shape) slice of ``values`` of each layer's weight, then its bias.
     ``rng_seed`` records the seed used at initialization.  Each entry's view
     of ``values`` is bound once, at construction, and ``layers`` holds the
     ``(W, b)`` view pair of each layer in layout order (trunk, then heads).
@@ -94,30 +94,12 @@ class ParamStore:
     layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        spans = {}
-        end = 0
-        for name, offset, shape in self.layout:
-            if offset != end:
-                raise ValueError(
-                    f"layout entry {name!r} starts at offset {offset}, "
-                    f"expected {end}"
-                )
-            end = offset + math.prod(shape)
-            if end > self.values.size:
-                raise ValueError(
-                    f"layout entry {name!r} (offset {offset}, shape "
-                    f"{tuple(shape)}) runs past the end of {self.values.size} values"
-                )
-            spans[name] = (slice(offset, end), tuple(shape))
-        if self.values.shape != (end,):
-            raise ValueError(
-                f"layout covers {end} values, got values of shape {self.values.shape}"
-            )
         self._index = {
-            name: self.values[span].reshape(shape) for name, (span, shape) in spans.items()
+            name: self.values[offset : offset + math.prod(shape)].reshape(shape)
+            for name, offset, shape in self.layout
         }
-        names = dict.fromkeys(name.rpartition(".")[0] for name, _, _ in self.layout)
-        self.layers = [(self.view(f"{n}.W"), self.view(f"{n}.b")) for n in names]
+        views = iter(self._index.values())
+        self.layers = list(zip(views, views))
 
     def view(self, name: str) -> np.ndarray:
         return self._index[name]

@@ -356,6 +356,24 @@ class TestTrainCommand:
             bytes_b = fh.read()
         assert bytes_a == bytes_b
 
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [("init", []), ("knowledge", ["--soft-targets", "soft_targets.json"]),
+         ("data", ["--aux", "aux.csv"]), ("probe", [])],
+        ids=["init", "knowledge", "data", "probe"],
+    )
+    def test_out_holds_checkpoint_report_and_record_only(self, tmp_path, mode, extra):
+        # the eval records are report.json's alone: report writes each
+        # run's loss curve from them
+        gen_dir = self.gen_data(tmp_path)
+        extra = [os.path.join(gen_dir, arg) if "." in arg else arg for arg in extra]
+        trunk = () if mode == "probe" else ("--trunk", "8")
+        out = tmp_path / "t"
+        assert run(self.common_args(gen_dir, str(out), ["--mode", mode, *extra], trunk)) == 0
+        assert sorted(os.listdir(out)) == [
+            "checkpoint.json", "report.json", "resolved_config.json"
+        ]
+
     def test_knowledge_and_data_modes(self, tmp_path):
         gen_dir = self.gen_data(tmp_path)
         out_k = str(tmp_path / "k")
@@ -385,7 +403,7 @@ class TestTrainCommand:
         out = str(tmp_path / "p")
         assert run(self.common_args(gen_dir, out, ["--mode", "probe"], trunk=())) == 0
         assert read_json(os.path.join(out, "resolved_config.json"))["trunk"] == []
-        assert os.path.exists(os.path.join(out, "report.csv"))
+        assert not os.path.exists(os.path.join(out, "report.csv"))
         train, test = (
             Dataset(probe_features(ds.features), ds.labels, ds.num_classes)
             for ds in (io.read_dataset_csv(os.path.join(gen_dir, "train.csv")),
@@ -528,8 +546,10 @@ class TestInferCommand:
              "--base-side", "32", "--crop-side", "16", "--out", out]
         )
         assert code == 0
-        (specs,) = read_json(os.path.join(out, "region_specs.json"))["sizes"]
-        assert len(specs["specs"]) == 54
+        specs = read_json(os.path.join(out, "region_specs.json"))
+        assert specs["crop_side"] == 16
+        (size,) = specs["sizes"]
+        assert [len(view["offsets"]) for view in size["views"]] == [9] * 6
         with open(os.path.join(out, "scores.csv")) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "image_id,score_0,score_1,score_2,score_3"
@@ -555,8 +575,8 @@ class TestInferCommand:
              "--crop-config", str(crop_cfg), "--out", out]
         )
         assert code == 0
-        (specs,) = read_json(os.path.join(out, "region_specs.json"))["sizes"]
-        assert len(specs["specs"]) == 4
+        (size,) = read_json(os.path.join(out, "region_specs.json"))["sizes"]
+        assert [len(view["offsets"]) for view in size["views"]] == [4]
 
     def test_specs_for_every_image_size(self, tmp_path):
         img_dir = tmp_path / "imgs"
@@ -578,12 +598,12 @@ class TestInferCommand:
         config = CropConfig(base_side=32, crop_side=16)
         for size in sizes:
             views, offsets = generate_regions(size["height"], size["width"], config)
-            specs = size["specs"]
-            assert [[s["top"], s["left"]] for s in specs] == offsets.tolist()
+            got = size["views"]
             assert [
-                (s["ratio_mode"], s["scale_factor"], s["resized_height"], s["resized_width"])
-                for s in specs
-            ] == [view for view in views for _ in range(config.grid**2)]
+                (v["ratio_mode"], v["scale_factor"], v["resized_height"], v["resized_width"])
+                for v in got
+            ] == views
+            assert [cell for v in got for cell in v["offsets"]] == offsets.tolist()
 
     def test_region_specs_match_golden_file(self, tmp_path):
         # three sizes in first-seen order, both ratio modes, and int scale
@@ -744,7 +764,7 @@ class TestInferCommand:
         assert sorted(resolved) == ["checkpoint_o", "checkpoint_s", "image_dir",
                                     "mean_pixel", "subcommand"]
         (size,) = read_json(out / "region_specs.json")["sizes"]
-        assert len(size["specs"]) == 2 * 2 * 2**2
+        assert [len(view["offsets"]) for view in size["views"]] == [2**2] * (2 * 2)
 
     def test_dir_without_npy_images_names_dir_and_suffix(self, tmp_path, capsys):
         img_dir = tmp_path / "imgs"
@@ -954,8 +974,13 @@ class TestReportCommand:
              "--batch-size", "8", "--trunk", "8", "--out", str(train_dir)])
         out = tmp_path / "report"
         assert run(["report", "--run-dir", str(tmp_path / "runs"), "--out", str(out)]) == 0
-        curve = (out / "loss_curve_data_0.csv").read_bytes()
-        assert curve == (train_dir / "report.csv").read_bytes()
+        header, *lines = (out / "loss_curve_data_0.csv").read_text().splitlines()
+        assert header == "iter,train_loss,test_loss,test_acc,test_map"
+        records = read_json(train_dir / "report.json")["records"]
+        assert len(records) > 1
+        assert [[float(x) for x in line.split(",")] for line in lines] == [
+            list(record.values()) for record in records
+        ]
 
     def test_malformed_train_report_names_file(self, tmp_path, capsys):
         run_dir = tmp_path / "runs" / "init"

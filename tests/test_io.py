@@ -19,7 +19,7 @@ from os2e.datagen import (
     preset_vector_benchmark,
 )
 from os2e.network import NetworkConfig, Checkpoint, build_layout, init_params
-from os2e.pipeline import CropConfig
+from os2e.pipeline import CropConfig, generate_regions
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import EventLabels, bayes_posterior, estimate_conditional
 from os2e.training import (
@@ -574,6 +574,15 @@ class TestJsonArtifacts:
             io.read_checkpoint_json(str(path))
 
     @pytest.mark.parametrize(
+        "item",
+        [1, 0.5, np.float64(0.25), True, "0.5", None, [0.5], np.float32(0.5), np.int64(1)],
+        ids=["int", "float", "float64", "bool", "str", "null", "list", "float32", "int64"],
+    )
+    def test_float_list_takes_what_a_float_field_takes(self, item):
+        # a float list's items are checked as one set of types, not one by one
+        assert io.typed_like([0.5, item, 2], [0.0]) == io.typed_like(item, 0.0)
+
+    @pytest.mark.parametrize(
         "case, reader",
         [(case, reader) for reader, (_, _, edits) in JSON_READERS.items()
          for case in range(len(edits))],
@@ -859,19 +868,33 @@ class TestImageContainer:
 
 class TestRegionSpecsJson:
     def test_dump_covers_all_specs(self, tmp_path):
-        import json
-
+        # three sizes, both ratio modes, and int scale factors, which the
+        # file keeps as ints
         path = tmp_path / "specs.json"
-        config = CropConfig(base_side=32, crop_side=16)
-        io.write_region_specs_json(str(path), [(64, 64)], config)
+        config = CropConfig(
+            base_side=32, crop_side=16, scale_factors=(1, 2),
+            ratio_modes=("aspect_preserving", "square"), grid=2,
+        )
+        sizes = [(64, 64), (48, 80), (80, 40)]
+        io.write_region_specs_json(str(path), sizes, config)
         payload = json.loads(path.read_text())
-        (size,) = payload["sizes"]
-        assert (size["height"], size["width"], len(size["specs"])) == (64, 64, 54)
-        assert list(size["specs"][0]) == [
-            "ratio_mode", "scale_factor", "grid_row", "grid_col", "top", "left",
-            "height", "width", "resized_height", "resized_width",
-        ]
-        assert size["specs"][0]["height"] == 16
+        assert list(payload) == ["type", "crop_side", "sizes"]
+        assert payload["crop_side"] == 16
+        assert [(s["height"], s["width"]) for s in payload["sizes"]] == sizes
+        for size in payload["sizes"]:
+            views, offsets = generate_regions(size["height"], size["width"], config)
+            assert list(size) == ["height", "width", "views"]
+            assert [list(v) for v in size["views"]] == [[
+                "ratio_mode", "scale_factor", "resized_height", "resized_width", "offsets",
+            ]] * len(views)
+            assert [
+                (v["ratio_mode"], v["scale_factor"], v["resized_height"], v["resized_width"])
+                for v in size["views"]
+            ] == views
+            assert [v["offsets"] for v in size["views"]] == (
+                offsets.reshape(len(views), config.grid**2, 2).tolist()
+            )
+            assert {type(v["scale_factor"]) for v in size["views"]} == {int}
 
 
 # one writer per way a file is written: CSV, JSON and .npy image

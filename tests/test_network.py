@@ -16,7 +16,6 @@ from conftest import (
 from os2e.network import (
     Checkpoint,
     NetworkConfig,
-    ParamStore,
     backward,
     build_layout,
     cross_entropy_loss,
@@ -28,9 +27,6 @@ from os2e.network import (
     SOFT_TARGET_IN_LOG,
     SOFT_TARGET_AS_DISTRIBUTION,
 )
-
-
-TINY_LAYOUT = [("head0.W", 0, (2, 2)), ("head0.b", 4, (2,))]
 
 
 def small_net(heads=(4,), trunk=(8, 6), dropout=0.0, input_dim=5):
@@ -467,20 +463,3 @@ class TestParamStore:
         params = init_params(small_net(), seed=46)
         with pytest.raises(KeyError, match="trunk9.W"):
             params.view("trunk9.W")
-
-    @pytest.mark.parametrize(
-        "layout, size, message",
-        [
-            (TINY_LAYOUT, 5, r"'head0.b' \(offset 4, shape \(2,\)\) runs past the end"),
-            (TINY_LAYOUT, 8, r"layout covers 6 values, got values of shape \(8,\)"),
-            (
-                [("head0.W", 0, (2, 2)), ("head0.b", 5, (2,))],
-                7,
-                "'head0.b' starts at offset 5, expected 4",
-            ),
-        ],
-        ids=["short", "long", "gap"],
-    )
-    def test_layout_must_tile_values(self, layout, size, message):
-        with pytest.raises(ValueError, match=message):
-            ParamStore(values=np.zeros(size), layout=layout, rng_seed=0)
