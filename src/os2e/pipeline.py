@@ -20,20 +20,24 @@ is read-only (a write raises ``ValueError``) and valid only during the call:
 keeps crops must copy them.
 
 ``score_regions`` scores the images in chunks: as many images as keep one
-view's crops within ``CROP_STACK_BYTES``, and always at least one.  For each
-chunk and view it streams the view in bands of output rows, as many as keep a
-band of the chunk within ``CROP_STACK_BYTES`` (at least one row).  Once per
-call it builds a plan for each resized view (its column and row taps and
-weights, which every band of every chunk slices) and one set of band buffers
-that all views share.  ``_resize_band`` computes a band into those buffers,
-from only the source rows it reads; the mean is subtracted once on the band,
-and each crop's rows in it are copied into the call's one crop stack,
-image-major.  No whole resized view is ever held; a view at the images' own
-size has no plan and is cut from their pixels, only read, minus the mean.
-Each stream is then called once on the stack.  At paper scale a chunk is one
-image, so 12 calls score its 54 default regions; at desk scale (base 32, crop
-16, one channel) a chunk is 14 images, and each view of 64x64 images is one
-band.  A view mixes checked pixels, so it is not checked again.
+view's crops within ``CROP_STACK_BYTES``, and always at least one.  Views of
+one resized size (a square image's two ratio modes give the same three) are
+scored once, and the first one's fused rows fill the cells of each, so the
+mean over regions still counts every cell.  For each chunk and distinct view
+it streams the view in bands of output rows, as many as keep a band of the
+chunk within ``CROP_STACK_BYTES`` (at least one row).  Once per call it builds
+a plan for each distinct resized view (its column and row taps and weights,
+which every band of every chunk slices) and one set of band buffers that all
+views share.  ``_resize_band`` computes a band into those buffers, from only
+the source rows it reads; the mean is subtracted once on the band (a
+per-channel mean tiled along its rows), and each crop's rows in it are copied
+into the call's one crop stack, image-major.  No whole resized view is ever
+held; a view at the images' own size has no plan and is cut from their
+pixels, only read, minus the mean.  Each stream is then called once on the
+stack.  At paper scale a chunk is one image, so 12 calls score the 54 default
+regions of a non-square image and 6 those of a square one; at desk scale
+(base 32, crop 16, one channel) a chunk is 14 images, and each view of 64x64
+images is one band.  A view mixes checked pixels, so it is not checked again.
 
 Scorers see batches of different sizes as the chunking changes, so a fused
 score is reproducible bitwise for a given stack and config, and within the
@@ -240,25 +244,6 @@ def _resize_band(
     return out
 
 
-def _resize(
-    px: np.ndarray, target_h: int, target_w: int, r0: int = 0, r1: int | None = None
-) -> np.ndarray:
-    """Output rows ``r0:r1`` (default all) of the bilinear resample of the
-    HxWxC image(s) in ``px``, shape (..., H, W, C), input unchanged: a new
-    (..., r1 - r0, target_w, C) array, or a slice of ``px`` (``px`` itself
-    for all rows) when the target size is its own.  One band of a one-off
-    plan, through the band routine ``score_regions`` uses.
-    """
-    *lead, h, w, c = px.shape
-    r1 = target_h if r1 is None else r1
-    if (target_h, target_w) == (h, w):
-        return px if (r0, r1) == (0, h) else px[..., r0:r1, :, :]
-    src = px.reshape(-1, h, w * c)
-    plan = _plan(h, w, c, target_h, target_w, r1 - r0)
-    out = _resize_band(plan, src, r0, r1, _band_buffers(len(src), [plan]))
-    return out.reshape(*lead, r1 - r0, target_w, c)
-
-
 def resized_dims(
     height: int, width: int, ratio_mode: str, scale: float, base_side: int
 ) -> tuple[int, int]:
@@ -321,14 +306,16 @@ def score_regions(
     mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> np.ndarray:
     """Score every generated region of each image with the object and scene
-    stream scorers, one call per stream, view and chunk of images, each
-    handed the call's one read-only crop stack (see the module docstring),
-    and fuse the two streams as each view is scored.
+    stream scorers, one call per stream, distinct resized view and chunk of
+    images, each handed the call's one read-only crop stack (see the module
+    docstring), and fuse the two streams as each view is scored.
 
     ``images`` is a float64 (N, H, W, C) stack of same-size images, checked
-    here by ``check_images``.
+    here by ``check_images``; ``mean_pixel``, a scalar or one value per
+    channel, is subtracted from every crop.
     Returns the (N, R, M) fused region scores ``0.5 * object + 0.5 * scene``,
-    each image's R rows in ``generate_regions`` order.
+    each image's R rows in ``generate_regions`` order; views of one resized
+    size share the rows of the first.
     """
     if set(scorers) != {"object", "scene"}:
         raise ValueError("scorers must map exactly the 'object' and 'scene' streams")
@@ -339,60 +326,70 @@ def score_regions(
     n, height, width, channels = pixels.shape
     views, offsets = generate_regions(height, width, config)
     per_view = config.grid**2
-    side = config.crop_side
-    image_crop_bytes = per_view * side * side * channels * pixels.itemsize
+    side, span = config.crop_side, config.crop_side * channels
+    image_crop_bytes = per_view * side * span * pixels.itemsize
     chunk = min(n, max(1, CROP_STACK_BYTES // image_crop_bytes))
-    # one plan per resized view and one set of band buffers, for the call
-    plans = [
-        None
-        if (rh, rw) == (height, width)
-        else _plan(
+    # the views of each resized size: the first is scored, and its fused rows
+    # fill the cells of all of them (a square image's two ratio modes)
+    sizes = {}
+    for v, (_, _, rh, rw) in enumerate(views):
+        sizes.setdefault((rh, rw), []).append(v)
+    # one plan per distinct resized view and one set of band buffers, for the call
+    plans = {
+        (rh, rw): _plan(
             height, width, channels, rh, rw,
             max(1, CROP_STACK_BYTES // (chunk * rw * channels * pixels.itemsize)),
         )
-        for _, _, rh, rw in views
-    ]
-    buffers = _band_buffers(chunk, [p for p in plans if p is not None])
+        for rh, rw in sizes
+        if (rh, rw) != (height, width)
+    }
+    buffers = _band_buffers(chunk, plans.values())
+    # a per-channel mean tiled along a row of W * C values, so that it is
+    # subtracted at a scalar's speed; each row takes its prefix
+    if mean.ndim:
+        mean = np.tile(np.broadcast_to(mean, channels), max(w for *_, w in views))
     # the call's one crop stack: written here, lent to the scorers read-only
     crops = np.empty((chunk * per_view, side, side, channels))
     lent = crops.view()
     lent.flags.writeable = False
     m = fused = None  # fused is (N, R, M), allocated once M is known
     for start in range(0, n, chunk):
-        block = pixels[start : start + chunk]
-        k = len(block)
-        src = block.reshape(k, height, width * channels)
-        cells_of = crops[: k * per_view].reshape(k, per_view, side, side, channels)
+        src = pixels[start : start + chunk].reshape(-1, height, width * channels)
+        k = len(src)
+        cells_of = crops[: k * per_view].reshape(k, per_view, side, span)
         stack = lent[: k * per_view]
-        for v, ((_, _, rh, rw), plan) in enumerate(zip(views, plans)):
-            cells = slice(v * per_view, (v + 1) * per_view)
-            corners = offsets[cells].tolist()
+        for (rh, rw), same in sizes.items():
+            cells = slice(same[0] * per_view, (same[0] + 1) * per_view)
+            corners = (offsets[cells] * (1, channels)).tolist()
+            plan = plans.get((rh, rw))
             if plan is None:  # cut from the pixels: nothing to hold
+                row_mean = mean[:span] if mean.ndim else mean
                 for cell, (top, left) in enumerate(corners):
                     np.subtract(
-                        block[:, top : top + side, left : left + side],
-                        mean,
+                        src[:, top : top + side, left : left + span],
+                        row_mean,
                         out=cells_of[:, cell],
                     )
             else:
+                row_mean = mean[: rw * channels] if mean.ndim else mean
                 for r0 in range(0, rh, plan.band):
                     r1 = min(r0 + plan.band, rh)
                     band = _resize_band(plan, src, r0, r1, buffers)
-                    band = band.reshape(k, r1 - r0, rw, channels)
-                    band -= mean
+                    band -= row_mean
                     for cell, (top, left) in enumerate(corners):
                         lo, hi = max(top, r0), min(top + side, r1)
                         if lo < hi:
                             cells_of[:, cell, lo - top : hi - top] = band[
-                                :, lo - r0 : hi - r0, left : left + side
+                                :, lo - r0 : hi - r0, left : left + span
                             ]
             obj = _check_scorer_output(scorers["object"](stack), k * per_view, m)
             if m is None:
                 m = obj.shape[1]
                 fused = np.empty((n, len(offsets), m))
             scene = _check_scorer_output(scorers["scene"](stack), k * per_view, m)
-            rows = 0.5 * obj + 0.5 * scene
-            fused[start : start + k, cells] = rows.reshape(k, per_view, m)
+            rows = (0.5 * obj + 0.5 * scene).reshape(k, per_view, m)
+            for v in same:
+                fused[start : start + k, v * per_view : (v + 1) * per_view] = rows
     return fused
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from os2e.pipeline import (
     ImageBuffer,
     RATIO_ASPECT,
     RATIO_SQUARE,
-    _resize,
     classify_image,
     classify_images,
     generate_regions,
@@ -54,6 +54,43 @@ def recording_scorer(calls, num_classes=2):
         return np.full((len(crops), num_classes), 1.0 / num_classes)
 
     return scorer
+
+
+def resize(px, target_h, target_w, r0=0, r1=None):
+    """Output rows ``r0:r1`` (default all) of the bilinear resample of the
+    HxWxC image(s) in ``px``, shape (..., H, W, C), input unchanged: a new
+    (..., r1 - r0, target_w, C) array, or a slice of ``px`` (``px`` itself
+    for all rows) when the target size is its own.  One band of a one-off
+    plan, through the band routine ``score_regions`` uses.
+    """
+    *lead, h, w, c = px.shape
+    r1 = target_h if r1 is None else r1
+    if (target_h, target_w) == (h, w):
+        return px if (r0, r1) == (0, h) else px[..., r0:r1, :, :]
+    src = px.reshape(-1, h, w * c)
+    plan = pipeline._plan(h, w, c, target_h, target_w, r1 - r0)
+    buffers = pipeline._band_buffers(len(src), [plan])
+    out = pipeline._resize_band(plan, src, r0, r1, buffers)
+    return out.reshape(*lead, r1 - r0, target_w, c)
+
+
+def scored_regions(views, per_view):
+    """The regions ``score_regions`` crops and scores, in call order: those
+    of the first view of each resized size."""
+    first = {}
+    for v, (_, _, rh, rw) in enumerate(views):
+        first.setdefault((rh, rw), v)
+    return [r for v in first.values() for r in range(v * per_view, (v + 1) * per_view)]
+
+
+def counting(calls, scorer):
+    """``scorer``, appending the size of each stack it is handed to ``calls``."""
+
+    def counted(crops):
+        calls.append(len(crops))
+        return scorer(crops)
+
+    return counted
 
 
 def four_gather(px, target_h, target_w):
@@ -95,26 +132,26 @@ class TestImageBuffer:
 class TestResizeBilinear:
     def test_identity_when_same_dims(self):
         px = np.random.default_rng(0).random((5, 7, 1))
-        np.testing.assert_array_equal(_resize(px, 5, 7), px)
+        np.testing.assert_array_equal(resize(px, 5, 7), px)
 
     def test_constant_image_stays_constant(self):
-        out = _resize(np.full((3, 4, 1), 0.37), 9, 5)
+        out = resize(np.full((3, 4, 1), 0.37), 9, 5)
         np.testing.assert_allclose(out, 0.37, atol=1e-15)
 
     def test_hand_evaluated_upsample(self):
         # 2x2 [[0,1],[0,1]] widened to 2x4 under half-pixel centers
         px = np.array([[0.0, 1.0], [0.0, 1.0]])[:, :, None]
-        out = _resize(px, 2, 4)
+        out = resize(px, 2, 4)
         np.testing.assert_allclose(out[0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
         np.testing.assert_allclose(out[1, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
 
     def test_preserves_channels(self):
         px = np.random.default_rng(1).random((6, 6, 3))
-        assert _resize(px, 4, 8).shape == (4, 8, 3)
+        assert resize(px, 4, 8).shape == (4, 8, 3)
 
     def test_range_preserved(self):
         px = np.random.default_rng(2).random((10, 13, 1))
-        out = _resize(px, 27, 5)
+        out = resize(px, 27, 5)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_bitwise_equal_to_four_gather_formula(self):
@@ -124,7 +161,7 @@ class TestResizeBilinear:
             px = rng.random((h, w, int(rng.choice([1, 3]))))
             if (th, tw) == (h, w):
                 continue
-            assert _resize(px, th, tw).tobytes() == four_gather(px, th, tw).tobytes()
+            assert resize(px, th, tw).tobytes() == four_gather(px, th, tw).tobytes()
 
     @pytest.mark.parametrize("shape", PAPER_SHAPES)
     def test_bitwise_equal_to_four_gather_formula_on_paper_views(self, shape):
@@ -137,14 +174,14 @@ class TestResizeBilinear:
         ]
         assert len(views) == 6
         for th, tw in views:
-            out = _resize(img.pixels, th, tw)
+            out = resize(img.pixels, th, tw)
             assert out.tobytes() == four_gather(img.pixels, th, tw).tobytes()
 
     @pytest.mark.parametrize("target", [(9, 5), (5, 7)])
     def test_array_resize_leaves_input_unchanged(self, target):
         px = np.random.default_rng(19).random((5, 7, 3))
         before = px.copy()
-        out = _resize(px, *target)
+        out = resize(px, *target)
         np.testing.assert_array_equal(px, before)
         assert out.shape == (*target, 3)
         # a view at the image's own size is the image; any other is new memory
@@ -171,10 +208,10 @@ class TestResizeBilinear:
         band = band or th
         assert band in (1, th) or th % band  # each target ends in a shorter band
         edges = [*range(0, th, band), th]
-        bands = [_resize(px, *target, r0, r1) for r0, r1 in zip(edges, edges[1:])]
+        bands = [resize(px, *target, r0, r1) for r0, r1 in zip(edges, edges[1:])]
         for b, r0, r1 in zip(bands, edges, edges[1:]):
             assert b.shape == (*shape[:-3], r1 - r0, target[1], shape[-1])
-        assert np.concatenate(bands, axis=-3).tobytes() == _resize(px, *target).tobytes()
+        assert np.concatenate(bands, axis=-3).tobytes() == resize(px, *target).tobytes()
 
     def test_random_bands_put_together_are_the_whole_view(self):
         rng = np.random.default_rng(24)
@@ -183,8 +220,8 @@ class TestResizeBilinear:
             px = rng.random((n, h, w, int(rng.choice([1, 3]))))
             cuts = rng.integers(0, th + 1, size=int(rng.integers(0, 5))).tolist()
             edges = sorted({0, th, *cuts})
-            bands = [_resize(px, th, tw, r0, r1) for r0, r1 in zip(edges, edges[1:])]
-            assert np.concatenate(bands, axis=1).tobytes() == _resize(px, th, tw).tobytes()
+            bands = [resize(px, th, tw, r0, r1) for r0, r1 in zip(edges, edges[1:])]
+            assert np.concatenate(bands, axis=1).tobytes() == resize(px, th, tw).tobytes()
 
 
 class TestGeometry:
@@ -322,10 +359,13 @@ class TestCropStacks:
         crops = np.concatenate(calls)
         views, offsets = generate_regions(*shape, config)
         side = config.crop_side
-        assert len(crops) == len(offsets)
-        for r, (crop, (top, left)) in enumerate(zip(crops, offsets)):
+        # each crop of each distinct view once: a square image's 27 of 54
+        scored = scored_regions(views, config.grid**2)
+        assert len(crops) == len(scored) == 27 * (1 + (shape[0] != shape[1]))
+        for crop, r in zip(crops, scored):
+            top, left = offsets[r]
             _, _, rh, rw = views[r // config.grid**2]
-            rect = _resize(img.pixels, rh, rw)[top : top + side, left : left + side]
+            rect = resize(img.pixels, rh, rw)[top : top + side, left : left + side]
             assert crop.tobytes() == (rect - mean).tobytes()
 
     def test_whole_image_identity(self):
@@ -395,7 +435,7 @@ class TestScoreRegions:
         side = DESK.crop_side
         for r, (row, (top, left)) in enumerate(zip(scores, offsets)):
             _, _, rh, rw = views[r // DESK.grid**2]
-            rect = _resize(img.pixels, rh, rw)[top : top + side, left : left + side]
+            rect = resize(img.pixels, rh, rw)[top : top + side, left : left + side]
             np.testing.assert_allclose(row, brightness_scorer(rect[None] - 0.5)[0])
 
     def test_scorers_without_scene_stream_rejected(self):
@@ -648,7 +688,8 @@ class TestBatchedImages:
 
     def test_desk_scale_calls_stay_within_byte_budget(self):
         # 16x16x1 crops: 9 * 2048 bytes per image and view, so 14 images
-        # a chunk; 40 images take 3 chunks of 6 views
+        # a chunk; 40 images take 3 chunks of the 3 distinct views that both
+        # ratio modes give a square image
         pixels = np.random.default_rng(30).random((40, 64, 64, 1))
         seen = []
 
@@ -658,10 +699,11 @@ class TestBatchedImages:
 
         classify_images(pixels, DESK, {"object": sizing_scorer, "scene": sizing_scorer})
         assert all(nbytes <= CROP_STACK_BYTES for _, nbytes in seen)
-        assert [n for n, _ in seen] == [9 * k for k in (14, 14, 12) for _ in range(6 * 2)]
+        assert [n for n, _ in seen] == [9 * k for k in (14, 14, 12) for _ in range(3 * 2)]
 
     def test_paper_scale_calls_hold_one_image(self):
-        # one image's 9 crops of 224x224x3 exceed the budget: a chunk of one
+        # one image's 9 crops of 224x224x3 exceed the budget: a chunk of one,
+        # scored in 3 distinct views of both ratio modes
         pixels = np.random.default_rng(31).random((2, 256, 256, 3))
         seen = []
 
@@ -670,7 +712,29 @@ class TestBatchedImages:
             return np.full((len(crops), 2), 0.5)
 
         classify_images(pixels, CropConfig(), {"object": shape_scorer, "scene": shape_scorer})
-        assert seen == [(9, 224, 224, 3)] * (2 * 6 * 2)
+        assert seen == [(9, 224, 224, 3)] * (2 * 3 * 2)
+
+    @pytest.mark.parametrize(
+        "shape, config, calls",
+        [((1, 256, 256, 3), CropConfig(), 3), ((20, 64, 64, 1), DESK, 2 * 3)],
+        ids=["paper", "desk_chunks"],
+    )
+    def test_square_image_scores_each_distinct_view_once(self, shape, config, calls):
+        # both ratio modes give a square image the same three views: each is
+        # scored once per stream and chunk (the desk stack is 2 chunks), and
+        # its fused rows fill the cells of both modes
+        pixels = np.random.default_rng(38).random(shape)
+        seen = {"object": [], "scene": []}
+        scorers = {
+            stream: counting(seen[stream], checkpoint_scorer(shape[-1], config.crop_side, seed))
+            for stream, seed in (("object", 1), ("scene", 2))
+        }
+        fused = score_regions(pixels, config, scorers)
+        assert [len(sizes) for sizes in seen.values()] == [calls, calls]
+        half = fused.shape[1] // 2
+        assert fused[:, half:].tobytes() == fused[:, :half].tobytes()
+        aspect = replace(config, ratio_modes=(RATIO_ASPECT,))
+        assert score_regions(pixels, aspect, scorers).tobytes() == fused[:, :half].tobytes()
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_crops_byte_equal_to_each_image_scored_alone(self, channels):
@@ -739,14 +803,16 @@ class TestBatchedImages:
 class TestWorkingMemory:
     @pytest.mark.parametrize(
         "shape, config, resized",
-        [((1, *PAPER_SHAPES[0], 3), CropConfig(), 5), ((40, 64, 64, 1), DESK, 4)],
+        [((1, *PAPER_SHAPES[0], 3), CropConfig(), 5), ((40, 64, 64, 1), DESK, 2)],
         ids=["paper_bands", "desk_chunks"],
     )
     def test_taps_once_per_resized_view_and_axis_per_call(
         self, monkeypatch, shape, config, resized
     ):
         # the paper-scale image's resized views are 7 to 32 bands each and
-        # the desk stack is 3 chunks: no band or chunk computes its own taps
+        # the desk stack is 3 chunks: no band or chunk computes its own taps,
+        # nor a view of the same size as an earlier one (the square desk
+        # images' resized views are 32x32 and 48x48 in both ratio modes)
         calls = []
         taps = pipeline._taps
 
