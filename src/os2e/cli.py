@@ -371,9 +371,7 @@ def _cmd_infer(args: argparse.Namespace) -> dict:
             _check_fits_crops(ckpt_path, ckpt, config.crop_side, channels)
         if (height, width) not in sizes:
             sizes.append((height, width))
-        scores, _ = pipeline.classify_images(
-            pixels, config, scorers, mean_pixel=args.mean_pixel
-        )
+        scores, _ = pipeline.classify_images(pixels, config, scorers)
         rows.append(scores)
     out = io.ensure_dir(args.out)
     io.write_region_specs_json(os.path.join(out, "region_specs.json"), sizes, config)
@@ -515,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", dest="scale_factors", type=_comma_list(float))
     p.add_argument("--ratio-modes", type=_comma_list(str))
     p.add_argument("--grid", type=int)
-    p.add_argument("--mean-pixel", type=float, default=pipeline.DEFAULT_MEAN_PIXEL)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_infer)
 

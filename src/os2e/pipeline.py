@@ -12,12 +12,12 @@ Images travel as one float64 (N, H, W, C) stack of same-size images.
 ``score_regions`` for a caller's array); an ``ImageBuffer`` holds one checked
 HxWxC image, which ``classify_image`` scores as a stack of one.
 
-Scorer contract: a scorer receives one C-contiguous float64 stack of
-mean-subtracted crops, shape (n, crop, crop, channels), and returns an (n, M)
-array whose rows are probability vectors over the M event classes.  The stack
-is read-only (a write raises ``ValueError``) and valid only during the call:
-``score_regions`` fills the same memory for the next view, so a scorer that
-keeps crops must copy them.
+Scorer contract: a scorer receives one C-contiguous float64 stack of crops
+minus ``DEFAULT_MEAN_PIXEL``, shape (n, crop, crop, channels), and returns an
+(n, M) array whose rows are probability vectors over the M event classes.  The
+stack is read-only (a write raises ``ValueError``) and valid only during the
+call: ``score_regions`` fills the same memory for the next view, so a scorer
+that keeps crops must copy them.
 
 ``score_regions`` scores the images in chunks: as many images as keep one
 view's crops within ``CROP_STACK_BYTES``, and always at least one.  Views of
@@ -29,12 +29,12 @@ chunk within ``CROP_STACK_BYTES`` (at least one row).  Once per call it builds
 a plan for each distinct resized view (its column and row taps and weights,
 which every band of every chunk slices) and one set of band buffers that all
 views share.  ``_resize_band`` computes a band into those buffers, from only
-the source rows it reads; the mean is subtracted once on the band (a
-per-channel mean tiled along its rows), and each crop's rows in it are copied
-into the call's one crop stack, image-major.  No whole resized view is ever
-held; a view at the images' own size has no plan and is cut from their
-pixels, only read, minus the mean.  Each stream is then called once on the
-stack.  At paper scale a chunk is one image, so 12 calls score the 54 default
+the source rows it reads; ``DEFAULT_MEAN_PIXEL`` is subtracted once on the
+band, and each crop's rows in it are copied into the call's one crop stack,
+image-major.  No whole resized view is ever held; a view at the images' own
+size has no plan and is cut from their pixels, only read, minus
+``DEFAULT_MEAN_PIXEL``.  Each stream is then called once on the stack.  At
+paper scale a chunk is one image, so 12 calls score the 54 default
 regions of a non-square image and 6 those of a square one; at desk scale
 (base 32, crop 16, one channel) a chunk is 14 images, and each view of 64x64
 images is one band.  A view mixes checked pixels, so it is not checked again.
@@ -62,6 +62,7 @@ RATIO_ASPECT = "aspect_preserving"
 RATIO_SQUARE = "square"
 RATIO_MODES = (RATIO_ASPECT, RATIO_SQUARE)
 
+# the mean pixel of the source networks, which every crop loses
 DEFAULT_MEAN_PIXEL = 0.5
 
 # the most bytes of crops one scorer call receives: the crops of one view for
@@ -99,16 +100,14 @@ def check_images(pixels) -> np.ndarray:
 
 @dataclass(eq=False)
 class ImageBuffer:
-    """Row-major float image with pixels in [0, 1], 1 or 3 channels."""
+    """One float64 HxWxC image, checked by ``check_images``."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim == 2:
-            px = px[:, :, None]
+        px = np.asarray(self.pixels)
         if px.ndim != 3:
-            raise ValueError(f"expected HxWxC pixels, got shape {px.shape}")
+            raise ValueError(f"expected float64 HxWxC pixels, got {px.dtype} {px.shape}")
         self.pixels = check_images(px[None])[0]
 
 
@@ -303,7 +302,6 @@ def score_regions(
     images: np.ndarray,
     config: CropConfig,
     scorers: dict[str, object],
-    mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> np.ndarray:
     """Score every generated region of each image with the object and scene
     stream scorers, one call per stream, distinct resized view and chunk of
@@ -311,17 +309,13 @@ def score_regions(
     docstring), and fuse the two streams as each view is scored.
 
     ``images`` is a float64 (N, H, W, C) stack of same-size images, checked
-    here by ``check_images``; ``mean_pixel``, a scalar or one value per
-    channel, is subtracted from every crop.
+    here by ``check_images``; every crop loses ``DEFAULT_MEAN_PIXEL``.
     Returns the (N, R, M) fused region scores ``0.5 * object + 0.5 * scene``,
     each image's R rows in ``generate_regions`` order; views of one resized
     size share the rows of the first.
     """
     if set(scorers) != {"object", "scene"}:
         raise ValueError("scorers must map exactly the 'object' and 'scene' streams")
-    mean = np.asarray(mean_pixel, dtype=np.float64)
-    if not np.all(np.isfinite(mean)):
-        raise ValueError(f"mean_pixel must be finite, got {mean_pixel!r}")
     pixels = check_images(images)
     n, height, width, channels = pixels.shape
     views, offsets = generate_regions(height, width, config)
@@ -344,10 +338,6 @@ def score_regions(
         if (rh, rw) != (height, width)
     }
     buffers = _band_buffers(chunk, plans.values())
-    # a per-channel mean tiled along a row of W * C values, so that it is
-    # subtracted at a scalar's speed; each row takes its prefix
-    if mean.ndim:
-        mean = np.tile(np.broadcast_to(mean, channels), max(w for *_, w in views))
     # the call's one crop stack: written here, lent to the scorers read-only
     crops = np.empty((chunk * per_view, side, side, channels))
     lent = crops.view()
@@ -363,19 +353,17 @@ def score_regions(
             corners = (offsets[cells] * (1, channels)).tolist()
             plan = plans.get((rh, rw))
             if plan is None:  # cut from the pixels: nothing to hold
-                row_mean = mean[:span] if mean.ndim else mean
                 for cell, (top, left) in enumerate(corners):
                     np.subtract(
                         src[:, top : top + side, left : left + span],
-                        row_mean,
+                        DEFAULT_MEAN_PIXEL,
                         out=cells_of[:, cell],
                     )
             else:
-                row_mean = mean[: rw * channels] if mean.ndim else mean
                 for r0 in range(0, rh, plan.band):
                     r1 = min(r0 + plan.band, rh)
                     band = _resize_band(plan, src, r0, r1, buffers)
-                    band -= row_mean
+                    band -= DEFAULT_MEAN_PIXEL
                     for cell, (top, left) in enumerate(corners):
                         lo, hi = max(top, r0), min(top + side, r1)
                         if lo < hi:
@@ -397,7 +385,6 @@ def classify_images(
     images: np.ndarray,
     config: CropConfig,
     scorers: dict[str, object],
-    mean_pixel=DEFAULT_MEAN_PIXEL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline on a stack of same-size images: crop, score, fuse.
 
@@ -407,7 +394,7 @@ def classify_images(
     equally, and ``image_scores`` (N, M) is their mean over regions, which
     keeps scores normalized and ranks classes identically to the sum.
     """
-    fused = score_regions(images, config, scorers, mean_pixel=mean_pixel)
+    fused = score_regions(images, config, scorers)
     return fused.mean(axis=1), fused
 
 
@@ -416,7 +403,7 @@ def classify_image(
     config: CropConfig,
     scorers: dict[str, object],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``classify_images`` on one image, at the default mean pixel: its (M,)
-    scores and (R, M) fused region scores."""
+    """``classify_images`` on one image: its (M,) scores and (R, M) fused
+    region scores."""
     scores, fused = classify_images(image.pixels[None], config, scorers)
     return scores[0], fused[0]

@@ -22,6 +22,7 @@ from os2e.network import (
     sgd_momentum_step,
     soft_target_loss,
 )
+from os2e.pipeline import DEFAULT_MEAN_PIXEL
 
 RELU_KINK_MARGIN = 1e-3
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -305,7 +306,6 @@ def _window_max_mean(planes: np.ndarray, window: int) -> np.ndarray:
 
 def make_blob_scorer(
     num_events: int,
-    mean_pixel: float = 0.5,
     window: int = 4,
     temperature: float = 0.02,
 ):
@@ -318,8 +318,9 @@ def make_blob_scorer(
     floor = levels[0] - (levels[1] - levels[0]) if num_events > 1 else levels[0] * 0.5
 
     def scorer(crops: np.ndarray) -> np.ndarray:
-        # one (n, M) row per crop of the (n, h, w, c) stack
-        m = _window_max_mean(crops[:, :, :, 0] + mean_pixel, window)
+        # one (n, M) row per crop of the (n, h, w, c) stack, which the
+        # pipeline handed over minus DEFAULT_MEAN_PIXEL
+        m = _window_max_mean(crops[:, :, :, 0] + DEFAULT_MEAN_PIXEL, window)
         z = -np.abs(m[:, None] - levels) / temperature
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)

@@ -676,9 +676,8 @@ class TestInferCommand:
             (["--scales", "1,inf"], "scale_factors must be finite"),
             (["--scales", "nan"], "scale_factors must be finite"),
             (["--crop-config", "Infinity"], "scale_factors must be finite"),
-            (["--mean-pixel", "nan"], "mean_pixel must be finite"),
         ],
-        ids=["scales_inf", "scales_nan", "crop_config_infinity", "mean_pixel_nan"],
+        ids=["scales_inf", "scales_nan", "crop_config_infinity"],
     )
     def test_non_finite_setting_named_before_any_output(
         self, tmp_path, capsys, flags, message
@@ -761,8 +760,7 @@ class TestInferCommand:
                 for key in ("base_side", "crop_side", "scale_factors", "ratio_modes", "grid")}
         assert crop == {"base_side": 32, "crop_side": 16, "scale_factors": [1.0, 1.5],
                         "ratio_modes": ["square", "aspect_preserving"], "grid": 2}
-        assert sorted(resolved) == ["checkpoint_o", "checkpoint_s", "image_dir",
-                                    "mean_pixel", "subcommand"]
+        assert sorted(resolved) == ["checkpoint_o", "checkpoint_s", "image_dir", "subcommand"]
         (size,) = read_json(out / "region_specs.json")["sizes"]
         assert [len(view["offsets"]) for view in size["views"]] == [2**2] * (2 * 2)
 

@@ -1,5 +1,6 @@
 """Crop geometry, bilinear resampling, scoring, and fusion."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from os2e.network import NetworkConfig, forward, init_params
 from os2e.pipeline import (
     CROP_STACK_BYTES,
     CropConfig,
+    DEFAULT_MEAN_PIXEL,
     ImageBuffer,
     RATIO_ASPECT,
     RATIO_SQUARE,
@@ -32,13 +34,9 @@ DESK = CropConfig(base_side=32, crop_side=16)
 PAPER_SHAPES = [(256, 341), (341, 256), (256, 256)]
 
 
-def image_of(values):
-    return ImageBuffer(np.asarray(values, dtype=np.float64))
-
-
 def stack_of(values):
     """A stack of one checked image, the form ``score_regions`` takes."""
-    return image_of(values).pixels[None]
+    return ImageBuffer(values).pixels[None]
 
 
 def constant_scorer(vector):
@@ -116,13 +114,19 @@ def brightness_scorer(crops):
 
 
 class TestImageBuffer:
-    def test_grayscale_gets_channel_axis(self):
-        img = image_of(np.zeros((4, 5)))
-        assert img.pixels.shape == (4, 5, 1)
+    # an ImageBuffer takes pixels as ``check_images`` does, plus a clear
+    # error for a wrong ndim
+    def test_rejects_two_dimensional_pixels(self):
+        with pytest.raises(ValueError, match=r"float64 HxWxC pixels, got float64 \(4, 5\)"):
+            ImageBuffer(np.zeros((4, 5)))
+
+    def test_rejects_integer_pixels(self):
+        with pytest.raises(ValueError, match=r"NxHxWxC pixels, got int64 \(1, 4, 5, 1\)"):
+            ImageBuffer(np.zeros((4, 5, 1), dtype=np.int64))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            image_of(np.full((2, 2), 1.5))
+            ImageBuffer(np.full((2, 2, 1), 1.5))
 
     def test_rejects_bad_channel_count(self):
         with pytest.raises(ValueError, match="channels"):
@@ -299,7 +303,7 @@ class TestGeometry:
 
 class TestCropStacks:
     def test_one_call_per_view_with_grid_squared_stack(self):
-        img = image_of(np.random.default_rng(5).random((40, 56)))
+        img = ImageBuffer(np.random.default_rng(5).random((40, 56, 1)))
         calls = {"object": [], "scene": []}
         score_regions(
             img.pixels[None],
@@ -312,7 +316,7 @@ class TestCropStacks:
 
     @pytest.mark.parametrize(
         "shape, config",
-        [((40, 56), DESK), ((*PAPER_SHAPES[0], 3), CropConfig())],
+        [((40, 56, 1), DESK), ((*PAPER_SHAPES[0], 3), CropConfig())],
         ids=["desk", "paper"],
     )
     def test_every_stack_is_contiguous_float64(self, shape, config):
@@ -348,13 +352,11 @@ class TestCropStacks:
     def check_slices_of_resized_view_minus_mean(shape, config):
         rng = np.random.default_rng(16)
         img = ImageBuffer(rng.random((*shape, 3)))
-        mean = np.array([0.4, 0.5, 0.6])
         calls = []
         score_regions(
             img.pixels[None],
             config,
             {"object": recording_scorer(calls), "scene": constant_scorer([1.0, 0.0])},
-            mean_pixel=mean,
         )
         crops = np.concatenate(calls)
         views, offsets = generate_regions(*shape, config)
@@ -366,10 +368,10 @@ class TestCropStacks:
             top, left = offsets[r]
             _, _, rh, rw = views[r // config.grid**2]
             rect = resize(img.pixels, rh, rw)[top : top + side, left : left + side]
-            assert crop.tobytes() == (rect - mean).tobytes()
+            assert crop.tobytes() == (rect - DEFAULT_MEAN_PIXEL).tobytes()
 
     def test_whole_image_identity(self):
-        img = image_of(np.random.default_rng(5).random((16, 16)))
+        img = ImageBuffer(np.random.default_rng(5).random((16, 16, 1)))
         config = CropConfig(
             base_side=16, crop_side=16, scale_factors=(1.0,),
             ratio_modes=(RATIO_SQUARE,), grid=1,
@@ -378,13 +380,13 @@ class TestCropStacks:
         score_regions(
             img.pixels[None], config,
             {"object": recording_scorer(calls), "scene": recording_scorer([])},
-            mean_pixel=0.0,
         )
-        np.testing.assert_array_equal(calls[0][0], img.pixels)
+        assert calls[0][0].tobytes() == (img.pixels - DEFAULT_MEAN_PIXEL).tobytes()
 
     def test_top_left_block(self):
         # a 1x1 grid puts the one 2x2 crop at the top-left corner
-        img = image_of(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]))
+        values = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        img = ImageBuffer(values[:, :, None])
         config = CropConfig(
             base_side=3, crop_side=2, scale_factors=(1.0,),
             ratio_modes=(RATIO_SQUARE,), grid=1,
@@ -393,9 +395,9 @@ class TestCropStacks:
         score_regions(
             img.pixels[None], config,
             {"object": recording_scorer(calls), "scene": recording_scorer([])},
-            mean_pixel=0.0,
         )
-        np.testing.assert_allclose(calls[0][0, :, :, 0], [[0.1, 0.2], [0.4, 0.5]])
+        expected = np.array([[0.1, 0.2], [0.4, 0.5]]) - DEFAULT_MEAN_PIXEL
+        assert calls[0][0, :, :, 0].tobytes() == expected.tobytes()
 
     def test_checkerboard_exact_copy(self):
         # a 2x2 grid over an 8x8 view puts the crops at offsets 0 and 4
@@ -406,18 +408,18 @@ class TestCropStacks:
         )
         calls = []
         score_regions(
-            stack_of(board), config,
+            stack_of(board[:, :, None]), config,
             {"object": recording_scorer(calls), "scene": recording_scorer([])},
-            mean_pixel=0.0,
         )
         blocks = [board[t : t + 4, l : l + 4] for t in (0, 4) for l in (0, 4)]
-        np.testing.assert_array_equal(calls[0][:, :, :, 0], blocks)
+        expected = np.array(blocks) - DEFAULT_MEAN_PIXEL
+        assert calls[0][:, :, :, 0].tobytes() == expected.tobytes()
 
 
 class TestScoreRegions:
     def test_constant_scorer_everywhere(self):
         rng = np.random.default_rng(6)
-        img = image_of(rng.random((40, 56)))
+        img = ImageBuffer(rng.random((40, 56, 1)))
         v = np.array([0.25, 0.75])
         fused = score_regions(
             img.pixels[None], DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
@@ -426,7 +428,7 @@ class TestScoreRegions:
         np.testing.assert_array_equal(fused[0], np.tile(v, (54, 1)))
 
     def test_order_matches_generate_regions(self):
-        img = image_of(np.random.default_rng(7).random((40, 48)))
+        img = ImageBuffer(np.random.default_rng(7).random((40, 48, 1)))
         # one scorer on both streams: 0.5 * x + 0.5 * x == x exactly
         (scores,) = score_regions(
             img.pixels[None], DESK, {"object": brightness_scorer, "scene": brightness_scorer}
@@ -441,10 +443,10 @@ class TestScoreRegions:
     def test_scorers_without_scene_stream_rejected(self):
         ok = constant_scorer([1.0, 0.0])
         with pytest.raises(ValueError, match="exactly the 'object' and 'scene' streams"):
-            score_regions(stack_of(np.zeros((32, 32))), DESK, {"object": ok})
+            score_regions(stack_of(np.zeros((32, 32, 1))), DESK, {"object": ok})
 
     def test_off_simplex_scorer_rejected(self):
-        img = image_of(np.zeros((32, 32)))
+        img = ImageBuffer(np.zeros((32, 32, 1)))
         bad = constant_scorer([0.7, 0.7])
         with pytest.raises(ValueError, match="off simplex"):
             score_regions(img.pixels[None], DESK, {"object": bad, "scene": bad})
@@ -457,14 +459,14 @@ class TestScoreRegions:
 
         with pytest.raises(ValueError, match="off simplex"):
             score_regions(
-                stack_of(np.zeros((32, 32))), DESK,
+                stack_of(np.zeros((32, 32, 1))), DESK,
                 {"object": constant_scorer([1.0, 0.0]), "scene": one_bad_row},
             )
 
     def test_negative_entry_rejected(self):
         bad = constant_scorer([1.5, -0.5])
         with pytest.raises(ValueError, match="off simplex"):
-            score_regions(stack_of(np.zeros((32, 32))), DESK, {"object": bad, "scene": bad})
+            score_regions(stack_of(np.zeros((32, 32, 1))), DESK, {"object": bad, "scene": bad})
 
     def test_wrong_row_count_rejected(self):
         def one_row(crops):
@@ -472,13 +474,13 @@ class TestScoreRegions:
 
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
-                stack_of(np.zeros((32, 32))), DESK, {"object": one_row, "scene": one_row}
+                stack_of(np.zeros((32, 32, 1))), DESK, {"object": one_row, "scene": one_row}
             )
 
     def test_streams_disagree_on_classes_rejected(self):
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
-                stack_of(np.zeros((32, 32))), DESK,
+                stack_of(np.zeros((32, 32, 1))), DESK,
                 {"object": constant_scorer([1.0, 0.0]),
                  "scene": constant_scorer([1.0, 0.0, 0.0])},
             )
@@ -492,20 +494,11 @@ class TestScoreRegions:
 
         with pytest.raises(ValueError, match="wrong shape"):
             score_regions(
-                stack_of(np.zeros((32, 32))), DESK, {"object": growing, "scene": growing}
-            )
-
-    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), [0.5, np.nan, 0.5]])
-    def test_non_finite_mean_pixel_rejected(self, mean):
-        ok = constant_scorer([1.0, 0.0])
-        with pytest.raises(ValueError, match="mean_pixel must be finite"):
-            score_regions(
-                stack_of(np.zeros((32, 32, 3))), DESK, {"object": ok, "scene": ok},
-                mean_pixel=mean,
+                stack_of(np.zeros((32, 32, 1))), DESK, {"object": growing, "scene": growing}
             )
 
     def test_mean_subtraction_applied(self):
-        img = image_of(np.full((32, 32), 0.5))
+        img = ImageBuffer(np.full((32, 32, 1), 0.5))
         seen = []
         score_regions(
             img.pixels[None], DESK,
@@ -525,7 +518,7 @@ class TestFusion:
     """``classify_image`` weights the two streams equally per region."""
 
     def test_equal_streams_identity(self):
-        img = image_of(np.random.default_rng(5).random((32, 32)))
+        img = ImageBuffer(np.random.default_rng(5).random((32, 32, 1)))
         v = [0.3, 0.7]
         _, fused = classify_image(
             img, DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
@@ -533,7 +526,7 @@ class TestFusion:
         np.testing.assert_allclose(fused, np.tile(v, (54, 1)), atol=1e-15)
 
     def test_symmetric_mix(self):
-        img = image_of(np.random.default_rng(6).random((32, 32)))
+        img = ImageBuffer(np.random.default_rng(6).random((32, 32, 1)))
         scorers = {"object": constant_scorer([1.0, 0.0]), "scene": constant_scorer([0.0, 1.0])}
         scores, fused = classify_image(img, DESK, scorers)
         np.testing.assert_array_equal(fused, np.full((54, 2), 0.5))
@@ -541,7 +534,7 @@ class TestFusion:
 
     def test_fuse_regions_identity(self):
         # one scorer on both streams leaves every region's scores as they are
-        img = image_of(np.random.default_rng(7).random((40, 56)))
+        img = ImageBuffer(np.random.default_rng(7).random((40, 56, 1)))
         returned = []
 
         def recording_scorer(crops):
@@ -554,7 +547,7 @@ class TestFusion:
         assert fused.tobytes() == np.concatenate(returned).tobytes()
 
     def test_fuse_regions_symmetric(self):
-        img = image_of(np.random.default_rng(8).random((40, 56)))
+        img = ImageBuffer(np.random.default_rng(8).random((40, 56, 1)))
         _, a = classify_image(
             img, DESK, {"object": brightness_scorer, "scene": dirichlet_scorer(1, 2)}
         )
@@ -564,7 +557,7 @@ class TestFusion:
         assert a.tobytes() == b.tobytes()
 
     def test_fuse_regions_order_invariant(self):
-        img = image_of(np.random.default_rng(9).random((32, 48)))
+        img = ImageBuffer(np.random.default_rng(9).random((32, 48, 1)))
         scores, fused = classify_image(
             img, DESK, {"object": dirichlet_scorer(2), "scene": dirichlet_scorer(3)}
         )
@@ -577,7 +570,7 @@ class TestFusion:
             assert scores.mean(axis=0).argmax() == scores.sum(axis=0).argmax()
 
     def test_simplex_preserved_when_weights_sum_to_one(self):
-        img = image_of(np.random.default_rng(10).random((32, 32, 3)))
+        img = ImageBuffer(np.random.default_rng(10).random((32, 32, 3)))
         scores, fused = classify_image(
             img, DESK, {"object": dirichlet_scorer(4, 4), "scene": dirichlet_scorer(5, 4)}
         )
@@ -591,7 +584,7 @@ class TestFusion:
                 CropConfig(base_side=32, crop_side=16, **bad)
 
     def test_classify_image_fills_fused(self):
-        img = image_of(np.random.default_rng(11).random((32, 48)))
+        img = ImageBuffer(np.random.default_rng(11).random((32, 48, 1)))
         v = np.array([0.5, 0.5])
         scores, fused = classify_image(
             img, DESK, {"object": constant_scorer(v), "scene": constant_scorer(v)}
@@ -599,12 +592,12 @@ class TestFusion:
         np.testing.assert_allclose(scores, v, atol=1e-15)
         assert fused.shape == (54, 2)
 
-    @pytest.mark.parametrize("shape", [(32, 48), (32, 32, 3)])
+    @pytest.mark.parametrize("shape", [(32, 48, 1), (32, 32, 3)])
     def test_classify_image_leaves_pixels_unchanged(self, shape):
         # views at the image's own size are the image's pixels; the stack a
         # scorer is handed is read-only, so its write is refused and reaches
         # neither the pixels nor the crops the other stream scores
-        img = image_of(np.random.default_rng(21).random(shape))
+        img = ImageBuffer(np.random.default_rng(21).random(shape))
         before = img.pixels.copy()
 
         def scribbling_scorer(crops):
@@ -617,7 +610,7 @@ class TestFusion:
         assert img.pixels.tobytes() == before.tobytes()
 
     def test_classify_image_is_mean_of_fused_regions(self):
-        img = image_of(np.random.default_rng(17).random((40, 56)))
+        img = ImageBuffer(np.random.default_rng(17).random((40, 56, 1)))
         scorers = {"object": brightness_scorer, "scene": constant_scorer([0.1, 0.9])}
         scores, fused = classify_image(img, DESK, scorers)
         # one scorer on both streams scores each stream alone
@@ -686,6 +679,30 @@ class TestBatchedImages:
             assert scores.tobytes() == np.array(case["image_scores"]).tobytes()
             assert fused.tobytes() == np.array(case["fused"]).tobytes()
 
+    def test_paper_scale_fused_bytes_match_digest(self):
+        """The golden cases are desk scale, each view one band; this pins
+        paper-scale views of many bands.  The digest is the sha256 of
+        ``np.stack(fused).tobytes()`` over the three (54, 4) fused arrays
+        ``classify_image`` gives, in ``PAPER_SHAPES`` order, for the 3-channel
+        images ``np.random.default_rng([39, i]).random((h, w, 3))`` under the
+        default ``CropConfig`` and the object and scene scorers
+        ``checkpoint_scorer(3, 224, 1)`` and ``checkpoint_scorer(3, 224, 2)``.
+        """
+        config = CropConfig()
+        scorers = {
+            stream: checkpoint_scorer(3, config.crop_side, seed)
+            for stream, seed in (("object", 1), ("scene", 2))
+        }
+        fused = [
+            classify_image(
+                ImageBuffer(np.random.default_rng([39, i]).random((h, w, 3))), config, scorers
+            )[1]
+            for i, (h, w) in enumerate(PAPER_SHAPES)
+        ]
+        assert hashlib.sha256(np.stack(fused).tobytes()).hexdigest() == (
+            "fd9e44957c1a50c93354f4a060b5b423eb5385a4a635f6ed3c7c02f98eb28b40"
+        )
+
     def test_desk_scale_calls_stay_within_byte_budget(self):
         # 16x16x1 crops: 9 * 2048 bytes per image and view, so 14 images
         # a chunk; 40 images take 3 chunks of the 3 distinct views that both
@@ -741,14 +758,12 @@ class TestBatchedImages:
         rng = np.random.default_rng(32)
         n = 20 if channels == 1 else 7  # two chunks either way
         pixels = rng.random((n, 40, 56, channels))
-        mean = np.array([0.4, 0.5, 0.6][:channels])
         chunk = CROP_STACK_BYTES // (9 * 16 * 16 * channels * 8)
         assert chunk < n <= 2 * chunk
         batched = []
         score_regions(
             pixels, DESK,
             {"object": recording_scorer(batched), "scene": recording_scorer([])},
-            mean_pixel=mean,
         )
         assert len(batched) == 2 * 6
         for i in range(n):
@@ -756,7 +771,6 @@ class TestBatchedImages:
             score_regions(
                 pixels[i : i + 1], DESK,
                 {"object": recording_scorer(alone), "scene": recording_scorer([])},
-                mean_pixel=mean,
             )
             c, j = divmod(i, chunk)
             for v in range(6):

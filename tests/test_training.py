@@ -476,7 +476,7 @@ def _array_holders():
         "Dataset": lambda: Dataset(np.zeros((2, 3)), [0, 1], 2),
         "SoftTargets": lambda: SoftTargets(np.full((2, 2), 0.5), [0, 1]),
         "EvalResult": lambda: evaluate(np.eye(2), [0, 1]),
-        "ImageBuffer": lambda: pipeline.ImageBuffer(np.zeros((2, 2))),
+        "ImageBuffer": lambda: pipeline.ImageBuffer(np.zeros((2, 2, 1))),
         "ResponseMatrix": responses,
         "EventLabels": labels,
         "ConditionalTable": lambda: stats.estimate_conditional(responses(), labels()),
