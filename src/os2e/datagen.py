@@ -12,6 +12,7 @@ and transfer benchmarks can score themselves against ground truth.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,11 +246,25 @@ def gen_aux_dataset(
     statistics is what lets the weight-shared trunk feel the auxiliary
     supervision; fully synthetic off-manifold aux inputs just get routed
     through disjoint trunk units.
+
+    ``concepts`` are distinct object ids in ``[0, num_objects)``; aux label
+    ``k`` is ``concepts[k]``.  Each sample's pick among its event's candidate
+    concepts comes from one ``integers`` call with an array ``high`` on the
+    aux stream, which gives the values of one scalar call per sample in
+    sample order (a single candidate draws nothing either way).
     """
     if concepts is None:
         concepts = truth.planted_objects()
     if not concepts:
         raise ValueError("empty aux dataset: no concepts to label")
+    bad = sorted(
+        c for c, n in Counter(concepts).items() if n > 1 or not 0 <= c < config.num_objects
+    )
+    if bad:
+        raise ValueError(
+            f"aux concepts must be distinct ids in [0, {config.num_objects}), got {bad} "
+            f"in {concepts}"
+        )
     rng = np.random.default_rng([config.seed, _STREAM_AUX])
     protos = _event_prototypes(config, truth)
     events = _split_labels(rng, config, (config.n_aux,))
@@ -257,12 +272,20 @@ def gen_aux_dataset(
         size=(config.n_aux, config.feature_dim)
     )
     concept_index = {c: k for k, c in enumerate(concepts)}
-    labels = np.empty(config.n_aux, dtype=np.int64)
-    for i, e in enumerate(events):
-        sig = [c for c in truth.object_signatures[e] if c in concept_index]
-        if not sig:
-            raise ValueError(f"event {e} has no signature concept among {concepts}")
-        labels[i] = concept_index[sig[int(rng.integers(0, len(sig)))]]
+    candidates = [
+        [concept_index[c] for c in sig if c in concept_index]
+        for sig in truth.object_signatures
+    ]
+    sizes = np.array([len(cand) for cand in candidates])
+    counts = sizes[events]
+    if not counts.all():
+        e = events[counts.argmin()]  # the first sample with no candidate
+        raise ValueError(f"event {e} has no signature concept among {concepts}")
+    # every event's candidates in one flat list: a sample's label sits at its
+    # event's offset plus its pick
+    flat = np.array([k for cand in candidates for k in cand], dtype=np.int64)
+    offsets = (np.cumsum(sizes) - sizes)[events]
+    labels = flat[offsets + rng.integers(0, counts)]
     return Dataset(
         features=features,
         labels=labels,
@@ -315,6 +338,10 @@ def make_source_checkpoint(
     handful the events are built from.  Boosted columns are rescaled to the
     expected random-init column norm so the source transfers features, not an
     inflated weight scale (which only makes the head overconfident).
+
+    The boosted cells come from one ``integers`` call over all first-layer
+    units on the source stream, the values of one scalar call per unit in
+    unit order: unit ``j`` gains 1.0 at its picked concept's row.
     """
     net = NetworkConfig(
         input_dim=config.feature_dim,
@@ -335,9 +362,9 @@ def make_source_checkpoint(
         )
         rng = np.random.default_rng([config.seed, _STREAM_SOURCE, seed])
         w0 = params.view("trunk0.W")
-        for j in range(w0.shape[1]):
-            c = concepts[int(rng.integers(0, len(concepts)))]
-            w0[c, j] += 1.0
+        width = w0.shape[1]
+        picks = rng.integers(0, len(concepts), size=width)
+        w0[np.asarray(concepts)[picks], np.arange(width)] += 1.0
         # expected column norm of the uniform(+-1/sqrt(d)) init is 1/sqrt(3)
         w0 /= np.linalg.norm(w0, axis=0, keepdims=True) * np.sqrt(3.0)
     elif kind != "random":

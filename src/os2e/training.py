@@ -27,7 +27,10 @@ The loop samples batches with replacement, takes SGD steps with momentum
 k_iters``, evaluate every eighth of the run).  Batch sampling, dropout, and
 head initialization each draw from independent seeded streams, so disabling
 an auxiliary term (alpha or beta = 0) reproduces the init-mode event
-trajectory bit for bit.
+trajectory bit for bit.  Each eval interval's batch indices are one draw per
+batch stream when the interval starts, a block of ``eval_every x
+batch_size`` int64 values (fewer rows for a short last interval) equal to
+one draw per step; each step gathers its rows from its row of the block.
 """
 
 from __future__ import annotations
@@ -278,7 +281,15 @@ def _run_training(
 
     for t in range(total):
         lr_t = config.lr_at(t)
-        idx = batch_rng.integers(0, len(train), size=config.batch_size)
+        step = t % eval_every
+        if step == 0:
+            # the interval's batch indices in one draw per stream: the same
+            # values, in the same order, as one draw per step
+            shape = (min(eval_every, total - t), config.batch_size)
+            batches = batch_rng.integers(0, len(train), size=shape)
+            if use_aux:
+                aux_batches = aux_batch_rng.integers(0, len(aux), size=shape)
+        idx = batches[step]
         xb = train.features[idx]
         yb = train.labels[idx]
         grad.values.fill(0.0)
@@ -296,7 +307,7 @@ def _run_training(
                 loss += config.alpha * soft_loss
                 backward(cache, {0: g_event, 1: config.alpha * g_soft}, grad)
             elif use_aux:
-                aux_idx = aux_batch_rng.integers(0, len(aux), size=config.batch_size)
+                aux_idx = aux_batches[step]
                 aux_cache = forward(
                     net, params, aux.features[aux_idx], mode="train",
                     rng=aux_drop_rng, heads=(1,),

@@ -215,7 +215,9 @@ def reference_training(net, params, train, config, soft=None, aux=None):
 
     It draws batches and dropout masks from the loop's seeded streams, in
     the loop's order, and applies the same lr schedule and momentum step;
-    evaluation points are skipped, as they change no parameter.
+    evaluation points are skipped, as they change no parameter.  Its batch
+    indices are one draw per step, so it also checks that the loop's one
+    draw per eval interval gives the same values.
     """
     stream = lambda k: np.random.default_rng([config.seed, k])  # noqa: E731
     batch_rng, drop_rng = stream(training._STREAM_BATCH), stream(training._STREAM_DROPOUT)

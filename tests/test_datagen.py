@@ -1,10 +1,13 @@
 """Generators: determinism, planted structure, recovery, and the toy scorer."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import make_blob_scorer, preset_high_concentration
 from dataclasses import replace
 
+from os2e import datagen
 from os2e.datagen import (
     GeneratorConfig,
     benchmark_transfer_config,
@@ -20,9 +23,45 @@ from os2e.datagen import (
     preset_vector_benchmark,
     teacher_soft_targets,
 )
+from os2e.network import NetworkConfig, init_params
 from os2e.selection import SelectionProblem, greedy_select
 from os2e.stats import bayes_posterior, estimate_conditional
 from os2e.training import TransferConfig
+
+
+def per_sample_aux(config, truth, concepts):
+    """The aux set as drawn one sample at a time: one scalar ``integers``
+    call per sample picks among its event's candidate concepts."""
+    rng = np.random.default_rng([config.seed, datagen._STREAM_AUX])
+    protos = datagen._event_prototypes(config, truth)
+    events = datagen._split_labels(rng, config, (config.n_aux,))
+    features = protos[events] + config.noise_sigma * rng.normal(
+        size=(config.n_aux, config.feature_dim)
+    )
+    labels = np.empty(config.n_aux, dtype=np.int64)
+    for i, e in enumerate(events):
+        sig = [c for c in truth.object_signatures[e] if c in concepts]
+        labels[i] = concepts.index(sig[int(rng.integers(0, len(sig)))])
+    return features, labels
+
+
+def per_unit_source(config, truth, trunk, kind, seed):
+    """A planted or vocabulary source's values as boosted one first-layer
+    unit at a time: one scalar ``integers`` call per unit."""
+    net = NetworkConfig(
+        input_dim=config.feature_dim, trunk=trunk, heads=(config.num_objects,),
+        dropout_rate=0.0,
+    )
+    params = init_params(net, seed)
+    concepts = (
+        truth.planted_objects() if kind == "planted" else list(range(config.num_objects))
+    )
+    rng = np.random.default_rng([config.seed, datagen._STREAM_SOURCE, seed])
+    w0 = params.view("trunk0.W")
+    for j in range(w0.shape[1]):
+        w0[concepts[int(rng.integers(0, len(concepts)))], j] += 1.0
+    w0 /= np.linalg.norm(w0, axis=0, keepdims=True) * np.sqrt(3.0)
+    return params.values
 
 
 def recovery_rate(config):
@@ -119,6 +158,53 @@ class TestVectorGenerator:
         assert len(aux) == config.n_aux
         assert aux.num_classes == len(truth.planted_objects())
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_aux_equals_per_sample_draws(self, seed):
+        config = preset_vector_benchmark(seed)
+        truth = make_truth(config)
+        planted = truth.planted_objects()
+        # one signature concept of events 0 and 2, both of events 1 and 3:
+        # half the samples have a single candidate, which draws nothing
+        sigs = truth.object_signatures
+        subset = sorted([sigs[0][1], *sigs[1], sigs[2][0], *sigs[3]])
+        for concepts, given in ((planted, None), (subset, subset)):
+            aux = gen_aux_dataset(config, truth, given)
+            features, labels = per_sample_aux(config, truth, concepts)
+            assert aux.num_classes == len(concepts)
+            assert aux.labels.tobytes() == labels.tobytes()
+            assert aux.features.tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_event_without_candidate_named_in_sample_order(self, seed):
+        config = preset_vector_benchmark(seed)
+        truth = make_truth(config)
+        # only event 0 has a candidate; the first sample of another event
+        # names its event, which at seeds 2 and 4 is event 2, not event 1
+        events = datagen._split_labels(
+            np.random.default_rng([config.seed, datagen._STREAM_AUX]), config, (config.n_aux,)
+        )
+        first = next(int(e) for e in events if e != 0)
+        concepts = truth.object_signatures[0]
+        with pytest.raises(
+            ValueError, match=rf"^event {first} has no signature concept among \[{concepts[0]}, "
+        ):
+            gen_aux_dataset(config, truth, concepts)
+
+    def test_duplicate_and_out_of_range_concepts_named(self):
+        config = preset_vector_benchmark(0)
+        truth = make_truth(config)
+        planted = truth.planted_objects()
+        for concepts, bad in (
+            (planted + [planted[0]], [planted[0]]),
+            (planted + [-1], [-1]),
+            ([25], [25]),
+            (planted + [20, planted[1], -3], [-3, planted[1], 20]),
+        ):
+            with pytest.raises(
+                ValueError, match=rf"distinct ids in \[0, 20\), got {re.escape(str(bad))} in"
+            ):
+                gen_aux_dataset(config, truth, concepts)
+
     def test_feature_dim_guard(self):
         config = replace(preset_vector_benchmark(7), feature_dim=10)
         with pytest.raises(ValueError, match="feature_dim"):
@@ -198,6 +284,16 @@ class TestSourceCheckpoints:
         w0 = ckpt.params.view("trunk0.W")
         planted = truth.planted_objects()
         assert all(int(np.abs(w0[:, j]).argmax()) in planted for j in range(16))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["planted", "vocabulary"])
+    def test_boosted_cells_equal_per_unit_draws(self, kind, seed):
+        config = preset_vector_benchmark(seed)
+        truth = make_truth(config)
+        for trunk in ((64,), (16, 8)):
+            ckpt = make_source_checkpoint(config, truth, trunk, kind, seed=seed)
+            expected = per_unit_source(config, truth, trunk, kind, seed)
+            assert ckpt.params.values.tobytes() == expected.tobytes()
 
     def test_unknown_kind_rejected(self):
         config = preset_vector_benchmark(15)

@@ -278,28 +278,14 @@ class TestLossComposition:
 
 
 class TestReferenceLoop:
-    """Twenty seeded steps of each mode leave the same parameter bytes as the
-    plain reference loop of ``conftest``; compared to each other on the same
-    machine, so no stored digest depends on the BLAS kernels."""
+    """Seeded steps of each mode leave the same parameter bytes as the plain
+    per-step reference loop of ``conftest``; compared to each other on the
+    same machine, so no stored digest depends on the BLAS kernels."""
 
-    @pytest.mark.parametrize(
-        "mode, direction",
-        [
-            ("init", SOFT_TARGET_AS_DISTRIBUTION),
-            ("knowledge", SOFT_TARGET_AS_DISTRIBUTION),
-            ("knowledge", SOFT_TARGET_IN_LOG),
-            ("data", SOFT_TARGET_AS_DISTRIBUTION),
-            ("probe", SOFT_TARGET_AS_DISTRIBUTION),
-        ],
-    )
-    def test_params_bitwise_equal_reference(self, mode, direction):
+    @staticmethod
+    def _final_and_reference(mode, tc):
         config, truth, train, test, soft, source = benchmark_parts(seed=21)
         aux = gen_aux_dataset(config, truth)
-        tc = quick_config(
-            seed=21, k_iters=8, batch_size=12, alpha=0.3, beta=0.7, dropout_rate=0.5,
-            soft_direction=direction,
-        )
-        assert tc.total_iters == 20
         if mode == "probe":
             train = Dataset(probe_features(train.features), train.labels, train.num_classes)
             test = Dataset(probe_features(test.features), test.labels, test.num_classes)
@@ -319,7 +305,36 @@ class TestReferenceLoop:
             soft=soft if mode == "knowledge" else None,
             aux=aux if mode == "data" else None,
         )
+        return report, expected
+
+    @pytest.mark.parametrize(
+        "mode, direction",
+        [
+            ("init", SOFT_TARGET_AS_DISTRIBUTION),
+            ("knowledge", SOFT_TARGET_AS_DISTRIBUTION),
+            ("knowledge", SOFT_TARGET_IN_LOG),
+            ("data", SOFT_TARGET_AS_DISTRIBUTION),
+            ("probe", SOFT_TARGET_AS_DISTRIBUTION),
+        ],
+    )
+    def test_params_bitwise_equal_reference(self, mode, direction):
+        tc = quick_config(
+            seed=21, k_iters=8, batch_size=12, alpha=0.3, beta=0.7, dropout_rate=0.5,
+            soft_direction=direction,
+        )
+        assert tc.total_iters == 20
+        report, expected = self._final_and_reference(mode, tc)
         assert report.final.iteration == 20
+        assert report.checkpoint.params.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["init", "data"])
+    def test_short_last_interval_bitwise_equal_reference(self, mode):
+        # 25 steps evaluated every 3: eight 3-step intervals, then one step,
+        # so the last block of batch indices is a single row
+        tc = quick_config(seed=21, k_iters=10, batch_size=12, beta=0.7, dropout_rate=0.5)
+        assert tc.total_iters == 25
+        report, expected = self._final_and_reference(mode, tc)
+        assert [r.iteration for r in report.records] == [*range(0, 25, 3), 25]
         assert report.checkpoint.params.values.tobytes() == expected.tobytes()
 
 
